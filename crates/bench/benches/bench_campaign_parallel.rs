@@ -12,7 +12,7 @@ use vrd_core::campaign::{in_depth_campaign, InDepthConfig};
 use vrd_core::checkpoint::{self, Checkpoint, CheckpointManifest};
 use vrd_core::exec::{execute, ExecConfig, Progress, Unit, UnitKey};
 use vrd_core::obs::metrics::MetricsSink;
-use vrd_core::run::RunOptions;
+use vrd_core::run::{run_units, RunOptions};
 use vrd_core::EvalStrategy;
 use vrd_dram::fleet::roster_fingerprint;
 use vrd_dram::ModuleSpec;
@@ -126,15 +126,10 @@ fn bench(c: &mut Criterion) {
             let ckpt = Checkpoint::open(&dir, manifest("overhead", 1, 0)).unwrap();
             let units: Vec<Unit<u64>> =
                 (0..1000u32).map(|i| Unit::new(UnitKey::cell("OVH", i, 0), u64::from(i))).collect();
-            let report = checkpoint::execute_checkpointed(
-                &ExecConfig::new(4, 1),
-                units,
-                &Progress::new(),
-                &ckpt,
-                None,
-                |ctx, &v| black_box(v ^ ctx.seed),
-            )
-            .unwrap();
+            let opts = RunOptions::new(ExecConfig::new(4, 1)).checkpoint(&ckpt);
+            let report =
+                run_units(&opts, "overhead", "units", units, |ctx, &v| black_box(v ^ ctx.seed))
+                    .unwrap();
             drop(ckpt);
             let _ = std::fs::remove_dir_all(&dir);
             report

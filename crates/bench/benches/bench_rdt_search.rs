@@ -6,9 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use vrd_bench::prepared_platform;
-use vrd_core::algorithm::{
-    measure_rdt_once_with, test_loop_using, test_loop_with, EvalStrategy, SearchStrategy,
-};
+use vrd_core::algorithm::{test_loop_using, EvalStrategy, SearchStrategy};
 use vrd_dram::TestConditions;
 
 fn bench(c: &mut Criterion) {
@@ -17,39 +15,21 @@ fn bench(c: &mut Criterion) {
     let conditions = TestConditions::foundational();
 
     // The platform is stateful (trap states evolve), which is exactly the
-    // workload: repeated measurements of the same row.
-    for (name, search) in
-        [("linear", SearchStrategy::Linear), ("adaptive", SearchStrategy::Adaptive)]
-    {
-        let (mut platform, row, sweep) = prepared_platform("M1", 1);
-        group.bench_function(&format!("measure_rdt_once/{name}"), |b| {
-            b.iter(|| measure_rdt_once_with(&mut platform, 0, row, &conditions, &sweep, search))
-        });
-
+    // workload: repeated measurements of the same row. The search axis
+    // runs on batch eval and the eval axis on adaptive search, the
+    // strategy each shares with the product path; the batch engine
+    // amortizes one threshold draw per (epoch, cell) over every probe of
+    // the sweep.
+    let variants = [
+        ("test_loop_20/linear", SearchStrategy::Linear, EvalStrategy::Batch),
+        ("test_loop_20/adaptive", SearchStrategy::Adaptive, EvalStrategy::Batch),
+        ("test_loop_20_eval/scalar", SearchStrategy::Adaptive, EvalStrategy::Scalar),
+        ("test_loop_20_eval/batch", SearchStrategy::Adaptive, EvalStrategy::Batch),
+    ];
+    for (name, search, eval) in variants {
         let (mut platform, row, sweep) = prepared_platform("M1", 2);
-        group.bench_function(&format!("test_loop_20/{name}"), |b| {
-            b.iter(|| test_loop_with(&mut platform, 0, row, &conditions, 20, &sweep, search))
-        });
-    }
-
-    // The eval axis, on the adaptive search both strategies share: the
-    // batch engine amortizes one threshold draw per (epoch, cell) over
-    // every probe of the sweep.
-    for (name, eval) in [("scalar", EvalStrategy::Scalar), ("batch", EvalStrategy::Batch)] {
-        let (mut platform, row, sweep) = prepared_platform("M1", 2);
-        group.bench_function(&format!("test_loop_20_eval/{name}"), |b| {
-            b.iter(|| {
-                test_loop_using(
-                    &mut platform,
-                    0,
-                    row,
-                    &conditions,
-                    20,
-                    &sweep,
-                    SearchStrategy::Adaptive,
-                    eval,
-                )
-            })
+        group.bench_function(name, |b| {
+            b.iter(|| test_loop_using(&mut platform, 0, row, &conditions, 20, &sweep, search, eval))
         });
     }
     group.finish();

@@ -6,8 +6,7 @@
 
 use vrd_bender::TestPlatform;
 use vrd_core::algorithm::{
-    find_victim, test_loop, test_loop_using, test_loop_with, EvalStrategy, SearchStrategy,
-    SweepSpec,
+    find_victim, test_loop, test_loop_using, EvalStrategy, SearchStrategy, SweepSpec,
 };
 use vrd_core::RdtSeries;
 use vrd_dram::{ModuleSpec, TestConditions};
@@ -60,7 +59,16 @@ pub fn search_cost(
     let conditions = TestConditions::foundational();
     let before = platform.hammer_sessions();
     let started = std::time::Instant::now();
-    let series = test_loop_with(&mut platform, 0, row, &conditions, measurements, &sweep, search);
+    let series = test_loop_using(
+        &mut platform,
+        0,
+        row,
+        &conditions,
+        measurements,
+        &sweep,
+        search,
+        EvalStrategy::Batch,
+    );
     SearchCost {
         series,
         sessions: platform.hammer_sessions() - before,
@@ -130,8 +138,10 @@ pub struct DiscoveryCost {
 /// parameters, so its condition-0 stream extends the discovery stream)
 /// to price the epochs saved and check per-row soundness.
 pub fn discovery_cost(module: &str, seed: u64, fixed_budget: u32) -> DiscoveryCost {
-    use vrd_core::campaign::{run_in_depth, InDepthConfig};
+    use vrd_core::campaign::{in_depth_campaign, InDepthConfig};
     use vrd_core::discovery::{run_discovery, DiscoveryConfig};
+    use vrd_core::exec::ExecConfig;
+    use vrd_core::run::RunOptions;
 
     let spec = ModuleSpec::by_name(module).expect("module exists in Table 1");
     let cfg = DiscoveryConfig::quick().to_builder().seed(seed).max_epochs(fixed_budget).build();
@@ -141,7 +151,9 @@ pub fn discovery_cost(module: &str, seed: u64, fixed_budget: u32) -> DiscoveryCo
 
     let indepth_cfg =
         InDepthConfig::quick().to_builder().seed(seed).measurements(fixed_budget).build();
-    let indepth = run_in_depth(&spec, &indepth_cfg);
+    let opts = RunOptions::new(ExecConfig::serial(indepth_cfg.seed));
+    let indepth =
+        in_depth_campaign(&[spec], &indepth_cfg, &opts).expect("plain run cannot fail").remove(0);
 
     let rows = discovery.rows.len();
     let epochs_spent = discovery.rows.iter().map(|r| u64::from(r.epochs_used)).sum();

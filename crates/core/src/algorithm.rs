@@ -37,7 +37,10 @@ pub const FIND_VICTIM_CUTOFF: u32 = 40_000;
 ///   ([`vrd_bender::search::first_true`]) — O(log grid) sessions.
 ///
 /// `tests/search_equivalence.rs` proves the byte-identity of the two on
-/// full campaigns; the default is [`Adaptive`](SearchStrategy::Adaptive).
+/// full campaigns. [`Adaptive`](SearchStrategy::Adaptive) is the product
+/// path; [`Linear`](SearchStrategy::Linear) is a test oracle, reachable
+/// only through [`test_loop_using`] and
+/// [`ExecConfigBuilder::search`](crate::exec::ExecConfigBuilder::search).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SearchStrategy {
     /// Ascending linear scan of the sweep grid.
@@ -48,59 +51,13 @@ pub enum SearchStrategy {
 }
 
 impl SearchStrategy {
-    fn name(self) -> &'static str {
+    /// The first grid point of `sweep` for which `probe` returns true,
+    /// found by this strategy.
+    fn first_flip(self, sweep: &SweepSpec, mut probe: impl FnMut(u32) -> bool) -> Option<u32> {
         match self {
-            SearchStrategy::Linear => "Linear",
-            SearchStrategy::Adaptive => "Adaptive",
+            SearchStrategy::Linear => sweep.grid().find(|&hc| probe(hc)),
+            SearchStrategy::Adaptive => sweep.search_grid(probe),
         }
-    }
-}
-
-impl Serialize for SearchStrategy {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.name().to_owned())
-    }
-}
-
-impl Deserialize for SearchStrategy {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) => {
-                s.parse().map_err(|_| serde::Error(format!("unknown search strategy `{s}`")))
-            }
-            other => Err(serde::Error(format!(
-                "expected search strategy string, found {}",
-                other.kind()
-            ))),
-        }
-    }
-
-    /// Configs serialized before the strategy existed deserialize to the
-    /// default instead of erroring.
-    fn from_missing_field(_name: &str) -> Result<Self, serde::Error> {
-        Ok(SearchStrategy::default())
-    }
-}
-
-impl std::str::FromStr for SearchStrategy {
-    type Err = String;
-
-    /// Accepts the variant name, case-insensitively (`linear` /
-    /// `adaptive`), as used by the `--search` CLI flag.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "linear" => Ok(SearchStrategy::Linear),
-            "adaptive" => Ok(SearchStrategy::Adaptive),
-            other => {
-                Err(format!("unknown search strategy `{other}` (expected `linear` or `adaptive`)"))
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for SearchStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -122,7 +79,10 @@ impl std::fmt::Display for SearchStrategy {
 ///
 /// Rows the batch engine cannot capture (refresh/TRR interference, edge
 /// victims, asymmetric mappings) silently fall back to the scalar path,
-/// so `Batch` is safe — and the default — everywhere.
+/// so `Batch` is safe — and the product path — everywhere.
+/// [`Scalar`](EvalStrategy::Scalar) is a test oracle, reachable only
+/// through [`test_loop_using`] and
+/// [`ExecConfigBuilder::eval`](crate::exec::ExecConfigBuilder::eval).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EvalStrategy {
     /// Per-session DRAM command execution.
@@ -130,60 +90,6 @@ pub enum EvalStrategy {
     /// Whole-row struct-of-arrays evaluation per epoch.
     #[default]
     Batch,
-}
-
-impl EvalStrategy {
-    fn name(self) -> &'static str {
-        match self {
-            EvalStrategy::Scalar => "Scalar",
-            EvalStrategy::Batch => "Batch",
-        }
-    }
-}
-
-impl Serialize for EvalStrategy {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.name().to_owned())
-    }
-}
-
-impl Deserialize for EvalStrategy {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) => {
-                s.parse().map_err(|_| serde::Error(format!("unknown eval strategy `{s}`")))
-            }
-            other => {
-                Err(serde::Error(format!("expected eval strategy string, found {}", other.kind())))
-            }
-        }
-    }
-
-    /// Configs serialized before the strategy existed deserialize to the
-    /// default instead of erroring.
-    fn from_missing_field(_name: &str) -> Result<Self, serde::Error> {
-        Ok(EvalStrategy::default())
-    }
-}
-
-impl std::str::FromStr for EvalStrategy {
-    type Err = String;
-
-    /// Accepts the variant name, case-insensitively (`scalar` / `batch`),
-    /// as used by the `--eval` CLI flag.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Ok(EvalStrategy::Scalar),
-            "batch" => Ok(EvalStrategy::Batch),
-            other => Err(format!("unknown eval strategy `{other}` (expected `scalar` or `batch`)")),
-        }
-    }
-}
-
-impl std::fmt::Display for EvalStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// Hammer-count sweep grid of one RDT measurement.
@@ -250,7 +156,12 @@ impl SweepSpec {
 /// count on the sweep grid whose session flips the victim, or `None` if
 /// the row survives the whole sweep (a censored measurement).
 ///
-/// Uses the default [`SearchStrategy`]; see [`measure_rdt_once_with`].
+/// The measurement opens a new *measurement epoch* on the platform and
+/// runs every hammer session of the sweep in keyed-dynamics mode: the
+/// per-cell threshold draw and the between-measurement trap evolution are
+/// pure functions of `(dynamics seed, epoch, cell)`, independent of how
+/// many sessions ran before or in which order. It uses the default
+/// strategies; [`test_loop_using`] is the strategy-explicit oracle.
 pub fn measure_rdt_once(
     platform: &mut TestPlatform,
     bank: usize,
@@ -258,36 +169,13 @@ pub fn measure_rdt_once(
     conditions: &TestConditions,
     sweep: &SweepSpec,
 ) -> Option<u32> {
-    measure_rdt_once_with(platform, bank, victim, conditions, sweep, SearchStrategy::default())
-}
-
-/// One RDT measurement with an explicit [`SearchStrategy`].
-///
-/// The measurement opens a new *measurement epoch* on the platform and
-/// runs every hammer session of the sweep in keyed-dynamics mode: the
-/// per-cell threshold draw and the between-measurement trap evolution are
-/// pure functions of `(dynamics seed, epoch, cell)`, independent of how
-/// many sessions ran before or in which order. Under those dynamics the
-/// flip predicate is monotone in the hammer count, so
-/// [`Linear`](SearchStrategy::Linear) and
-/// [`Adaptive`](SearchStrategy::Adaptive) return identical results — the
-/// adaptive strategy merely spends O(log grid) sessions instead of
-/// O(grid).
-pub fn measure_rdt_once_with(
-    platform: &mut TestPlatform,
-    bank: usize,
-    victim: u32,
-    conditions: &TestConditions,
-    sweep: &SweepSpec,
-    search: SearchStrategy,
-) -> Option<u32> {
     measure_rdt_once_using(
         platform,
         bank,
         victim,
         conditions,
         sweep,
-        search,
+        SearchStrategy::default(),
         EvalStrategy::default(),
     )
 }
@@ -302,7 +190,7 @@ pub fn measure_rdt_once_with(
 /// row cannot be captured — or the sweep is empty, so no session would
 /// run at all — the measurement falls back to the scalar command path,
 /// byte-identically.
-pub fn measure_rdt_once_using(
+pub(crate) fn measure_rdt_once_using(
     platform: &mut TestPlatform,
     bank: usize,
     victim: u32,
@@ -312,29 +200,21 @@ pub fn measure_rdt_once_using(
     eval: EvalStrategy,
 ) -> Option<u32> {
     let epoch = platform.begin_measurement();
-    if eval == EvalStrategy::Batch && !sweep.is_empty() {
-        if let Some(mut batch) = platform.prepare_batch_epoch(epoch, bank, victim, conditions) {
-            let mut probe = |hc: u32| {
-                let session = u64::from((hc - sweep.min) / sweep.step);
-                platform.begin_keyed_session(epoch, session);
-                platform.run_batched_session(&mut batch, hc)
-            };
-            let first = match search {
-                SearchStrategy::Linear => sweep.grid().find(|&hc| probe(hc)),
-                SearchStrategy::Adaptive => sweep.search_grid(probe),
-            };
-            platform.end_keyed_session();
-            return first;
-        }
-    }
-    let mut probe = |hc: u32| {
-        let session = u64::from((hc - sweep.min) / sweep.step);
-        platform.begin_keyed_session(epoch, session);
-        !hammer_session(platform, bank, victim, hc, conditions).is_empty()
+    let session = |hc: u32| u64::from((hc - sweep.min) / sweep.step);
+    let batch = if eval == EvalStrategy::Batch && !sweep.is_empty() {
+        platform.prepare_batch_epoch(epoch, bank, victim, conditions)
+    } else {
+        None
     };
-    let first = match search {
-        SearchStrategy::Linear => sweep.grid().find(|&hc| probe(hc)),
-        SearchStrategy::Adaptive => sweep.search_grid(probe),
+    let first = match batch {
+        Some(mut batch) => search.first_flip(sweep, |hc| {
+            platform.begin_keyed_session(epoch, session(hc));
+            platform.run_batched_session(&mut batch, hc)
+        }),
+        None => search.first_flip(sweep, |hc| {
+            platform.begin_keyed_session(epoch, session(hc));
+            !hammer_session(platform, bank, victim, hc, conditions).is_empty()
+        }),
     };
     platform.end_keyed_session();
     first
@@ -375,7 +255,7 @@ pub fn find_victim(
 
 /// Alg. 1's `test_loop`: measures the victim's RDT `measurements` times
 /// over the given sweep, returning the series (censored sweeps counted
-/// separately). Uses the default [`SearchStrategy`].
+/// separately).
 pub fn test_loop(
     platform: &mut TestPlatform,
     bank: usize,
@@ -384,28 +264,6 @@ pub fn test_loop(
     measurements: u32,
     sweep: &SweepSpec,
 ) -> RdtSeries {
-    test_loop_with(
-        platform,
-        bank,
-        victim,
-        conditions,
-        measurements,
-        sweep,
-        SearchStrategy::default(),
-    )
-}
-
-/// Alg. 1's `test_loop` with an explicit [`SearchStrategy`] (see
-/// [`measure_rdt_once_with`]).
-pub fn test_loop_with(
-    platform: &mut TestPlatform,
-    bank: usize,
-    victim: u32,
-    conditions: &TestConditions,
-    measurements: u32,
-    sweep: &SweepSpec,
-    search: SearchStrategy,
-) -> RdtSeries {
     test_loop_using(
         platform,
         bank,
@@ -413,13 +271,15 @@ pub fn test_loop_with(
         conditions,
         measurements,
         sweep,
-        search,
+        SearchStrategy::default(),
         EvalStrategy::default(),
     )
 }
 
 /// Alg. 1's `test_loop` with explicit [`SearchStrategy`] and
-/// [`EvalStrategy`] (see [`measure_rdt_once_using`]).
+/// [`EvalStrategy`]: the oracle entry point. Every strategy pair
+/// measures the same series; the equivalence suites and the strategy
+/// benchmarks compare them through this function.
 #[allow(clippy::too_many_arguments)]
 pub fn test_loop_using(
     platform: &mut TestPlatform,
@@ -539,23 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn search_strategy_parses_and_roundtrips() {
-        use serde::{Deserialize as _, Serialize as _};
-        assert_eq!("linear".parse::<SearchStrategy>().unwrap(), SearchStrategy::Linear);
-        assert_eq!("Adaptive".parse::<SearchStrategy>().unwrap(), SearchStrategy::Adaptive);
-        assert!("fast".parse::<SearchStrategy>().is_err());
-        for s in [SearchStrategy::Linear, SearchStrategy::Adaptive] {
-            assert_eq!(SearchStrategy::from_value(&s.to_value()).unwrap(), s);
-            assert_eq!(s.to_string().parse::<SearchStrategy>().unwrap(), s);
-        }
-        // Configs from before the field existed keep deserializing.
-        assert_eq!(
-            SearchStrategy::from_missing_field("search").unwrap(),
-            SearchStrategy::default()
-        );
-    }
-
-    #[test]
     fn linear_and_adaptive_measure_identical_series() {
         let conditions = TestConditions::foundational();
         let measure = |search| {
@@ -564,7 +407,16 @@ mod tests {
                 find_victim(&mut platform, 0, &conditions, FIND_VICTIM_CUTOFF, 2..2000).unwrap();
             let sweep = SweepSpec::from_guess(guess);
             let before = platform.hammer_sessions();
-            let series = test_loop_with(&mut platform, 0, row, &conditions, 40, &sweep, search);
+            let series = test_loop_using(
+                &mut platform,
+                0,
+                row,
+                &conditions,
+                40,
+                &sweep,
+                search,
+                EvalStrategy::Batch,
+            );
             (series, platform.hammer_sessions() - before)
         };
         let (linear, linear_sessions) = measure(SearchStrategy::Linear);
@@ -585,26 +437,21 @@ mod tests {
                 .find(|&r| platform.device_mut().oracle_row_threshold(0, r, &conditions).is_none())
                 .expect("some row has no weak cell");
             let sweep = SweepSpec { min: 100, max: 2_000, step: 100 };
-            test_loop_with(&mut platform, 0, strong, &conditions, 10, &sweep, search)
+            test_loop_using(
+                &mut platform,
+                0,
+                strong,
+                &conditions,
+                10,
+                &sweep,
+                search,
+                EvalStrategy::Batch,
+            )
         };
         let linear = run(SearchStrategy::Linear);
         let adaptive = run(SearchStrategy::Adaptive);
         assert_eq!(linear, adaptive);
         assert_eq!(adaptive.censored(), 10);
-    }
-
-    #[test]
-    fn eval_strategy_parses_and_roundtrips() {
-        use serde::{Deserialize as _, Serialize as _};
-        assert_eq!("scalar".parse::<EvalStrategy>().unwrap(), EvalStrategy::Scalar);
-        assert_eq!("Batch".parse::<EvalStrategy>().unwrap(), EvalStrategy::Batch);
-        assert!("vector".parse::<EvalStrategy>().is_err());
-        for e in [EvalStrategy::Scalar, EvalStrategy::Batch] {
-            assert_eq!(EvalStrategy::from_value(&e.to_value()).unwrap(), e);
-            assert_eq!(e.to_string().parse::<EvalStrategy>().unwrap(), e);
-        }
-        // Configs from before the field existed keep deserializing.
-        assert_eq!(EvalStrategy::from_missing_field("eval").unwrap(), EvalStrategy::default());
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::algorithm::{
     FIND_VICTIM_CUTOFF,
 };
 use crate::checkpoint::CheckpointError;
-use crate::exec::{ExecConfig, ExecReport, Progress, Unit, UnitCtx, UnitKey};
+use crate::exec::{ExecReport, Progress, Unit, UnitCtx, UnitKey};
 use crate::obs::{CampaignSummary, Event};
 use crate::run::{run_units, RunOptions};
 use crate::series::RdtSeries;
@@ -469,20 +469,6 @@ pub fn select_rows(
     selected
 }
 
-/// Runs the §5 in-depth campaign against one module, serially. This is
-/// the single-threaded instance of [`in_depth_campaign`], so its output
-/// is exactly what any parallel run of the same campaign produces.
-pub fn run_in_depth(spec: &ModuleSpec, cfg: &InDepthConfig) -> InDepthResult {
-    in_depth_campaign(
-        std::slice::from_ref(spec),
-        cfg,
-        &RunOptions::new(ExecConfig::serial(cfg.seed)),
-    )
-    .expect("plain campaign run cannot fail")
-    .pop()
-    .expect("one module in, one result out")
-}
-
 /// Runs the §5 in-depth campaign across a fleet of modules on the
 /// deterministic executor, under [`RunOptions`] (plain, observed,
 /// checkpointed, and cancellable are configurations, as in
@@ -661,6 +647,7 @@ fn measure_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecConfig;
 
     fn quick_foundational() -> FoundationalConfig {
         FoundationalConfig {
@@ -710,10 +697,16 @@ mod tests {
         assert!(rows.iter().any(|&(r, _)| r < 64) || rows.iter().any(|&(r, _)| r > total - 65));
     }
 
+    /// The in-depth campaign against one module on one thread.
+    fn serial_in_depth(spec: &ModuleSpec, cfg: &InDepthConfig) -> InDepthResult {
+        let opts = RunOptions::new(ExecConfig::serial(cfg.seed));
+        in_depth_campaign(std::slice::from_ref(spec), cfg, &opts).unwrap().pop().unwrap()
+    }
+
     #[test]
     fn in_depth_campaign_produces_series_per_condition() {
         let spec = ModuleSpec::by_name("H3").unwrap();
-        let result = run_in_depth(&spec, &InDepthConfig::quick());
+        let result = serial_in_depth(&spec, &InDepthConfig::quick());
         assert_eq!(result.module, "H3");
         assert!(!result.rows.is_empty());
         for row in &result.rows {
@@ -728,7 +721,7 @@ mod tests {
     fn in_depth_parallel_equals_serial() {
         let spec = ModuleSpec::by_name("H3").unwrap();
         let cfg = InDepthConfig::quick();
-        let serial = run_in_depth(&spec, &cfg);
+        let serial = serial_in_depth(&spec, &cfg);
         let parallel = in_depth_campaign(
             std::slice::from_ref(&spec),
             &cfg,

@@ -45,14 +45,14 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::exec::{self, ExecConfig, ExecReport, Progress, Unit, UnitCtx, UnitKey, UnitOutcome};
-use crate::obs::{Event, NullObserver, Observer};
+use crate::exec::{self, ExecReport, Progress, Unit, UnitCtx, UnitKey, UnitOutcome};
+use crate::obs::Event;
+use crate::run::RunOptions;
 
 /// Version tag of the journal/manifest format; bump on incompatible
 /// layout changes so old checkpoints are rejected instead of misread.
@@ -438,15 +438,13 @@ fn parse_record(line: &[u8]) -> Result<(UnitKey, String), String> {
     Ok((key, value_json))
 }
 
-/// Runs `units` through `f` like [`exec::execute_observed`], but backed
-/// by a checkpoint: units already in the journal are restored without
-/// running (counted as done in `progress`), and every freshly finished
-/// unit is appended and flushed before the run moves on.
-///
-/// The optional `hooks` observe unit boundaries; a hook's
-/// [`UnitHooks::cancel_flag`] makes the run cooperatively cancellable,
-/// in which case [`CheckpointError::Interrupted`] reports how much of
-/// the campaign is safely journaled.
+/// Runs `units` through `f` under `opts` (executor, observer, hooks,
+/// cancellation), backed by `checkpoint`: units already in the journal
+/// are restored without running (counted as done in `progress`, each
+/// emitting [`Event::UnitRestored`]), and every freshly finished unit is
+/// appended and flushed before the run moves on, emitting
+/// [`Event::CheckpointCommitted`] with the measured commit latency.
+/// [`crate::run::run_units`] is the public entry point.
 ///
 /// # Errors
 ///
@@ -458,12 +456,11 @@ fn parse_record(line: &[u8]) -> Result<(UnitKey, String), String> {
 ///
 /// Panics when the journal append itself fails (disk full / I/O error):
 /// continuing would silently lose crash safety.
-pub fn execute_checkpointed<I, T, F>(
-    cfg: &ExecConfig,
+pub(crate) fn execute_checkpointed_run<I, T, F>(
+    opts: &RunOptions<'_>,
+    checkpoint: &Checkpoint,
     units: Vec<Unit<I>>,
     progress: &Progress,
-    checkpoint: &Checkpoint,
-    hooks: Option<&dyn UnitHooks>,
     f: F,
 ) -> Result<ExecReport<T>, CheckpointError>
 where
@@ -471,31 +468,8 @@ where
     T: Serialize + Deserialize + Send,
     F: Fn(UnitCtx<'_>, &I) -> T + Sync,
 {
-    execute_checkpointed_run(cfg, units, progress, checkpoint, hooks, None, &NullObserver, f)
-}
-
-/// Like [`execute_checkpointed`], but cancellable through an explicit
-/// flag (merged with the hooks' [`UnitHooks::cancel_flag`]) and
-/// observed: every unit restored from the journal emits
-/// [`Event::UnitRestored`], and every fresh append+flush emits
-/// [`Event::CheckpointCommitted`] with the measured commit latency, on
-/// top of the executor's own unit lifecycle events.
-#[allow(clippy::too_many_arguments)] // the RunOptions facade in `crate::run` is the public surface
-pub fn execute_checkpointed_run<I, T, F>(
-    cfg: &ExecConfig,
-    units: Vec<Unit<I>>,
-    progress: &Progress,
-    checkpoint: &Checkpoint,
-    hooks: Option<&dyn UnitHooks>,
-    cancel: Option<&AtomicBool>,
-    observer: &dyn Observer,
-    f: F,
-) -> Result<ExecReport<T>, CheckpointError>
-where
-    I: Send + Sync,
-    T: Serialize + Deserialize + Send,
-    F: Fn(UnitCtx<'_>, &I) -> T + Sync,
-{
+    let observer = opts.observer_ref();
+    let hooks = opts.hooks_ref();
     let total = units.len();
     let mut slots: Vec<Option<UnitOutcome<T>>> = Vec::new();
     slots.resize_with(total, || None);
@@ -517,33 +491,34 @@ where
     }
     progress.restore(total - pending.len());
 
-    let cancel = cancel.or_else(|| hooks.and_then(UnitHooks::cancel_flag));
-    let report = exec::execute_run(cfg, pending, progress, cancel, observer, |ctx, payload| {
-        let key = ctx.key;
-        if let Some(h) = hooks {
-            h.before_unit(key);
-        }
-        let value = f(ctx, payload);
-        if ctx.was_interrupted() {
-            // The closure yielded mid-unit to cancellation: its value is
-            // partial, so it must not be journaled — the executor reports
-            // the unit as skipped and a resume reruns it (from whatever
-            // the closure stashed).
-            return value;
-        }
-        let commit_started = Instant::now();
-        if let Err(e) = checkpoint.append(key, &value) {
-            panic!("checkpoint journal append failed: {e}");
-        }
-        observer.on_event(&Event::CheckpointCommitted {
-            key: key.clone(),
-            latency_ns: commit_started.elapsed().as_nanos() as u64,
+    let cancel = opts.effective_cancel();
+    let report =
+        exec::execute_run(opts.exec(), pending, progress, cancel, observer, |ctx, payload| {
+            let key = ctx.key;
+            if let Some(h) = hooks {
+                h.before_unit(key);
+            }
+            let value = f(ctx, payload);
+            if ctx.was_interrupted() {
+                // The closure yielded mid-unit to cancellation: its value is
+                // partial, so it must not be journaled — the executor reports
+                // the unit as skipped and a resume reruns it (from whatever
+                // the closure stashed).
+                return value;
+            }
+            let commit_started = Instant::now();
+            if let Err(e) = checkpoint.append(key, &value) {
+                panic!("checkpoint journal append failed: {e}");
+            }
+            observer.on_event(&Event::CheckpointCommitted {
+                key: key.clone(),
+                latency_ns: commit_started.elapsed().as_nanos() as u64,
+            });
+            if let Some(h) = hooks {
+                h.after_commit(key);
+            }
+            value
         });
-        if let Some(h) = hooks {
-            h.after_commit(key);
-        }
-        value
-    });
 
     let mut skipped = 0usize;
     for (slot, outcome) in pending_slots.into_iter().zip(report.outcomes) {

@@ -30,22 +30,23 @@
 //! found, and simulated test time consumed, for CLI throughput
 //! rendering while a campaign runs.
 //!
-//! Runs can be **cancelled** cooperatively: [`execute_cancellable`]
-//! takes an `AtomicBool` flag checked before each unit is popped. Units
-//! never started report [`UnitOutcome::Skipped`]; in-flight units finish
-//! normally unless they poll [`UnitCtx::is_cancelled`] themselves and
-//! yield via [`UnitCtx::interrupt`] (long per-unit loops, like the
-//! discovery campaign's epoch loop, do — an interrupted unit also
-//! reports `Skipped` and reruns on resume).
-//! [`crate::checkpoint`] builds crash-safe resume on top of
-//! this, and the cfg-gated [`faults`] module turns the flag into a
-//! deterministic kill switch for testing.
-//!
-//! Runs can be **observed**: [`execute_run`] additionally emits
-//! [`crate::obs::Event::UnitStarted`] / `UnitFinished` (with per-unit
-//! wall time, simulated test time/energy, and bitflips) into an
-//! [`Observer`], feeding JSONL traces and `metrics.json`. Observation is
-//! purely additive — it never touches seeds, scheduling, or outputs.
+//! Runs can be **cancelled** and **observed** through
+//! [`crate::run::RunOptions`]: [`crate::run::run_units`] is the
+//! campaign-facing entry point, layering checkpointing
+//! ([`crate::checkpoint`]), unit hooks, a cancellation flag, and an
+//! [`Observer`] over this pool. [`execute`] is the plain pool, for work
+//! whose results need not serialize. A cancellation flag is checked
+//! before each unit is popped; units never started report
+//! [`UnitOutcome::Skipped`], and in-flight units finish normally unless
+//! they poll [`UnitCtx::is_cancelled`] themselves and yield via
+//! [`UnitCtx::interrupt`] (long per-unit loops, like the discovery
+//! campaign's epoch loop, do — an interrupted unit also reports
+//! `Skipped` and reruns on resume). The cfg-gated [`faults`] module
+//! turns the flag into a deterministic kill switch for testing.
+//! Observation emits [`crate::obs::Event::UnitStarted`] /
+//! `UnitFinished` (with per-unit wall time, simulated test time/energy,
+//! and bitflips), feeding JSONL traces and `metrics.json`; it is purely
+//! additive — it never touches seeds, scheduling, or outputs.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -68,7 +69,7 @@ pub mod faults;
 /// `#[non_exhaustive]`: construct through [`ExecConfig::new`],
 /// [`ExecConfig::serial`], or [`ExecConfig::builder`], so future fields
 /// are not breaking changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ExecConfig {
     /// Worker threads (0 = all available cores).
@@ -78,15 +79,13 @@ pub struct ExecConfig {
     pub campaign_seed: u64,
     /// How RDT measurements locate the first flipping grid point. Both
     /// strategies produce byte-identical campaign results (see
-    /// [`SearchStrategy`]); [`Adaptive`](SearchStrategy::Adaptive) — the
-    /// default — spends O(log grid) hammer sessions per measurement
-    /// instead of O(grid).
+    /// [`SearchStrategy`]); [`Adaptive`](SearchStrategy::Adaptive), the
+    /// default, is the product path and `Linear` a test oracle.
     pub search: SearchStrategy,
     /// How RDT measurements evaluate the hammer sessions they probe.
     /// Both strategies produce byte-identical campaign results (see
-    /// [`EvalStrategy`]); [`Batch`](EvalStrategy::Batch) — the default —
-    /// evaluates a whole row per measurement epoch in one
-    /// struct-of-arrays pass instead of per-session command programs.
+    /// [`EvalStrategy`]); [`Batch`](EvalStrategy::Batch), the default, is
+    /// the product path and `Scalar` a test oracle.
     pub eval: EvalStrategy,
 }
 
@@ -152,13 +151,15 @@ impl ExecConfigBuilder {
         self
     }
 
-    /// Sets the RDT search strategy.
+    /// Sets the RDT search strategy (the campaign-level oracle
+    /// selector of the equivalence suites).
     pub fn search(mut self, search: SearchStrategy) -> Self {
         self.cfg.search = search;
         self
     }
 
-    /// Sets the hammer-session evaluation strategy.
+    /// Sets the hammer-session evaluation strategy (the campaign-level
+    /// oracle selector of the equivalence suites).
     pub fn eval(mut self, eval: EvalStrategy) -> Self {
         self.cfg.eval = eval;
         self
@@ -490,54 +491,19 @@ where
     T: Send,
     F: Fn(UnitCtx<'_>, &I) -> T + Sync,
 {
-    let progress = Progress::new();
-    execute_observed(cfg, units, &progress, f)
+    execute_run(cfg, units, &Progress::new(), None, &NullObserver, f)
 }
 
-/// Like [`execute`], but reports progress into caller-owned counters so
-/// a heartbeat thread can watch the run.
-pub fn execute_observed<I, T, F>(
-    cfg: &ExecConfig,
-    units: Vec<Unit<I>>,
-    progress: &Progress,
-    f: F,
-) -> ExecReport<T>
-where
-    I: Send + Sync,
-    T: Send,
-    F: Fn(UnitCtx<'_>, &I) -> T + Sync,
-{
-    execute_cancellable(cfg, units, progress, None, f)
-}
-
-/// Like [`execute_observed`], but cooperatively cancellable: when
-/// `cancel` flips to `true`, workers stop popping new units (in-flight
-/// units finish and report normally) and every never-started unit comes
-/// back as [`UnitOutcome::Skipped`]. Passing `None` is exactly
-/// [`execute_observed`].
-pub fn execute_cancellable<I, T, F>(
-    cfg: &ExecConfig,
-    units: Vec<Unit<I>>,
-    progress: &Progress,
-    cancel: Option<&AtomicBool>,
-    f: F,
-) -> ExecReport<T>
-where
-    I: Send + Sync,
-    T: Send,
-    F: Fn(UnitCtx<'_>, &I) -> T + Sync,
-{
-    execute_run(cfg, units, progress, cancel, &NullObserver, f)
-}
-
-/// The fully-general executor entry point: cancellable like
-/// [`execute_cancellable`], and additionally emits
-/// [`Event::UnitStarted`] and [`Event::UnitFinished`] (with the unit's
-/// wall time and its own bitflip / simulated-time / simulated-energy
-/// deltas) into `observer`. Events are emitted from worker threads, so
-/// their interleaving is scheduling-dependent; their contents are not
-/// (see [`crate::obs::canonical`]).
-pub fn execute_run<I, T, F>(
+/// The fully general pool behind [`execute`] and
+/// [`crate::run::run_units`]: reports into caller-owned `progress`, stops
+/// popping units once `cancel` flips (never-started units come back as
+/// [`UnitOutcome::Skipped`]), and emits [`Event::UnitStarted`] and
+/// [`Event::UnitFinished`] (with the unit's wall time and its own
+/// bitflip / simulated-time / simulated-energy deltas) into `observer`.
+/// Events are emitted from worker threads, so their interleaving is
+/// scheduling-dependent; their contents are not (see
+/// [`crate::obs::canonical`]).
+pub(crate) fn execute_run<I, T, F>(
     cfg: &ExecConfig,
     units: Vec<Unit<I>>,
     progress: &Progress,
@@ -796,12 +762,13 @@ mod tests {
         let cfg = ExecConfig::serial(0);
         let cancel = AtomicBool::new(false);
         let progress = Progress::new();
-        let report = execute_cancellable(&cfg, keys(10), &progress, Some(&cancel), |_, &i| {
-            if i == 2 {
-                cancel.store(true, Ordering::SeqCst);
-            }
-            i
-        });
+        let report =
+            execute_run(&cfg, keys(10), &progress, Some(&cancel), &NullObserver, |_, &i| {
+                if i == 2 {
+                    cancel.store(true, Ordering::SeqCst);
+                }
+                i
+            });
         let done = report.outcomes.iter().filter(|o| !o.is_skipped()).count();
         assert_eq!(done, 3, "serial run stops right after the flag flips");
         assert!(report.outcomes[3..].iter().all(UnitOutcome::is_skipped));
@@ -814,7 +781,8 @@ mod tests {
         let cfg = ExecConfig::new(4, 1);
         let cancel = AtomicBool::new(false);
         let progress = Progress::new();
-        let report = execute_cancellable(&cfg, keys(12), &progress, Some(&cancel), |_, &i| i * 3);
+        let report =
+            execute_run(&cfg, keys(12), &progress, Some(&cancel), &NullObserver, |_, &i| i * 3);
         assert_eq!(report.into_results(), (0..12).map(|i| i * 3).collect::<Vec<_>>());
     }
 
@@ -824,7 +792,7 @@ mod tests {
         let cfg = ExecConfig::serial(0);
         let cancel = AtomicBool::new(true);
         let progress = Progress::new();
-        let report = execute_cancellable(&cfg, keys(2), &progress, Some(&cancel), |_, &i| i);
+        let report = execute_run(&cfg, keys(2), &progress, Some(&cancel), &NullObserver, |_, &i| i);
         let _ = report.into_results();
     }
 

@@ -79,7 +79,6 @@ pub mod scheduler;
 pub mod series;
 
 pub use algorithm::{
-    find_victim, test_loop, test_loop_using, test_loop_with, EvalStrategy, SearchStrategy,
-    SweepSpec,
+    find_victim, test_loop, test_loop_using, EvalStrategy, SearchStrategy, SweepSpec,
 };
 pub use series::RdtSeries;

@@ -121,13 +121,17 @@ impl VrdProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_in_depth, InDepthConfig};
+    use crate::campaign::{in_depth_campaign, InDepthConfig};
+    use crate::exec::ExecConfig;
+    use crate::run::RunOptions;
     use vrd_dram::ModuleSpec;
 
     fn quick_profile(name: &str) -> VrdProfile {
         let spec = ModuleSpec::by_name(name).expect("Table-1 module");
-        let result = run_in_depth(&spec, &InDepthConfig::quick());
-        VrdProfile::from_in_depth(&result)
+        let cfg = InDepthConfig::quick();
+        let opts = RunOptions::new(ExecConfig::serial(cfg.seed));
+        let result = in_depth_campaign(&[spec], &cfg, &opts).expect("plain run cannot fail");
+        VrdProfile::from_in_depth(&result[0])
     }
 
     #[test]

@@ -192,36 +192,22 @@ where
             &own_progress
         }
     };
-    let cancel = opts.effective_cancel();
+    if let Some(ckpt) = opts.checkpoint {
+        return checkpoint::execute_checkpointed_run(opts, ckpt, units, progress, f);
+    }
     let total = units.len();
-
-    let report = match opts.checkpoint {
-        Some(ckpt) => checkpoint::execute_checkpointed_run(
-            &opts.exec,
-            units,
-            progress,
-            ckpt,
-            opts.hooks,
-            cancel,
-            opts.observer,
-            f,
-        )?,
-        None => {
-            let hooks = opts.hooks;
-            let report =
-                exec::execute_run(&opts.exec, units, progress, cancel, opts.observer, |ctx, p| {
-                    if let Some(h) = hooks {
-                        h.before_unit(ctx.key);
-                    }
-                    f(ctx, p)
-                });
-            let skipped = report.outcomes.iter().filter(|o| o.is_skipped()).count();
-            if skipped > 0 {
-                return Err(CheckpointError::Interrupted { completed: total - skipped, total });
-            }
-            report
+    let hooks = opts.hooks;
+    let cancel = opts.effective_cancel();
+    let report = exec::execute_run(&opts.exec, units, progress, cancel, opts.observer, |ctx, p| {
+        if let Some(h) = hooks {
+            h.before_unit(ctx.key);
         }
-    };
+        f(ctx, p)
+    });
+    let skipped = report.outcomes.iter().filter(|o| o.is_skipped()).count();
+    if skipped > 0 {
+        return Err(CheckpointError::Interrupted { completed: total - skipped, total });
+    }
     Ok(report)
 }
 

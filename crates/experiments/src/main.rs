@@ -28,21 +28,14 @@
 //!                         one device-model subarray per region)
 //!   --sweep-acts N        attacker activations per defenses-sweep
 //!                         attack simulation
-//!   --modules A,B,...     restrict the module roster
+//!   --modules A,B,...     restrict the module roster (Table-1 names;
+//!                         an unknown name is an error)
 //!   --family F            restrict the roster to one device family:
 //!                         ddr4, hbm2, or all (default); composes with
 //!                         --modules as an intersection
 //!   --seed N              root RNG seed
 //!   --threads N           worker threads (0 = all cores); results are
 //!                         identical at any thread count
-//!   --search S            RDT search strategy: adaptive (default;
-//!                         O(log grid) hammer sessions per measurement)
-//!                         or linear (Alg. 1 as written); results are
-//!                         identical either way
-//!   --eval E              hammer-session evaluation: batch (default;
-//!                         whole-row struct-of-arrays pass per epoch)
-//!                         or scalar (per-session command programs);
-//!                         results are identical either way
 //!   --shard I/N           run only the I-th of N round-robin roster
 //!                         shards (for spreading a campaign across
 //!                         processes; per-module results are unchanged)
@@ -277,7 +270,13 @@ fn parse(args: &[String]) -> Result<(Vec<String>, Options), String> {
             }
             "--modules" => {
                 opts.modules =
-                    need(&mut iter, arg)?.split(',').map(|s| s.trim().to_owned()).collect()
+                    need(&mut iter, arg)?.split(',').map(|s| s.trim().to_owned()).collect();
+                let table1 = vrd_dram::ModuleSpec::table1();
+                if let Some(unknown) =
+                    opts.modules.iter().find(|m| !table1.iter().any(|s| &s.name == *m))
+                {
+                    return Err(format!("{arg}: unknown module {unknown:?} (not in Table 1)"));
+                }
             }
             "--family" => {
                 opts.family = match need(&mut iter, arg)?.to_ascii_lowercase().as_str() {
@@ -292,12 +291,6 @@ fn parse(args: &[String]) -> Result<(Vec<String>, Options), String> {
             }
             "--threads" => {
                 opts.threads = need(&mut iter, arg)?.parse().map_err(|e| format!("{arg}: {e}"))?
-            }
-            "--search" => {
-                opts.search = need(&mut iter, arg)?.parse().map_err(|e| format!("{arg}: {e}"))?
-            }
-            "--eval" => {
-                opts.eval = need(&mut iter, arg)?.parse().map_err(|e| format!("{arg}: {e}"))?
             }
             "--shard" => {
                 let value = need(&mut iter, arg)?;

@@ -47,7 +47,8 @@ pub struct Options {
     /// Attacker activations per spatial-attack simulation in the
     /// defenses sweep (`--sweep-acts`).
     pub sweep_activations: u64,
-    /// Module names to test; empty = the full Table-1 roster.
+    /// Module names to test; empty = the full Table-1 roster. The CLI
+    /// rejects names outside Table 1.
     pub modules: Vec<String>,
     /// Device-family scope (`--family ddr4|hbm2|all`), applied on top of
     /// the `--modules` filter.
@@ -85,15 +86,6 @@ pub struct Options {
     pub trace_out: Option<String>,
     /// Terminal output encoding (`--log-format human|json`).
     pub log_format: LogFormat,
-    /// RDT search strategy (`--search linear|adaptive`). Both produce
-    /// byte-identical campaign results; adaptive (the default) spends
-    /// O(log grid) hammer sessions per measurement instead of O(grid).
-    pub search: vrd_core::SearchStrategy,
-    /// Hammer-session evaluation strategy (`--eval scalar|batch`). Both
-    /// produce byte-identical campaign results; batch (the default)
-    /// evaluates a whole row per measurement epoch in one
-    /// struct-of-arrays pass instead of per-session command programs.
-    pub eval: vrd_core::EvalStrategy,
 }
 
 impl Default for Options {
@@ -126,8 +118,6 @@ impl Default for Options {
             fail_after_units: None,
             trace_out: None,
             log_format: LogFormat::Human,
-            search: vrd_core::SearchStrategy::default(),
-            eval: vrd_core::EvalStrategy::default(),
         }
     }
 }
@@ -194,10 +184,6 @@ impl Options {
     /// The executor configuration for campaign parallelism.
     pub fn exec_config(&self) -> vrd_core::exec::ExecConfig {
         vrd_core::exec::ExecConfig::new(self.threads, self.seed)
-            .to_builder()
-            .search(self.search)
-            .eval(self.eval)
-            .build()
     }
 
     /// The discovery-campaign configuration at this scale. Selection

@@ -29,6 +29,11 @@ use std::time::Duration;
 use crate::serve::job::JobSpec;
 use crate::serve::service::Service;
 
+/// The largest request body the service reads. A job submission is a
+/// few hundred bytes; a larger `Content-Length` is answered with 413
+/// before any of the body is read or allocated.
+const MAX_BODY_BYTES: usize = 64 * 1024;
+
 /// Binds `addr`, records the bound endpoint in
 /// `<state-dir>/endpoint.txt` (ephemeral ports are the test-suite
 /// norm), and spawns the accept loop. Returns the bound address.
@@ -66,8 +71,9 @@ fn accept_loop(listener: &TcpListener, service: &Arc<Service>) {
     }
 }
 
-/// Parses one request and routes it.
-fn handle(stream: TcpStream, service: &Service) {
+/// Parses one request and routes it. A `Content-Length` that does not
+/// parse is answered with 400, one above [`MAX_BODY_BYTES`] with 413.
+fn handle(mut stream: TcpStream, service: &Service) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
@@ -82,7 +88,7 @@ fn handle(stream: TcpStream, service: &Service) {
         (Some(m), Some(t)) => (m.to_owned(), t.to_owned()),
         _ => return,
     };
-    let mut content_length = 0usize;
+    let mut content_length = Ok(0usize);
     loop {
         let mut line = String::new();
         match reader.read_line(&mut line) {
@@ -90,12 +96,20 @@ fn handle(stream: TcpStream, service: &Service) {
             Ok(_) if line.trim().is_empty() => break,
             Ok(_) => {
                 if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-                    content_length = v.trim().parse().unwrap_or(0);
+                    content_length = v.trim().parse::<usize>();
                 }
             }
             Err(_) => return,
         }
     }
+    let content_length = match content_length {
+        Ok(n) if n > MAX_BODY_BYTES => {
+            let error = format!("request body exceeds {MAX_BODY_BYTES} bytes");
+            return json(&mut stream, 413, &format!("{{\"error\":{}}}", quote(&error)));
+        }
+        Ok(n) => n,
+        Err(_) => return json(&mut stream, 400, "{\"error\":\"unparsable Content-Length\"}"),
+    };
     let mut body = vec![0u8; content_length];
     if content_length > 0 && reader.read_exact(&mut body).is_err() {
         return;
@@ -217,6 +231,7 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &[u8])
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Payload Too Large",
         _ => "Error",
     };
     let header = format!(
@@ -232,4 +247,62 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &[u8])
 /// JSON string quoting (the shim has no standalone string escaper).
 fn quote(s: &str) -> String {
     serde_json::to_string(&s.to_owned()).expect("string serializes")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serve::ServeConfig;
+
+    /// Sends each raw request to `handle` over a loopback connection and
+    /// returns the response status codes.
+    fn statuses(requests: &[String]) -> Vec<u16> {
+        let dir = std::env::temp_dir().join(format!("vrd-http-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = Service::boot(ServeConfig {
+            state_dir: dir.to_string_lossy().into_owned(),
+            addr: "none".into(),
+            fleet_size: 10,
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let codes = requests
+            .iter()
+            .map(|request| {
+                std::thread::scope(|scope| {
+                    let server = scope.spawn(|| handle(listener.accept().unwrap().0, &service));
+                    let mut client = TcpStream::connect(addr).unwrap();
+                    client.write_all(request.as_bytes()).unwrap();
+                    let mut response = String::new();
+                    client.read_to_string(&mut response).unwrap();
+                    server.join().expect("the connection thread must not panic");
+                    response.split_whitespace().nth(1).and_then(|c| c.parse().ok()).unwrap_or(0)
+                })
+            })
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        codes
+    }
+
+    fn post_jobs(content_length: &str, body: &str) -> String {
+        format!("POST /jobs HTTP/1.1\r\nContent-Length: {content_length}\r\n\r\n{body}")
+    }
+
+    #[test]
+    fn content_length_is_bounded_and_must_parse() {
+        let spec = r#"{"tenant": "alice", "kind": "family", "limit": 1}"#;
+        let requests = [
+            post_jobs(&spec.len().to_string(), spec),
+            // 1 TiB: allocating it would abort the process.
+            post_jobs("1099511627776", ""),
+            post_jobs(&(MAX_BODY_BYTES + 1).to_string(), ""),
+            post_jobs("abc", ""),
+            post_jobs("-5", ""),
+            post_jobs("18446744073709551616", ""),
+        ];
+        assert_eq!(statuses(&requests), [200, 413, 413, 400, 400, 400]);
+    }
 }

@@ -240,6 +240,9 @@ pub struct Service {
     events: EventHub,
     fault: Option<FaultPlan>,
     shutdown: AtomicBool,
+    /// Serializes dashboard rewrites: they share one temp file, and an
+    /// older snapshot must never replace a newer one.
+    dashboard: Mutex<()>,
 }
 
 impl Service {
@@ -380,6 +383,7 @@ impl Service {
             events,
             fault,
             shutdown: AtomicBool::new(false),
+            dashboard: Mutex::new(()),
         };
         service.write_fleet_metrics();
         Ok(service)
@@ -538,11 +542,14 @@ impl Service {
         }
     }
 
-    /// Rewrites `fleet_metrics.json`.
+    /// Rewrites `fleet_metrics.json` atomically (write-then-rename, like
+    /// `job.json`), reporting a failed write as an error message.
     pub fn write_fleet_metrics(&self) {
-        let metrics = self.fleet_metrics();
-        let json = serde_json::to_string_pretty(&metrics).expect("metrics serialize");
-        let _ = fs::write(self.root().join("fleet_metrics.json"), json);
+        let _serial = self.dashboard.lock();
+        let path = self.root().join("fleet_metrics.json");
+        if let Err(e) = write_json_atomic(&path, &self.fleet_metrics()) {
+            sinks::error(format!("write {}: {e}", path.display()));
+        }
     }
 
     /// Takes the next unit of work: a resumed job first, else the
@@ -893,6 +900,25 @@ mod tests {
         let a = svc.submit(JobSpec::new("alice", JobKind::Family)).unwrap();
         let b = svc.submit(JobSpec::new("alice", JobKind::Family)).unwrap();
         assert_ne!(a, b);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dashboard_is_rewritten_whole_and_survives_a_failed_write() {
+        let dir = scratch("dashboard");
+        let svc = Service::boot(tiny_config(&dir)).unwrap();
+        svc.submit(JobSpec::new("alice", JobKind::Family)).unwrap();
+        svc.write_fleet_metrics();
+        let path = dir.join("fleet_metrics.json");
+        let text = fs::read_to_string(&path).unwrap();
+        let parsed: FleetMetrics = serde_json::from_str(&text).unwrap();
+        assert_eq!(parsed.totals.queued, 1);
+        assert!(!dir.join("fleet_metrics.json.tmp").exists(), "temp file renamed away");
+        // A dashboard path that cannot be replaced is reported, not fatal.
+        fs::remove_file(&path).unwrap();
+        fs::create_dir(&path).unwrap();
+        svc.write_fleet_metrics();
+        assert!(path.is_dir());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -8,8 +8,10 @@
 //!
 //! Run with: `cargo run --release --example profile_module -- [module]`
 
-use vrd::core::campaign::{run_in_depth, InDepthConfig};
+use vrd::core::campaign::{in_depth_campaign, InDepthConfig};
+use vrd::core::exec::ExecConfig;
 use vrd::core::montecarlo::exact_stats;
+use vrd::core::run::RunOptions;
 use vrd::dram::conditions::T_AGG_ON_MIN_TRAS_NS;
 use vrd::dram::{DataPattern, ModuleSpec, TestConditions};
 
@@ -40,7 +42,8 @@ fn main() {
         .seed(99)
         .row_bytes(1024)
         .build();
-    let result = run_in_depth(&spec, &cfg);
+    let opts = RunOptions::new(ExecConfig::serial(cfg.seed));
+    let result = in_depth_campaign(&[spec], &cfg, &opts).expect("plain run cannot fail").remove(0);
 
     println!("\nrow      pattern      min RDT  max/min   P(min|N=1)  E[min|N=1]/min");
     println!("---------------------------------------------------------------------");

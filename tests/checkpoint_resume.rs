@@ -23,7 +23,7 @@ use vrd::core::checkpoint::{self, Checkpoint, CheckpointError, CheckpointManifes
 use vrd::core::discovery::{discovery_campaign, DiscoveryConfig, DISCOVERY};
 use vrd::core::exec::faults::{self, FaultPlan};
 use vrd::core::exec::{ExecConfig, Progress, Unit, UnitKey};
-use vrd::core::run::RunOptions;
+use vrd::core::run::{run_units, RunOptions};
 use vrd::dram::fleet::{roster_fingerprint, shard_specs};
 use vrd::dram::ModuleSpec;
 
@@ -266,17 +266,14 @@ fn run_synth(
     ran: &AtomicU64,
 ) -> Result<Vec<u64>, CheckpointError> {
     let ckpt = Checkpoint::open(dir, synth_manifest())?;
-    checkpoint::execute_checkpointed(
-        &ExecConfig::serial(7),
-        synth_units(6),
-        &Progress::new(),
-        &ckpt,
-        hooks,
-        |ctx, &i| {
-            ran.fetch_add(1, Ordering::SeqCst);
-            ctx.seed ^ u64::from(i)
-        },
-    )
+    let mut opts = RunOptions::new(ExecConfig::serial(7)).checkpoint(&ckpt);
+    if let Some(hooks) = hooks {
+        opts = opts.hooks(hooks);
+    }
+    run_units(&opts, "synthetic", "units", synth_units(6), |ctx, &i| {
+        ran.fetch_add(1, Ordering::SeqCst);
+        ctx.seed ^ u64::from(i)
+    })
     .map(|report| report.into_results())
 }
 
@@ -363,17 +360,11 @@ fn panicked_units_are_not_journaled_and_recompute_on_resume() {
     // are per-unit outcomes, not fatal), journaling the other five.
     let plan = FaultPlan::none().panic_on(UnitKey::cell("CKPT", 3, 0));
     let ckpt = Checkpoint::open(&dir, synth_manifest()).unwrap();
-    let report = checkpoint::execute_checkpointed(
-        &ExecConfig::serial(7),
-        synth_units(6),
-        &Progress::new(),
-        &ckpt,
-        Some(&plan),
-        |ctx, &i| {
-            ran.fetch_add(1, Ordering::SeqCst);
-            ctx.seed ^ u64::from(i)
-        },
-    )
+    let opts = RunOptions::new(ExecConfig::serial(7)).checkpoint(&ckpt).hooks(&plan);
+    let report = run_units(&opts, "synthetic", "units", synth_units(6), |ctx, &i| {
+        ran.fetch_add(1, Ordering::SeqCst);
+        ctx.seed ^ u64::from(i)
+    })
     .unwrap();
     assert!(report.outcomes[3].is_panicked());
     assert_eq!(report.outcomes.iter().filter(|o| o.is_panicked()).count(), 1);

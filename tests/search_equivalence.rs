@@ -14,13 +14,13 @@ use proptest::prelude::*;
 
 use vrd::bender::search::first_true;
 use vrd::bender::TestPlatform;
-use vrd::core::algorithm::{find_victim, test_loop_with, FIND_VICTIM_CUTOFF};
+use vrd::core::algorithm::{find_victim, test_loop_using, FIND_VICTIM_CUTOFF};
 use vrd::core::campaign::{
     foundational_campaign, in_depth_campaign, FoundationalConfig, InDepthConfig,
 };
 use vrd::core::exec::ExecConfig;
 use vrd::core::run::RunOptions;
-use vrd::core::{SearchStrategy, SweepSpec};
+use vrd::core::{EvalStrategy, SearchStrategy, SweepSpec};
 use vrd::dram::{ModuleSpec, TestConditions};
 
 fn exec(threads: usize, seed: u64, search: SearchStrategy) -> RunOptions<'static> {
@@ -111,7 +111,16 @@ fn strategies_agree_on_fully_censored_sweeps() {
             .find(|&r| platform.device_mut().oracle_row_threshold(0, r, &conditions).is_none())
             .expect("some row has no weak cell");
         let sweep = SweepSpec { min: 100, max: 2_000, step: 100 };
-        test_loop_with(&mut platform, 0, strong, &conditions, 12, &sweep, search)
+        test_loop_using(
+            &mut platform,
+            0,
+            strong,
+            &conditions,
+            12,
+            &sweep,
+            search,
+            EvalStrategy::Batch,
+        )
     };
     let linear = run(SearchStrategy::Linear);
     let adaptive = run(SearchStrategy::Adaptive);
@@ -135,7 +144,7 @@ fn strategies_agree_when_the_first_grid_point_flips() {
         // threshold draw the model can produce for this row.
         let sweep =
             SweepSpec { min: guess.saturating_mul(3), max: guess.saturating_mul(4), step: guess };
-        test_loop_with(&mut platform, 0, row, &conditions, 12, &sweep, search)
+        test_loop_using(&mut platform, 0, row, &conditions, 12, &sweep, search, EvalStrategy::Batch)
     };
     let linear = run(SearchStrategy::Linear);
     let adaptive = run(SearchStrategy::Adaptive);
