@@ -21,7 +21,7 @@ use vrd_core::online::{convergence_trace, OnlineProfiler};
 use vrd_dram::device::{DeviceConfig, DramDevice};
 use vrd_dram::spec::VrdModelParams;
 use vrd_dram::{ModuleSpec, TestConditions};
-use vrd_memsim::security::{security_sweep, AttackConfig};
+use vrd_memsim::security::{security_sweep, AttackConfig, SpatialVictim};
 use vrd_memsim::MitigationKind;
 
 use crate::foundational::FoundationalStudy;
@@ -220,6 +220,7 @@ pub fn security(study: &FoundationalStudy, opts: &Options) -> Vec<SecurityRow> {
         let config = AttackConfig {
             activations: 4_000_000,
             rdt_distribution: result.series.values().to_vec(),
+            victims: vec![SpatialVictim { row: 7, factor: 1.0 }],
             seed: opts.seed,
         };
         for kind in [MitigationKind::Graphene, MitigationKind::Para, MitigationKind::Prac] {

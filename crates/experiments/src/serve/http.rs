@@ -21,7 +21,7 @@
 //! | POST   | `/shutdown`        | graceful drain: running jobs finish       |
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,6 +33,12 @@ use crate::serve::service::Service;
 /// few hundred bytes; a larger `Content-Length` is answered with 413
 /// before any of the body is read or allocated.
 const MAX_BODY_BYTES: usize = 64 * 1024;
+
+/// The largest request head (request line plus headers) the service
+/// reads. Every request this service accepts has a head of a few hundred
+/// bytes; a longer one is answered with 431 once the cap is reached, so
+/// an endless header line cannot grow memory without bound.
+const MAX_HEAD_BYTES: u64 = 8 * 1024;
 
 /// Binds `addr`, records the bound endpoint in
 /// `<state-dir>/endpoint.txt` (ephemeral ports are the test-suite
@@ -71,28 +77,30 @@ fn accept_loop(listener: &TcpListener, service: &Arc<Service>) {
     }
 }
 
-/// Parses one request and routes it. A `Content-Length` that does not
-/// parse is answered with 400, one above [`MAX_BODY_BYTES`] with 413.
+/// Parses one request and routes it. A head longer than
+/// [`MAX_HEAD_BYTES`] is answered with 431, a `Content-Length` that does
+/// not parse with 400, and one above [`MAX_BODY_BYTES`] with 413.
 fn handle(mut stream: TcpStream, service: &Service) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,
     });
+    let mut head = (&mut reader).take(MAX_HEAD_BYTES);
     let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
-    let mut parts = request_line.split_whitespace();
-    let (method, target) = match (parts.next(), parts.next()) {
-        (Some(m), Some(t)) => (m.to_owned(), t.to_owned()),
-        _ => return,
-    };
     let mut content_length = Ok(0usize);
+    let mut line = String::new();
     loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
+        line.clear();
+        match head.read_line(&mut line) {
+            // The cap cut the line short, or the client hung up mid-head.
+            Ok(_) if !line.ends_with('\n') => {
+                if head.limit() == 0 {
+                    return reject_head(stream, reader);
+                }
+                return;
+            }
+            Ok(_) if request_line.is_empty() => request_line = std::mem::take(&mut line),
             Ok(_) if line.trim().is_empty() => break,
             Ok(_) => {
                 if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
@@ -102,6 +110,11 @@ fn handle(mut stream: TcpStream, service: &Service) {
             Err(_) => return,
         }
     }
+    let mut parts = request_line.split_whitespace();
+    let (method, target) = match (parts.next(), parts.next()) {
+        (Some(m), Some(t)) => (m.to_owned(), t.to_owned()),
+        _ => return,
+    };
     let content_length = match content_length {
         Ok(n) if n > MAX_BODY_BYTES => {
             let error = format!("request body exceeds {MAX_BODY_BYTES} bytes");
@@ -116,6 +129,17 @@ fn handle(mut stream: TcpStream, service: &Service) {
     }
     let body = String::from_utf8_lossy(&body).into_owned();
     route(stream, service, &method, &target, &body);
+}
+
+/// Answers a head over [`MAX_HEAD_BYTES`] with 431. Closing a socket
+/// with unread request bytes resets the connection, which can discard
+/// the response before the client reads it, so the write side is closed
+/// first and a bounded tail of the request drained.
+fn reject_head(mut stream: TcpStream, reader: BufReader<TcpStream>) {
+    let error = format!("request head exceeds {MAX_HEAD_BYTES} bytes");
+    json(&mut stream, 431, &format!("{{\"error\":{}}}", quote(&error)));
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = std::io::copy(&mut reader.take(MAX_BODY_BYTES as u64), &mut std::io::sink());
 }
 
 fn route(mut stream: TcpStream, service: &Service, method: &str, target: &str, body: &str) {
@@ -232,6 +256,7 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &[u8])
         400 => "Bad Request",
         404 => "Not Found",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     let header = format!(
@@ -278,6 +303,7 @@ mod tests {
                     client.write_all(request.as_bytes()).unwrap();
                     let mut response = String::new();
                     client.read_to_string(&mut response).unwrap();
+                    drop(client);
                     server.join().expect("the connection thread must not panic");
                     response.split_whitespace().nth(1).and_then(|c| c.parse().ok()).unwrap_or(0)
                 })
@@ -302,7 +328,16 @@ mod tests {
             post_jobs("abc", ""),
             post_jobs("-5", ""),
             post_jobs("18446744073709551616", ""),
+            // One header line, then many short ones, past the head cap.
+            format!(
+                "GET /healthz HTTP/1.1\r\nX-Long: {}\r\n\r\n",
+                "a".repeat(MAX_HEAD_BYTES as usize)
+            ),
+            format!(
+                "GET /healthz HTTP/1.1\r\n{}\r\n",
+                "X-Many: 1\r\n".repeat(MAX_HEAD_BYTES as usize / 8)
+            ),
         ];
-        assert_eq!(statuses(&requests), [200, 413, 413, 400, 400, 400]);
+        assert_eq!(statuses(&requests), [200, 413, 413, 400, 400, 400, 431, 431]);
     }
 }

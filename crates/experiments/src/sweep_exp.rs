@@ -32,9 +32,9 @@
 use serde::{Deserialize, Serialize};
 
 use vrd_dram::spatial::SpatialProfile;
-use vrd_memsim::security::{simulate_spatial_attack, SpatialAttackConfig, SpatialVictim};
+use vrd_memsim::security::{simulate_attack, AttackConfig, SpatialVictim};
 use vrd_memsim::workload::region_victim_rows;
-use vrd_memsim::{MitigationConfig, MitigationKind, MitigationProfile};
+use vrd_memsim::{MitigationKind, MitigationProfile};
 
 use crate::indepth::InDepthStudy;
 use crate::opts::Options;
@@ -145,12 +145,10 @@ fn scale_distribution(dist: &[u32], measured_min: u32, target: u32) -> Vec<u32> 
 fn outcome(
     kind: MitigationKind,
     profile: &MitigationProfile,
-    attack: &SpatialAttackConfig,
+    attack: &AttackConfig,
 ) -> VariantOutcome {
-    let cfg =
-        MitigationConfig::builder().threshold(profile.min_threshold()).banks(1).seed(attack.seed);
-    let mut mitigation = kind.build_with_profile(&cfg.build(), profile);
-    let result = simulate_spatial_attack(mitigation.as_mut(), attack);
+    let mut mitigation = kind.build(profile, 1, attack.seed);
+    let result = simulate_attack(mitigation.as_mut(), attack);
     VariantOutcome {
         configured_min: profile.min_threshold(),
         configured_max: profile.max_region_threshold(),
@@ -236,7 +234,7 @@ pub fn run_with(
             let naive = MitigationProfile::flat(profiled.max_region_threshold());
             for (ki, &kind) in MitigationKind::EVALUATED.iter().enumerate() {
                 let seed = opts.seed ^ (u64::from(target) << 32) ^ ((gi as u64) << 8) ^ (ki as u64);
-                let mut attack = SpatialAttackConfig::new(scaled.clone(), victims.clone(), seed);
+                let mut attack = AttackConfig::new(scaled.clone(), victims.clone(), seed);
                 attack.activations = opts.sweep_activations.max(1);
                 points.push(SweepPoint {
                     mitigation: kind,

@@ -43,9 +43,8 @@ pub mod mitigation;
 pub mod profile;
 pub mod security;
 pub mod system;
-pub mod trace;
 pub mod workload;
 
-pub use mitigation::{MitigationConfig, MitigationKind};
+pub use mitigation::MitigationKind;
 pub use profile::{MitigationProfile, ProfileError};
 pub use system::{SimConfig, SimStats, System};

@@ -21,10 +21,12 @@
 //! Every mechanism is *profile-driven*: it consults a
 //! [`MitigationProfile`] for the effective threshold of the row being
 //! activated, so spatially strong regions trigger less often. A flat
-//! profile (one threshold everywhere) reproduces the classical uniform
-//! behavior action-for-action; build uniform mechanisms with
-//! [`MitigationKind::build_with`] and profile-aware ones with
-//! [`MitigationKind::build_with_profile`].
+//! profile ([`MitigationProfile::flat`]) configures the classical
+//! uniform threshold. [`MitigationKind::build`] instantiates any of them.
+//!
+//! Mechanisms report their preventive actions by appending to a
+//! caller-owned buffer, so a simulator reuses one allocation for every
+//! activation and refresh.
 
 use crate::profile::MitigationProfile;
 use rand::Rng;
@@ -61,19 +63,18 @@ pub enum MitigationAction {
 }
 
 /// A read-disturbance mitigation mechanism.
+///
+/// Both hooks append the actions they request to `out` and never clear
+/// it; the caller owns the buffer and empties it after applying them.
 pub trait Mitigation: std::fmt::Debug {
-    /// Called on every row activation; returns preventive actions.
-    fn on_activate(&mut self, bank: usize, row: u32, now: u64) -> Vec<MitigationAction>;
+    /// Called on every row activation.
+    fn on_activate(&mut self, bank: usize, row: u32, out: &mut Vec<MitigationAction>);
 
-    /// Called on every periodic refresh; returns preventive actions
-    /// (counters may also be maintained here).
-    fn on_refresh(&mut self, now: u64) -> Vec<MitigationAction> {
-        let _ = now;
-        Vec::new()
+    /// Called on every periodic refresh (counters may also be
+    /// maintained here).
+    fn on_refresh(&mut self, out: &mut Vec<MitigationAction>) {
+        let _ = out;
     }
-
-    /// Human-readable name.
-    fn name(&self) -> &'static str;
 }
 
 /// Which mitigation to instantiate.
@@ -95,86 +96,6 @@ pub enum MitigationKind {
     BlockHammer,
 }
 
-/// Configuration for instantiating a mitigation mechanism.
-///
-/// Replaces the positional `(threshold, banks, seed)` triple of the
-/// removed `MitigationKind::build` — which silently ignored `banks`
-/// for the bank-agnostic mechanisms — with named knobs and room to grow.
-///
-/// `#[non_exhaustive]`: construct via [`MitigationConfig::default`] or
-/// [`MitigationConfig::builder`], so future fields are not breaking
-/// changes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub struct MitigationConfig {
-    /// Effective read-disturbance threshold (RDT minus guardband). When
-    /// building with [`MitigationKind::build_with_profile`] the
-    /// profile's per-region thresholds take its place.
-    pub threshold: u32,
-    /// Banks in the channel. Sizes Graphene's per-bank tables; the
-    /// bank-agnostic mechanisms (PARA, PRAC, MINT, BlockHammer) key
-    /// their state off the `(bank, row)` pairs they observe instead.
-    pub banks: usize,
-    /// Seed for the probabilistic mechanisms (PARA).
-    pub seed: u64,
-}
-
-impl Default for MitigationConfig {
-    fn default() -> Self {
-        MitigationConfig { threshold: 1024, banks: 16, seed: 0 }
-    }
-}
-
-impl MitigationConfig {
-    /// A builder seeded with the defaults.
-    pub fn builder() -> MitigationConfigBuilder {
-        MitigationConfigBuilder { cfg: MitigationConfig::default() }
-    }
-
-    /// A builder seeded with this configuration's values.
-    pub fn to_builder(&self) -> MitigationConfigBuilder {
-        MitigationConfigBuilder { cfg: self.clone() }
-    }
-}
-
-/// Builder for [`MitigationConfig`]; obtained from
-/// [`MitigationConfig::builder`] or [`MitigationConfig::to_builder`].
-#[derive(Debug, Clone)]
-pub struct MitigationConfigBuilder {
-    cfg: MitigationConfig,
-}
-
-impl MitigationConfigBuilder {
-    /// Sets the effective threshold.
-    pub fn threshold(mut self, threshold: u32) -> Self {
-        self.cfg.threshold = threshold;
-        self
-    }
-
-    /// Sets the bank count.
-    pub fn banks(mut self, banks: usize) -> Self {
-        self.cfg.banks = banks;
-        self
-    }
-
-    /// Sets the seed for probabilistic mechanisms.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Finishes the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the threshold or bank count is zero.
-    pub fn build(self) -> MitigationConfig {
-        assert!(self.cfg.threshold >= 1, "threshold must be positive");
-        assert!(self.cfg.banks >= 1, "need at least one bank");
-        self.cfg
-    }
-}
-
 impl MitigationKind {
     /// All mitigations evaluated in Fig. 14 (excluding the baseline).
     pub const EVALUATED: [MitigationKind; 4] = [
@@ -193,32 +114,29 @@ impl MitigationKind {
         MitigationKind::BlockHammer,
     ];
 
-    /// Instantiates the mechanism with one uniform threshold
-    /// (`cfg.threshold` everywhere).
-    pub fn build_with(self, cfg: &MitigationConfig) -> Box<dyn Mitigation> {
-        self.build_with_profile(cfg, &MitigationProfile::flat(cfg.threshold))
-    }
-
-    /// Instantiates the mechanism with per-region thresholds from a
-    /// [`MitigationProfile`]. The profile overrides `cfg.threshold`;
-    /// `cfg.banks` and `cfg.seed` still apply. With a flat profile the
-    /// result is action-for-action identical to [`build_with`].
+    /// Instantiates the mechanism configured by `profile`'s per-region
+    /// thresholds; [`MitigationProfile::flat`] configures one uniform
+    /// threshold. `banks` sizes Graphene's per-bank tables (the
+    /// bank-agnostic mechanisms key their state off the `(bank, row)`
+    /// pairs they observe) and `seed` seeds the probabilistic ones (PARA).
     ///
-    /// [`build_with`]: MitigationKind::build_with
-    pub fn build_with_profile(
+    /// # Panics
+    ///
+    /// Panics when `banks` is zero.
+    pub fn build(
         self,
-        cfg: &MitigationConfig,
         profile: &MitigationProfile,
+        banks: usize,
+        seed: u64,
     ) -> Box<dyn Mitigation> {
+        assert!(banks >= 1, "need at least one bank");
         match self {
             MitigationKind::None => Box::new(NoMitigation),
-            MitigationKind::Graphene => {
-                Box::new(Graphene::with_profile(profile.clone(), cfg.banks))
-            }
-            MitigationKind::Para => Box::new(Para::with_profile(profile.clone(), cfg.seed)),
-            MitigationKind::Prac => Box::new(Prac::with_profile(profile.clone())),
-            MitigationKind::Mint => Box::new(Mint::with_profile(profile.clone())),
-            MitigationKind::BlockHammer => Box::new(BlockHammer::with_profile(profile.clone())),
+            MitigationKind::Graphene => Box::new(Graphene::new(profile.clone(), banks)),
+            MitigationKind::Para => Box::new(Para::new(profile.clone(), seed)),
+            MitigationKind::Prac => Box::new(Prac::new(profile.clone())),
+            MitigationKind::Mint => Box::new(Mint::new(profile.clone())),
+            MitigationKind::BlockHammer => Box::new(BlockHammer::new(profile.clone())),
         }
     }
 
@@ -240,13 +158,7 @@ impl MitigationKind {
 pub struct NoMitigation;
 
 impl Mitigation for NoMitigation {
-    fn on_activate(&mut self, _bank: usize, _row: u32, _now: u64) -> Vec<MitigationAction> {
-        Vec::new()
-    }
-
-    fn name(&self) -> &'static str {
-        "Baseline"
-    }
+    fn on_activate(&mut self, _bank: usize, _row: u32, _out: &mut Vec<MitigationAction>) {}
 }
 
 /// Graphene: per-bank Misra–Gries tables.
@@ -262,16 +174,11 @@ pub struct Graphene {
 }
 
 impl Graphene {
-    /// Uniform Graphene: one effective threshold everywhere.
-    pub fn new(threshold: u32, banks: usize) -> Self {
-        Graphene::with_profile(MitigationProfile::flat(threshold), banks)
-    }
-
     /// Profile-driven Graphene: each row's preventive-refresh trigger is
     /// a quarter of its region's threshold. Tables are sized for the
     /// activation budget of one refresh window (`tREFW / tRC`
     /// activations) divided by the worst-case trigger.
-    pub fn with_profile(thresholds: MitigationProfile, banks: usize) -> Self {
+    pub fn new(thresholds: MitigationProfile, banks: usize) -> Self {
         let trigger = (thresholds.min_threshold() / 4).max(1);
         let acts_per_window = 32_000_000 / 46; // DDR5 tREFW / tRC
         let capacity = ((acts_per_window / u64::from(trigger)) as usize).clamp(16, 4096);
@@ -295,7 +202,7 @@ impl Graphene {
 }
 
 impl Mitigation for Graphene {
-    fn on_activate(&mut self, bank: usize, row: u32, _now: u64) -> Vec<MitigationAction> {
+    fn on_activate(&mut self, bank: usize, row: u32, out: &mut Vec<MitigationAction>) {
         let trigger = self.trigger_for(row);
         let table = &mut self.tables[bank];
         let count = if let Some(c) = table.get_mut(&row) {
@@ -310,18 +217,12 @@ impl Mitigation for Graphene {
             self.spill[bank] += 1;
             let spill = self.spill[bank];
             table.retain(|_, c| *c > spill);
-            return Vec::new();
+            return;
         };
         if count >= trigger {
             table.insert(row, 0);
-            vec![MitigationAction::RefreshNeighbors { bank, row }]
-        } else {
-            Vec::new()
+            out.push(MitigationAction::RefreshNeighbors { bank, row });
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "Graphene"
     }
 }
 
@@ -340,16 +241,11 @@ impl Para {
     /// `(1 - p)^T < 1e-13` gives `p ≈ 30 / T`.
     pub const PARA_CONSTANT: f64 = 30.0;
 
-    /// Uniform PARA: one effective threshold everywhere.
-    pub fn new(threshold: u32, seed: u64) -> Self {
-        Para::with_profile(MitigationProfile::flat(threshold), seed)
-    }
-
     /// Profile-driven PARA: each activation rolls with the probability
     /// derived from the activated row's region threshold, on one shared
-    /// RNG stream — exactly one draw per activation, so a flat profile
-    /// replays the uniform stream bit-for-bit.
-    pub fn with_profile(thresholds: MitigationProfile, seed: u64) -> Self {
+    /// RNG stream — exactly one draw per activation, so every profile
+    /// that assigns the same thresholds replays the same stream.
+    pub fn new(thresholds: MitigationProfile, seed: u64) -> Self {
         Para { thresholds, rng: ChaCha12Rng::seed_from_u64(seed) }
     }
 
@@ -370,17 +266,11 @@ impl Para {
 }
 
 impl Mitigation for Para {
-    fn on_activate(&mut self, bank: usize, row: u32, _now: u64) -> Vec<MitigationAction> {
+    fn on_activate(&mut self, bank: usize, row: u32, out: &mut Vec<MitigationAction>) {
         let p = Self::p_of(self.thresholds.threshold_for(row));
         if self.rng.gen_bool(p) {
-            vec![MitigationAction::RefreshNeighbors { bank, row }]
-        } else {
-            Vec::new()
+            out.push(MitigationAction::RefreshNeighbors { bank, row });
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "PARA"
     }
 }
 
@@ -394,15 +284,10 @@ pub struct Prac {
 }
 
 impl Prac {
-    /// Uniform PRAC: one effective threshold everywhere.
-    pub fn new(threshold: u32) -> Self {
-        Prac::with_profile(MitigationProfile::flat(threshold))
-    }
-
     /// Profile-driven PRAC: each row alerts at three quarters of its
     /// region's threshold (the JEDEC NBO margin leaves room for
     /// in-flight activations).
-    pub fn with_profile(thresholds: MitigationProfile) -> Self {
+    pub fn new(thresholds: MitigationProfile) -> Self {
         Prac { thresholds, counters: HashMap::new(), backoff_ns: 100 }
     }
 
@@ -413,7 +298,7 @@ impl Prac {
 }
 
 impl Mitigation for Prac {
-    fn on_activate(&mut self, bank: usize, row: u32, _now: u64) -> Vec<MitigationAction> {
+    fn on_activate(&mut self, bank: usize, row: u32, out: &mut Vec<MitigationAction>) {
         let alert = self.alert_for(row);
         let c = self.counters.entry((bank, row)).or_insert(0);
         *c += 1;
@@ -422,17 +307,9 @@ impl Mitigation for Prac {
             // The alerted DRAM refreshes the aggressor's neighbors during
             // the RFM the controller issues, and the ABO handshake stalls
             // the channel briefly.
-            vec![
-                MitigationAction::RefreshNeighbors { bank, row },
-                MitigationAction::BlockChannel { duration: self.backoff_ns },
-            ]
-        } else {
-            Vec::new()
+            out.push(MitigationAction::RefreshNeighbors { bank, row });
+            out.push(MitigationAction::BlockChannel { duration: self.backoff_ns });
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "PRAC"
     }
 }
 
@@ -456,18 +333,13 @@ impl Mint {
     /// Activations that fit in one tREFI at back-to-back row cycles.
     pub const ACTS_PER_TREFI: u32 = 3900 / 46;
 
-    /// Uniform MINT: one effective threshold everywhere.
-    pub fn new(threshold: u32) -> Self {
-        Mint::with_profile(MitigationProfile::flat(threshold))
-    }
-
     /// Profile-driven MINT: regions whose threshold is below the
     /// per-tREFI activation bound owe inserted RFMs at that region's
     /// interval; activation streams confined to strong regions insert
     /// none. The owed interval is the minimum over regions activated
     /// since the last RFM, so an all-equal-threshold profile reproduces
-    /// the uniform RFM schedule exactly.
-    pub fn with_profile(thresholds: MitigationProfile) -> Self {
+    /// the flat RFM schedule exactly.
+    pub fn new(thresholds: MitigationProfile) -> Self {
         Mint { thresholds, pending_interval: None, acts: 0, rfm_ns: 350, selected: None }
     }
 
@@ -487,7 +359,7 @@ impl Mint {
 }
 
 impl Mitigation for Mint {
-    fn on_activate(&mut self, bank: usize, row: u32, _now: u64) -> Vec<MitigationAction> {
+    fn on_activate(&mut self, bank: usize, row: u32, out: &mut Vec<MitigationAction>) {
         // Reservoir-style selection: remember the most recent activation
         // (a 1-deep uniform sampler is enough for the overhead study).
         self.selected = Some((bank, row));
@@ -500,23 +372,17 @@ impl Mitigation for Mint {
             if self.acts >= pending {
                 self.acts = 0;
                 self.pending_interval = None;
-                return vec![MitigationAction::BlockChannel { duration: self.rfm_ns }];
+                out.push(MitigationAction::BlockChannel { duration: self.rfm_ns });
             }
         }
-        Vec::new()
     }
 
-    fn on_refresh(&mut self, _now: u64) -> Vec<MitigationAction> {
+    fn on_refresh(&mut self, out: &mut Vec<MitigationAction>) {
         // The per-REF mitigation refreshes the sampled row's neighbors
         // inside the REF envelope — modeled as one neighbor refresh.
-        match self.selected.take() {
-            Some((bank, row)) => vec![MitigationAction::RefreshNeighbors { bank, row }],
-            None => Vec::new(),
+        if let Some((bank, row)) = self.selected.take() {
+            out.push(MitigationAction::RefreshNeighbors { bank, row });
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "MINT"
     }
 }
 
@@ -535,16 +401,11 @@ pub struct BlockHammer {
 }
 
 impl BlockHammer {
-    /// Uniform BlockHammer: one effective threshold everywhere.
-    pub fn new(threshold: u32) -> Self {
-        BlockHammer::with_profile(MitigationProfile::flat(threshold))
-    }
-
     /// Profile-driven BlockHammer: each row may receive at most its
     /// region's threshold of activations per refresh window; throttling
     /// engages at half that, with a delay sized so the remaining budget
     /// cannot be spent within the window.
-    pub fn with_profile(thresholds: MitigationProfile) -> Self {
+    pub fn new(thresholds: MitigationProfile) -> Self {
         let window_len = 32_000_000 / 46; // tREFW / tRC activations
         BlockHammer { thresholds, counters: HashMap::new(), window_acts: 0, window_len }
     }
@@ -568,7 +429,7 @@ impl BlockHammer {
 }
 
 impl Mitigation for BlockHammer {
-    fn on_activate(&mut self, bank: usize, row: u32, _now: u64) -> Vec<MitigationAction> {
+    fn on_activate(&mut self, bank: usize, row: u32, out: &mut Vec<MitigationAction>) {
         self.window_acts += 1;
         if self.window_acts >= self.window_len {
             self.window_acts = 0;
@@ -579,14 +440,8 @@ impl Mitigation for BlockHammer {
         let c = self.counters.entry((bank, row)).or_insert(0);
         *c += 1;
         if *c > quota {
-            vec![MitigationAction::BlockBank { bank, duration: throttle_ns }]
-        } else {
-            Vec::new()
+            out.push(MitigationAction::BlockBank { bank, duration: throttle_ns });
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "BlockHammer"
     }
 }
 
@@ -603,72 +458,77 @@ mod tests {
         }
     }
 
+    /// One activation's actions.
+    fn act(m: &mut dyn Mitigation, bank: usize, row: u32) -> Vec<MitigationAction> {
+        let mut out = Vec::new();
+        m.on_activate(bank, row, &mut out);
+        out
+    }
+
+    /// One periodic refresh's actions.
+    fn refresh(m: &mut dyn Mitigation) -> Vec<MitigationAction> {
+        let mut out = Vec::new();
+        m.on_refresh(&mut out);
+        out
+    }
+
     #[test]
     fn baseline_never_acts() {
-        let cfg = MitigationConfig::builder().threshold(128).banks(4).build();
-        let mut m = MitigationKind::None.build_with(&cfg);
+        let mut m = MitigationKind::None.build(&MitigationProfile::flat(128), 4, 0);
         for i in 0..1000 {
-            assert!(m.on_activate(0, i % 7, u64::from(i)).is_empty());
+            assert!(act(m.as_mut(), 0, i % 7).is_empty());
         }
     }
 
     #[test]
-    fn build_with_matches_flat_profile() {
-        // `build_with` is sugar for `build_with_profile` with a flat
-        // profile at the configured threshold; the two must be
-        // byte-identical for every mechanism.
-        let cfg = MitigationConfig::builder().threshold(200).banks(2).seed(9).build();
-        for kind in MitigationKind::EXTENDED {
-            let mut sugar = kind.build_with(&cfg);
-            let mut explicit = kind.build_with_profile(&cfg, &MitigationProfile::flat(200));
-            for i in 0..5_000u32 {
-                let row = i % 23;
-                assert_eq!(
-                    sugar.on_activate(0, row, u64::from(i)),
-                    explicit.on_activate(0, row, u64::from(i)),
-                    "{} diverged at act {i}",
-                    kind.name()
-                );
+    #[should_panic(expected = "need at least one bank")]
+    fn build_rejects_zero_banks() {
+        let _ = MitigationKind::Graphene.build(&MitigationProfile::flat(128), 0, 0);
+    }
+
+    #[test]
+    fn mechanisms_append_to_the_buffer_and_never_clear_it() {
+        // A buffer that already holds an action must keep it at index 0
+        // and receive exactly what an empty buffer receives after it.
+        let sentinel = MitigationAction::BlockBank { bank: 9, duration: 1 };
+        let profile = MitigationProfile::flat(64);
+        for kind in [MitigationKind::None].into_iter().chain(MitigationKind::EXTENDED) {
+            let mut fresh = kind.build(&profile, 2, 3);
+            let mut prefilled = kind.build(&profile, 2, 3);
+            let mut appended = 0;
+            for i in 0..2_000u32 {
+                let (mut expected, mut out) = (Vec::new(), vec![sentinel]);
+                if i % 100 == 99 {
+                    fresh.on_refresh(&mut expected);
+                    prefilled.on_refresh(&mut out);
+                } else {
+                    fresh.on_activate(i as usize % 2, i % 5, &mut expected);
+                    prefilled.on_activate(i as usize % 2, i % 5, &mut out);
+                }
+                assert_eq!(out[0], sentinel, "{} cleared the buffer at call {i}", kind.name());
+                assert_eq!(out[1..], expected[..], "{} diverged at call {i}", kind.name());
+                appended += expected.len();
             }
+            assert_eq!(appended > 0, kind != MitigationKind::None, "{} actions", kind.name());
         }
-    }
-
-    #[test]
-    fn config_builder_round_trips_and_validates() {
-        let cfg = MitigationConfig::builder().threshold(777).banks(3).seed(42).build();
-        assert_eq!((cfg.threshold, cfg.banks, cfg.seed), (777, 3, 42));
-        let rebuilt = cfg.to_builder().seed(43).build();
-        assert_eq!(rebuilt.threshold, 777);
-        assert_eq!(rebuilt.seed, 43);
-        let default = MitigationConfig::default();
-        assert!(default.threshold >= 1 && default.banks >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold must be positive")]
-    fn config_builder_rejects_zero_threshold() {
-        let _ = MitigationConfig::builder().threshold(0).build();
     }
 
     #[test]
     fn graphene_triggers_at_quarter_threshold() {
-        let mut g = Graphene::new(1024, 2);
+        let mut g = Graphene::new(MitigationProfile::flat(1024), 2);
         assert_eq!(g.trigger(), 256);
-        let mut refreshes = 0;
-        for _ in 0..256 {
-            refreshes += g.on_activate(0, 42, 0).len();
-        }
+        let refreshes: usize = (0..256).map(|_| act(&mut g, 0, 42).len()).sum();
         assert_eq!(refreshes, 1, "the 256th activation of one row must trigger");
     }
 
     #[test]
     fn graphene_tracks_heavy_hitters_despite_noise() {
-        let mut g = Graphene::new(1024, 1);
+        let mut g = Graphene::new(MitigationProfile::flat(1024), 1);
         let mut refreshed_hot = false;
         for i in 0..100_000u32 {
             // One hot row hammered among a stream of one-off rows.
             let row = if i % 3 == 0 { 7 } else { 1000 + i };
-            for a in g.on_activate(0, row, 0) {
+            for a in act(&mut g, 0, row) {
                 if a == (MitigationAction::RefreshNeighbors { bank: 0, row: 7 }) {
                     refreshed_hot = true;
                 }
@@ -679,71 +539,62 @@ mod tests {
 
     #[test]
     fn para_probability_scales_inverse_threshold() {
-        let p_high = Para::new(1024, 0);
-        let p_low = Para::new(128, 0);
+        let p_high = Para::new(MitigationProfile::flat(1024), 0);
+        let p_low = Para::new(MitigationProfile::flat(128), 0);
         assert!((p_high.probability() - 30.0 / 1024.0).abs() < 1e-12);
         assert!((p_low.probability() - 30.0 / 128.0).abs() < 1e-12);
     }
 
     #[test]
     fn para_empirical_rate_matches_p() {
-        let mut para = Para::new(300, 9); // p = 0.1
-        let mut hits = 0;
-        for i in 0..20_000u32 {
-            hits += para.on_activate(0, i, 0).len();
-        }
+        let mut para = Para::new(MitigationProfile::flat(300), 9); // p = 0.1
+        let hits: usize = (0..20_000u32).map(|i| act(&mut para, 0, i).len()).sum();
         let rate = f64::from(hits as u32) / 20_000.0;
         assert!((rate - 0.1).abs() < 0.01, "rate {rate}");
     }
 
     #[test]
     fn prac_backs_off_at_alert() {
-        let mut prac = Prac::new(128);
+        let mut prac = Prac::new(MitigationProfile::flat(128));
         let mut actions = Vec::new();
         for _ in 0..96 {
-            actions = prac.on_activate(1, 5, 0);
+            actions = act(&mut prac, 1, 5);
         }
         assert_eq!(actions.len(), 2);
         assert!(matches!(actions[1], MitigationAction::BlockChannel { .. }));
         // Counter reset: the next 95 activations are free.
         for _ in 0..95 {
-            assert!(prac.on_activate(1, 5, 0).is_empty());
+            assert!(act(&mut prac, 1, 5).is_empty());
         }
     }
 
     #[test]
     fn mint_inserts_no_rfms_at_high_threshold() {
-        let mint = Mint::new(1024);
-        assert!(!mint.inserts_rfms());
-        let mut m = Mint::new(1024);
+        let mut m = Mint::new(MitigationProfile::flat(1024));
+        assert!(!m.inserts_rfms());
         for i in 0..10_000u32 {
-            assert!(m.on_activate(0, i % 3, 0).is_empty());
+            assert!(act(&mut m, 0, i % 3).is_empty());
         }
     }
 
     #[test]
     fn mint_inserts_rfms_at_low_threshold() {
         // Effective threshold 64 < ACTS_PER_TREFI (84): RFM every 32 acts.
-        let mut m = Mint::new(64);
+        let mut m = Mint::new(MitigationProfile::flat(64));
         assert!(m.inserts_rfms());
-        let mut blocks = 0;
-        for i in 0..320u32 {
-            for a in m.on_activate(0, i, 0) {
-                if matches!(a, MitigationAction::BlockChannel { .. }) {
-                    blocks += 1;
-                }
-            }
-        }
+        let blocks = (0..320u32)
+            .flat_map(|i| act(&mut m, 0, i))
+            .filter(|a| matches!(a, MitigationAction::BlockChannel { .. }))
+            .count();
         assert_eq!(blocks, 10);
     }
 
     #[test]
     fn mint_mitigates_sampled_row_at_refresh() {
-        let mut m = Mint::new(1024);
-        m.on_activate(3, 77, 0);
-        let actions = m.on_refresh(3900);
-        assert_eq!(actions, vec![MitigationAction::RefreshNeighbors { bank: 3, row: 77 }]);
-        assert!(m.on_refresh(7800).is_empty(), "nothing sampled since");
+        let mut m = Mint::new(MitigationProfile::flat(1024));
+        act(&mut m, 3, 77);
+        assert_eq!(refresh(&mut m), vec![MitigationAction::RefreshNeighbors { bank: 3, row: 77 }]);
+        assert!(refresh(&mut m).is_empty(), "nothing sampled since");
     }
 
     #[test]
@@ -756,65 +607,66 @@ mod tests {
 
     #[test]
     fn blockhammer_throttles_over_quota() {
-        let mut bh = BlockHammer::new(128);
+        let mut bh = BlockHammer::new(MitigationProfile::flat(128));
         assert_eq!(bh.quota(), 64);
         for _ in 0..64 {
-            assert!(bh.on_activate(0, 9, 0).is_empty());
+            assert!(act(&mut bh, 0, 9).is_empty());
         }
-        let actions = bh.on_activate(0, 9, 0);
+        let actions = act(&mut bh, 0, 9);
         assert!(matches!(actions[..], [MitigationAction::BlockBank { bank: 0, .. }]));
     }
 
     #[test]
     fn blockhammer_ignores_benign_rows() {
-        let mut bh = BlockHammer::new(1024);
+        let mut bh = BlockHammer::new(MitigationProfile::flat(1024));
         for i in 0..10_000u32 {
-            assert!(bh.on_activate(0, i, 0).is_empty(), "one-shot rows never throttle");
+            assert!(act(&mut bh, 0, i).is_empty(), "one-shot rows never throttle");
         }
     }
 
     #[test]
     fn blockhammer_window_resets_counters() {
-        let mut bh = BlockHammer::new(64);
+        let mut bh = BlockHammer::new(MitigationProfile::flat(64));
         // Exceed the quota, then push past the window length with other
         // rows; the hot row's counter must clear.
+        let mut out = Vec::new();
         for _ in 0..40 {
-            bh.on_activate(0, 1, 0);
+            bh.on_activate(0, 1, &mut out);
         }
         let window = 32_000_000 / 46;
         for i in 0..window as u32 {
-            bh.on_activate(0, 1000 + i, 0);
+            bh.on_activate(0, 1000 + i, &mut out);
         }
-        assert!(bh.on_activate(0, 1, 0).is_empty(), "window reset must clear counters");
+        assert!(act(&mut bh, 0, 1).is_empty(), "window reset must clear counters");
     }
 
     #[test]
     fn graphene_trigger_follows_regions() {
         // Rows 0..100 at threshold 400 (trigger 100), rows 100.. at 1600
         // (trigger 400).
-        let mut g = Graphene::with_profile(profile_of(100, &[400, 1600], 400), 1);
+        let mut g = Graphene::new(profile_of(100, &[400, 1600], 400), 1);
         assert_eq!(g.trigger_for(50), 100);
         assert_eq!(g.trigger_for(150), 400);
         assert_eq!(g.trigger(), 100, "worst case is the weakest region");
-        let weak: usize = (0..400).map(|_| g.on_activate(0, 50, 0).len()).sum();
-        let strong: usize = (0..400).map(|_| g.on_activate(0, 150, 0).len()).sum();
+        let weak: usize = (0..400).map(|_| act(&mut g, 0, 50).len()).sum();
+        let strong: usize = (0..400).map(|_| act(&mut g, 0, 150).len()).sum();
         assert_eq!(weak, 4, "weak row refreshes every 100 acts");
         assert_eq!(strong, 1, "strong row refreshes every 400 acts");
     }
 
     #[test]
     fn para_probability_follows_regions() {
-        let para = Para::with_profile(profile_of(100, &[300, 3000], 300), 1);
+        let para = Para::new(profile_of(100, &[300, 3000], 300), 1);
         assert!((para.probability_for(10) - 0.1).abs() < 1e-12);
         assert!((para.probability_for(110) - 0.01).abs() < 1e-12);
         assert!((para.probability() - 0.1).abs() < 1e-12);
         // The strong region empirically refreshes about 10x less often.
-        let mut para = Para::with_profile(profile_of(100, &[300, 3000], 300), 7);
+        let mut para = Para::new(profile_of(100, &[300, 3000], 300), 7);
         let mut weak = 0usize;
         let mut strong = 0usize;
         for _ in 0..20_000 {
-            weak += para.on_activate(0, 10, 0).len();
-            strong += para.on_activate(0, 110, 0).len();
+            weak += act(&mut para, 0, 10).len();
+            strong += act(&mut para, 0, 110).len();
         }
         let ratio = weak as f64 / strong.max(1) as f64;
         assert!((5.0..20.0).contains(&ratio), "weak/strong refresh ratio {ratio}");
@@ -822,17 +674,17 @@ mod tests {
 
     #[test]
     fn prac_alert_follows_regions() {
-        let mut prac = Prac::with_profile(profile_of(10, &[128, 1280], 128));
+        let mut prac = Prac::new(profile_of(10, &[128, 1280], 128));
         assert_eq!(prac.alert_for(5), 96);
         assert_eq!(prac.alert_for(15), 960);
         for _ in 0..95 {
-            assert!(prac.on_activate(0, 5, 0).is_empty());
+            assert!(act(&mut prac, 0, 5).is_empty());
         }
-        assert_eq!(prac.on_activate(0, 5, 0).len(), 2, "weak row alerts at 96");
+        assert_eq!(act(&mut prac, 0, 5).len(), 2, "weak row alerts at 96");
         for _ in 0..959 {
-            assert!(prac.on_activate(0, 15, 0).is_empty());
+            assert!(act(&mut prac, 0, 15).is_empty());
         }
-        assert_eq!(prac.on_activate(0, 15, 0).len(), 2, "strong row alerts at 960");
+        assert_eq!(act(&mut prac, 0, 15).len(), 2, "strong row alerts at 960");
     }
 
     #[test]
@@ -840,39 +692,28 @@ mod tests {
         // Weak region below ACTS_PER_TREFI owes RFMs; the strong region
         // does not.
         let profile = profile_of(10, &[64, 1024], 64);
-        let mut m = Mint::with_profile(profile.clone());
-        let strong_blocks: usize = (0..1000)
-            .map(|_| {
-                m.on_activate(0, 15, 0)
-                    .iter()
-                    .filter(|a| matches!(a, MitigationAction::BlockChannel { .. }))
-                    .count()
-            })
-            .sum();
-        assert_eq!(strong_blocks, 0, "strong-region stream inserts no RFMs");
-        let mut m = Mint::with_profile(profile);
-        let weak_blocks: usize = (0..320)
-            .map(|_| {
-                m.on_activate(0, 5, 0)
-                    .iter()
-                    .filter(|a| matches!(a, MitigationAction::BlockChannel { .. }))
-                    .count()
-            })
-            .sum();
-        assert_eq!(weak_blocks, 10, "weak-region stream keeps the uniform cadence");
+        let blocks = |row: u32, acts: usize| {
+            let mut m = Mint::new(profile.clone());
+            (0..acts)
+                .flat_map(|_| act(&mut m, 0, row))
+                .filter(|a| matches!(a, MitigationAction::BlockChannel { .. }))
+                .count()
+        };
+        assert_eq!(blocks(15, 1000), 0, "strong-region stream inserts no RFMs");
+        assert_eq!(blocks(5, 320), 10, "weak-region stream keeps the uniform cadence");
     }
 
     #[test]
     fn mint_mixed_stream_owes_the_weak_interval() {
-        let mut m = Mint::with_profile(profile_of(10, &[64, 1024], 64));
+        let mut m = Mint::new(profile_of(10, &[64, 1024], 64));
         // One weak-region activation arms the RFM cadence; strong-region
         // activations still count toward the owed RFM.
-        assert!(m.on_activate(0, 5, 0).is_empty());
+        assert!(act(&mut m, 0, 5).is_empty());
         let mut acts = 1;
         let mut blocked_at = None;
         for _ in 0..100 {
             acts += 1;
-            if !m.on_activate(0, 15, 0).is_empty() {
+            if !act(&mut m, 0, 15).is_empty() {
                 blocked_at = Some(acts);
                 break;
             }
@@ -882,40 +723,17 @@ mod tests {
 
     #[test]
     fn blockhammer_quota_follows_regions() {
-        let mut bh = BlockHammer::with_profile(profile_of(10, &[128, 1024], 128));
+        let mut bh = BlockHammer::new(profile_of(10, &[128, 1024], 128));
         assert_eq!(bh.quota_for(5), 64);
         assert_eq!(bh.quota_for(15), 512);
         assert_eq!(bh.quota(), 64);
         for _ in 0..64 {
-            assert!(bh.on_activate(0, 5, 0).is_empty());
+            assert!(act(&mut bh, 0, 5).is_empty());
         }
-        assert!(!bh.on_activate(0, 5, 0).is_empty(), "weak row throttles past 64");
+        assert!(!act(&mut bh, 0, 5).is_empty(), "weak row throttles past 64");
         for _ in 0..512 {
-            assert!(bh.on_activate(0, 15, 0).is_empty());
+            assert!(act(&mut bh, 0, 15).is_empty());
         }
-        assert!(!bh.on_activate(0, 15, 0).is_empty(), "strong row throttles past 512");
-    }
-
-    #[test]
-    fn flat_profile_build_matches_uniform_build() {
-        let cfg = MitigationConfig::builder().threshold(96).banks(2).seed(5).build();
-        let flat = MitigationProfile::flat(96);
-        for kind in MitigationKind::EXTENDED {
-            let mut uniform = kind.build_with(&cfg);
-            let mut profiled = kind.build_with_profile(&cfg, &flat);
-            for i in 0..20_000u32 {
-                let row = (i * 7) % 31;
-                let now = u64::from(i) * 46;
-                assert_eq!(
-                    uniform.on_activate(i as usize % 2, row, now),
-                    profiled.on_activate(i as usize % 2, row, now),
-                    "{} diverged at act {i}",
-                    kind.name()
-                );
-                if i % 1000 == 999 {
-                    assert_eq!(uniform.on_refresh(now), profiled.on_refresh(now));
-                }
-            }
-        }
+        assert!(!act(&mut bh, 0, 15).is_empty(), "strong row throttles past 512");
     }
 }

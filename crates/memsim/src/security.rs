@@ -6,51 +6,76 @@
 //! one experienced (at any time) by any victim DRAM row … otherwise the
 //! mitigation's security guarantees are compromised."
 //!
-//! The model: an attacker hammers one aggressor row continuously. The
-//! victim's *instantaneous* RDT for each inter-refresh epoch is drawn
-//! from an empirical VRD distribution (e.g. a measured
-//! `vrd-core` series). The mitigation — configured with some threshold —
-//! occasionally refreshes the victim, resetting the accumulated hammer
-//! count. An **escape** occurs whenever the accumulated count reaches
-//! the epoch's true RDT before a preventive refresh lands.
+//! The model: an attacker round-robin hammers one or more victim rows
+//! continuously (one victim per bank region in the spatial sweep, a
+//! single one in the guardband sweep). Each victim's *instantaneous* RDT
+//! for each inter-refresh epoch is drawn from an empirical VRD
+//! distribution (e.g. a measured `vrd-core` series), scaled by the
+//! victim's spatial strength. The mitigation — built by
+//! [`MitigationKind::build`] with some threshold profile — occasionally
+//! refreshes a victim, resetting its accumulated hammer count. An
+//! **escape** occurs whenever the accumulated count reaches the epoch's
+//! true RDT before a preventive refresh lands.
 
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::mitigation::{Mitigation, MitigationAction, MitigationConfig, MitigationKind};
+use crate::mitigation::{Mitigation, MitigationAction, MitigationKind};
+use crate::profile::MitigationProfile;
+
+/// One victim of an attack.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct SpatialVictim {
+    /// The victim's row number (its aggressor hammers the same row
+    /// address in this single-aggressor model).
+    pub row: u32,
+    /// True-RDT multiplier relative to the weakest victim (≥ 1 for
+    /// spatially stronger rows; the weakest victim has factor 1).
+    pub factor: f64,
+}
 
 /// Configuration of one attack simulation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AttackConfig {
-    /// Total aggressor activations the attacker issues.
+    /// Total attacker activations (spread round-robin over the victims).
     pub activations: u64,
-    /// The victim row's empirical RDT distribution (drawn per epoch).
+    /// Empirical RDT distribution of the *weakest* victim; each victim's
+    /// epoch RDT is a draw scaled by its spatial factor.
     pub rdt_distribution: Vec<u32>,
+    /// The victims under attack.
+    pub victims: Vec<SpatialVictim>,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl AttackConfig {
-    /// A default attack of 2M activations against the given measured
-    /// distribution.
-    pub fn new(rdt_distribution: Vec<u32>, seed: u64) -> Self {
+    /// A default attack of 2M activations.
+    pub fn new(rdt_distribution: Vec<u32>, victims: Vec<SpatialVictim>, seed: u64) -> Self {
         assert!(!rdt_distribution.is_empty(), "need a non-empty RDT distribution");
-        AttackConfig { activations: 2_000_000, rdt_distribution, seed }
+        assert!(!victims.is_empty(), "need at least one victim");
+        assert!(victims.iter().all(|v| v.factor >= 1.0), "factors are relative to the weakest");
+        AttackConfig { activations: 2_000_000, rdt_distribution, victims, seed }
     }
 }
 
 /// Result of one attack simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AttackResult {
     /// Activations issued.
     pub activations: u64,
-    /// Preventive refreshes the mitigation performed on the victim.
+    /// Preventive victim refreshes the mitigation performed.
     pub preventive_refreshes: u64,
-    /// Escapes: epochs in which the accumulated count reached the true
-    /// RDT before a preventive refresh.
+    /// Total mitigation actions issued (refreshes + blocking actions) —
+    /// the overhead axis of the attack-vs-defense tradeoff.
+    pub actions: u64,
+    /// Attacker time lost to blocking actions (ns).
+    pub blocked_ns: u64,
+    /// Escapes across all victims.
     pub escapes: u64,
+    /// Escapes per victim, in `victims` order.
+    pub per_victim_escapes: Vec<u64>,
 }
 
 impl AttackResult {
@@ -59,86 +84,122 @@ impl AttackResult {
         self.escapes as f64 / (self.activations as f64 / 1e6)
     }
 
-    /// Whether the mitigation held (no escape at all).
+    /// Whether the mitigation held everywhere (no escape on any victim).
     pub fn secure(&self) -> bool {
         self.escapes == 0
     }
 }
 
-/// Simulates a continuous one-row hammer attack against a mitigation
-/// configured with `configured_threshold`.
+/// Simulates a continuous round-robin hammer attack against an already
+/// built mitigation.
 ///
-/// The victim's true RDT is redrawn from the empirical distribution
-/// after every restoration of the victim (preventive refresh or escape),
-/// modelling VRD's unpredictable epoch-to-epoch threshold changes.
-pub fn simulate_attack(
-    kind: MitigationKind,
-    configured_threshold: u32,
-    config: &AttackConfig,
-) -> AttackResult {
-    let mut rng = ChaCha12Rng::seed_from_u64(config.seed);
-    let mut mitigation = kind.build_with(
-        &MitigationConfig::builder()
-            .threshold(configured_threshold)
-            .banks(1)
-            .seed(config.seed)
-            .build(),
-    );
-    let dist = &config.rdt_distribution;
-    let draw_rdt = |rng: &mut ChaCha12Rng| -> u64 { u64::from(dist[rng.gen_range(0..dist.len())]) };
-
-    let bank = 0usize;
-    let aggressor_row = 7u32;
-    let mut accumulated = 0u64;
-    let mut true_rdt = draw_rdt(&mut rng);
-    let mut escapes = 0u64;
-    let mut preventive = 0u64;
-    // The attacker saturates one bank: one ACT per tRC (46 ns), slowed
-    // down by any blocking actions (throttling, back-offs). The victim
-    // is restored by periodic refresh once per tREFW of wall-clock time.
+/// The attacker issues one ACT per tRC (46 ns) to the next victim's row
+/// and is slowed down by any blocking actions (throttling, back-offs).
+/// A victim's true RDT is redrawn after every restoration (preventive
+/// refresh, escape, or the periodic refresh that restores every victim
+/// once per tREFW), modelling VRD's unpredictable epoch-to-epoch
+/// threshold changes. The mitigation's `on_refresh` hook runs once per
+/// tREFI, which models MINT's REF-time mitigation at its real cadence.
+pub fn simulate_attack(mitigation: &mut dyn Mitigation, config: &AttackConfig) -> AttackResult {
     const T_RC_NS: u64 = 46;
+    const T_REFI_NS: u64 = 3_900;
     const T_REFW_NS: u64 = 32_000_000;
+
+    let mut rng = ChaCha12Rng::seed_from_u64(config.seed);
+    let dist = &config.rdt_distribution;
+    let draw_rdt = |rng: &mut ChaCha12Rng, factor: f64| -> u64 {
+        let base = f64::from(dist[rng.gen_range(0..dist.len())]);
+        (base * factor).round().max(1.0) as u64
+    };
+    let victims = &config.victims;
+    let victim_of = |row: u32| victims.iter().position(|v| v.row == row);
+
+    let n = victims.len();
+    let mut accumulated = vec![0u64; n];
+    let mut true_rdt: Vec<u64> = victims.iter().map(|v| draw_rdt(&mut rng, v.factor)).collect();
+    let mut result = AttackResult {
+        activations: config.activations,
+        preventive_refreshes: 0,
+        actions: 0,
+        blocked_ns: 0,
+        escapes: 0,
+        per_victim_escapes: vec![0; n],
+    };
     let mut time_ns = 0u64;
+    let mut next_refi = T_REFI_NS;
     let mut next_periodic = T_REFW_NS;
 
-    for act in 0..config.activations {
+    // Victims that start a fresh epoch after this activation, in victim
+    // order (the order their RDTs are redrawn in). `any_restore` keeps
+    // the common activation, which restores nobody, O(1).
+    let mut restore = vec![false; n];
+    let mut any_restore = false;
+    let mut actions = Vec::new();
+    let bank = 0usize;
+    let mut v = 0usize;
+    for _ in 0..config.activations {
         time_ns += T_RC_NS;
-        accumulated += 1;
-        let mut restored = false;
-        if accumulated >= true_rdt {
-            escapes += 1;
-            restored = true;
+        accumulated[v] += 1;
+        if accumulated[v] >= true_rdt[v] {
+            result.escapes += 1;
+            result.per_victim_escapes[v] += 1;
+            restore[v] = true;
+            any_restore = true;
         }
-        for action in mitigation.on_activate(bank, aggressor_row, act) {
+        mitigation.on_activate(bank, victims[v].row, &mut actions);
+        for action in actions.drain(..) {
+            result.actions += 1;
             match action {
-                MitigationAction::RefreshNeighbors { .. } => {
-                    preventive += 1;
-                    restored = true;
+                MitigationAction::RefreshNeighbors { row, .. } => {
+                    result.preventive_refreshes += 1;
+                    if let Some(i) = victim_of(row) {
+                        restore[i] = true;
+                        any_restore = true;
+                    }
                 }
                 // Blocking actions slow the attacker down but do not
-                // restore the victim directly.
+                // restore a victim directly.
                 MitigationAction::BlockBank { duration, .. }
                 | MitigationAction::BlockChannel { duration } => {
                     time_ns += duration;
+                    result.blocked_ns += duration;
+                }
+            }
+        }
+        while time_ns >= next_refi {
+            next_refi += T_REFI_NS;
+            mitigation.on_refresh(&mut actions);
+            for action in actions.drain(..) {
+                result.actions += 1;
+                if let MitigationAction::RefreshNeighbors { row, .. } = action {
+                    result.preventive_refreshes += 1;
+                    if let Some(i) = victim_of(row) {
+                        restore[i] = true;
+                        any_restore = true;
+                    }
                 }
             }
         }
         while time_ns >= next_periodic {
             next_periodic += T_REFW_NS;
-            restored = true;
-            // MINT's REF-time mitigation also lands here.
-            for action in mitigation.on_refresh(act) {
-                if matches!(action, MitigationAction::RefreshNeighbors { .. }) {
-                    preventive += 1;
+            restore.fill(true);
+            any_restore = true;
+        }
+        if any_restore {
+            any_restore = false;
+            for (i, flagged) in restore.iter_mut().enumerate() {
+                if std::mem::take(flagged) {
+                    accumulated[i] = 0;
+                    true_rdt[i] = draw_rdt(&mut rng, victims[i].factor);
                 }
             }
         }
-        if restored {
-            accumulated = 0;
-            true_rdt = draw_rdt(&mut rng);
+        v += 1;
+        if v == n {
+            v = 0;
         }
     }
-    AttackResult { activations: config.activations, preventive_refreshes: preventive, escapes }
+    result
 }
 
 /// Sweeps configured thresholds derived from N-measurement estimates of
@@ -156,7 +217,8 @@ pub struct SecuritySweep {
 
 /// Runs the sweep for one mitigation: estimate the minimum from
 /// `estimate_n` random draws (as a vendor with limited test time would),
-/// then configure with margins `0%, 10%, 25%, 50%` below that estimate.
+/// then configure a flat threshold with margins `0%, 10%, 25%, 50%`
+/// below that estimate and attack each configuration with `config`.
 pub fn security_sweep(
     kind: MitigationKind,
     config: &AttackConfig,
@@ -173,179 +235,11 @@ pub fn security_sweep(
     let mut points = Vec::new();
     for margin in [0.0f64, 0.10, 0.25, 0.50] {
         let configured = ((f64::from(estimated_min)) * (1.0 - margin)).floor().max(1.0) as u32;
-        let result = simulate_attack(kind, configured, config);
+        let mut mitigation = kind.build(&MitigationProfile::flat(configured), 1, config.seed);
+        let result = simulate_attack(mitigation.as_mut(), config);
         points.push((margin, configured, result.escapes_per_million()));
     }
     SecuritySweep { points, true_min, estimated_min }
-}
-
-/// One victim in a spatial multi-row attack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SpatialVictim {
-    /// The victim's row number (its aggressor hammers the same row
-    /// address in this single-aggressor model).
-    pub row: u32,
-    /// True-RDT multiplier relative to the weakest victim (≥ 1 for
-    /// spatially stronger rows; the weakest victim has factor 1).
-    pub factor: f64,
-}
-
-/// Configuration of a spatial multi-row attack: the attacker round-robin
-/// hammers one representative victim per bank region, so a defense pays
-/// for every region it guards while only the weakest region constrains
-/// security.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpatialAttackConfig {
-    /// Total attacker activations (spread round-robin over the victims).
-    pub activations: u64,
-    /// Empirical RDT distribution of the *weakest* victim; each victim's
-    /// epoch RDT is a draw scaled by its spatial factor.
-    pub rdt_distribution: Vec<u32>,
-    /// The victims under attack.
-    pub victims: Vec<SpatialVictim>,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl SpatialAttackConfig {
-    /// A default attack of 2M activations.
-    pub fn new(rdt_distribution: Vec<u32>, victims: Vec<SpatialVictim>, seed: u64) -> Self {
-        assert!(!rdt_distribution.is_empty(), "need a non-empty RDT distribution");
-        assert!(!victims.is_empty(), "need at least one victim");
-        assert!(victims.iter().all(|v| v.factor >= 1.0), "factors are relative to the weakest");
-        SpatialAttackConfig { activations: 2_000_000, rdt_distribution, victims, seed }
-    }
-}
-
-/// Result of one spatial multi-row attack simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpatialAttackResult {
-    /// Activations issued.
-    pub activations: u64,
-    /// Preventive victim refreshes the mitigation performed.
-    pub preventive_refreshes: u64,
-    /// Total mitigation actions issued (refreshes + blocking actions) —
-    /// the overhead axis of the attack-vs-defense tradeoff.
-    pub actions: u64,
-    /// Attacker time lost to blocking actions (ns).
-    pub blocked_ns: u64,
-    /// Escapes across all victims.
-    pub escapes: u64,
-    /// Escapes per victim, in `victims` order.
-    pub per_victim_escapes: Vec<u64>,
-}
-
-impl SpatialAttackResult {
-    /// Escapes per million attacker activations.
-    pub fn escapes_per_million(&self) -> f64 {
-        self.escapes as f64 / (self.activations as f64 / 1e6)
-    }
-
-    /// Whether the mitigation held everywhere (no escape on any victim).
-    pub fn secure(&self) -> bool {
-        self.escapes == 0
-    }
-}
-
-/// Simulates a round-robin multi-row hammer attack against an already
-/// built mitigation (use [`MitigationKind::build_with_profile`] for the
-/// profile-driven variants).
-///
-/// Timing follows [`simulate_attack`] (one ACT per tRC, blocking actions
-/// slow the attacker, periodic refresh restores every victim once per
-/// tREFW) with one refinement: the mitigation's `on_refresh` hook runs
-/// once per tREFI rather than once per tREFW, which models MINT's
-/// REF-time mitigation at its real cadence.
-pub fn simulate_spatial_attack(
-    mitigation: &mut dyn Mitigation,
-    config: &SpatialAttackConfig,
-) -> SpatialAttackResult {
-    const T_RC_NS: u64 = 46;
-    const T_REFI_NS: u64 = 3_900;
-    const T_REFW_NS: u64 = 32_000_000;
-
-    let mut rng = ChaCha12Rng::seed_from_u64(config.seed);
-    let dist = &config.rdt_distribution;
-    let draw_rdt = |rng: &mut ChaCha12Rng, factor: f64| -> u64 {
-        let base = f64::from(dist[rng.gen_range(0..dist.len())]);
-        (base * factor).round().max(1.0) as u64
-    };
-
-    let n = config.victims.len();
-    let mut accumulated = vec![0u64; n];
-    let mut true_rdt: Vec<u64> =
-        config.victims.iter().map(|v| draw_rdt(&mut rng, v.factor)).collect();
-    let mut per_victim_escapes = vec![0u64; n];
-    let mut escapes = 0u64;
-    let mut preventive = 0u64;
-    let mut actions = 0u64;
-    let mut blocked_ns = 0u64;
-    let mut time_ns = 0u64;
-    let mut next_refi = T_REFI_NS;
-    let mut next_periodic = T_REFW_NS;
-
-    let bank = 0usize;
-    let victim_index =
-        |row: u32| -> Option<usize> { config.victims.iter().position(|v| v.row == row) };
-
-    let mut restore = vec![false; n];
-    for act in 0..config.activations {
-        let v = (act % n as u64) as usize;
-        time_ns += T_RC_NS;
-        accumulated[v] += 1;
-        restore.iter_mut().for_each(|r| *r = false);
-        if accumulated[v] >= true_rdt[v] {
-            escapes += 1;
-            per_victim_escapes[v] += 1;
-            restore[v] = true;
-        }
-        for action in mitigation.on_activate(bank, config.victims[v].row, act) {
-            actions += 1;
-            match action {
-                MitigationAction::RefreshNeighbors { row, .. } => {
-                    preventive += 1;
-                    if let Some(i) = victim_index(row) {
-                        restore[i] = true;
-                    }
-                }
-                MitigationAction::BlockBank { duration, .. }
-                | MitigationAction::BlockChannel { duration } => {
-                    time_ns += duration;
-                    blocked_ns += duration;
-                }
-            }
-        }
-        while time_ns >= next_refi {
-            next_refi += T_REFI_NS;
-            for action in mitigation.on_refresh(act) {
-                actions += 1;
-                if let MitigationAction::RefreshNeighbors { row, .. } = action {
-                    preventive += 1;
-                    if let Some(i) = victim_index(row) {
-                        restore[i] = true;
-                    }
-                }
-            }
-        }
-        while time_ns >= next_periodic {
-            next_periodic += T_REFW_NS;
-            restore.iter_mut().for_each(|r| *r = true);
-        }
-        for (i, flagged) in restore.iter().enumerate() {
-            if *flagged {
-                accumulated[i] = 0;
-                true_rdt[i] = draw_rdt(&mut rng, config.victims[i].factor);
-            }
-        }
-    }
-    SpatialAttackResult {
-        activations: config.activations,
-        preventive_refreshes: preventive,
-        actions,
-        blocked_ns,
-        escapes,
-        per_victim_escapes,
-    }
 }
 
 #[cfg(test)]
@@ -359,12 +253,22 @@ mod tests {
         d
     }
 
+    /// The one-victim attack of the guardband sweep.
+    fn single_victim(seed: u64) -> AttackConfig {
+        AttackConfig::new(vrd_distribution(), vec![SpatialVictim { row: 7, factor: 1.0 }], seed)
+    }
+
+    /// A one-victim attack against `kind` configured flat at `threshold`.
+    fn attack(kind: MitigationKind, threshold: u32, seed: u64) -> AttackResult {
+        let mut mitigation = kind.build(&MitigationProfile::flat(threshold), 1, seed);
+        simulate_attack(mitigation.as_mut(), &single_victim(seed))
+    }
+
     #[test]
     fn correctly_configured_graphene_is_secure() {
         // Configured at the true minimum: Graphene refreshes at
         // threshold/4, far before any epoch's RDT.
-        let config = AttackConfig::new(vrd_distribution(), 1);
-        let result = simulate_attack(MitigationKind::Graphene, 3_500, &config);
+        let result = attack(MitigationKind::Graphene, 3_500, 1);
         assert!(result.secure(), "true-min config must hold, {} escapes", result.escapes);
         assert!(result.preventive_refreshes > 0);
     }
@@ -373,8 +277,7 @@ mod tests {
     fn overconfigured_graphene_leaks() {
         // Configured with the *bulk* RDT (as a few measurements would
         // suggest): rare low-RDT epochs escape.
-        let config = AttackConfig::new(vrd_distribution(), 2);
-        let result = simulate_attack(MitigationKind::Graphene, 3_500 * 5, &config);
+        let result = attack(MitigationKind::Graphene, 3_500 * 5, 2);
         assert!(
             !result.secure(),
             "a 5x-too-high configuration must leak (trigger = threshold/4 > low epochs)"
@@ -383,10 +286,9 @@ mod tests {
 
     #[test]
     fn guardband_reduces_escapes_monotonically() {
-        let config = AttackConfig::new(vrd_distribution(), 3);
         // Estimate from only 3 measurements: almost surely misses the
         // 1% low tail.
-        let sweep = security_sweep(MitigationKind::Graphene, &config, 3);
+        let sweep = security_sweep(MitigationKind::Graphene, &single_victim(3), 3);
         assert!(sweep.estimated_min >= sweep.true_min);
         let rates: Vec<f64> = sweep.points.iter().map(|(_, _, r)| *r).collect();
         for pair in rates.windows(2) {
@@ -396,16 +298,14 @@ mod tests {
 
     #[test]
     fn prac_secure_when_configured_at_true_min() {
-        let config = AttackConfig::new(vrd_distribution(), 4);
-        let result = simulate_attack(MitigationKind::Prac, 3_500, &config);
+        let result = attack(MitigationKind::Prac, 3_500, 4);
         assert!(result.secure(), "{} escapes", result.escapes);
     }
 
     #[test]
     fn para_escape_rate_shrinks_with_lower_threshold() {
-        let config = AttackConfig::new(vrd_distribution(), 5);
-        let loose = simulate_attack(MitigationKind::Para, 12_000, &config);
-        let tight = simulate_attack(MitigationKind::Para, 3_500, &config);
+        let loose = attack(MitigationKind::Para, 12_000, 5);
+        let tight = attack(MitigationKind::Para, 3_500, 5);
         assert!(tight.escapes <= loose.escapes);
     }
 
@@ -413,36 +313,39 @@ mod tests {
     fn blockhammer_throttling_is_secure_at_true_min() {
         // Throttling never refreshes the victim, but it stretches the
         // attack across refresh windows so the threshold is unreachable.
-        let config = AttackConfig::new(vrd_distribution(), 7);
-        let result = simulate_attack(MitigationKind::BlockHammer, 3_500, &config);
+        let result = attack(MitigationKind::BlockHammer, 3_500, 7);
         assert!(result.secure(), "{} escapes", result.escapes);
     }
 
     #[test]
     fn baseline_always_leaks() {
-        let config = AttackConfig::new(vrd_distribution(), 6);
-        let result = simulate_attack(MitigationKind::None, 3_500, &config);
+        let result = attack(MitigationKind::None, 3_500, 6);
         assert!(result.escapes > 100, "no mitigation ⇒ steady escapes, got {}", result.escapes);
     }
 
     #[test]
     fn escape_rate_units() {
-        let r = AttackResult { activations: 2_000_000, preventive_refreshes: 0, escapes: 4 };
+        let r = AttackResult {
+            activations: 2_000_000,
+            preventive_refreshes: 0,
+            actions: 0,
+            blocked_ns: 0,
+            escapes: 4,
+            per_victim_escapes: vec![4],
+        };
         assert!((r.escapes_per_million() - 2.0).abs() < 1e-12);
     }
 
-    use crate::profile::MitigationProfile;
-
     /// Four regions of 100 rows whose spatial strength doubles per
     /// region; one victim (the region's weakest row) per region.
-    fn spatial_scenario(seed: u64) -> (SpatialAttackConfig, MitigationProfile) {
+    fn spatial_scenario(seed: u64) -> (AttackConfig, MitigationProfile) {
         let victims = vec![
             SpatialVictim { row: 0, factor: 1.0 },
             SpatialVictim { row: 100, factor: 2.0 },
             SpatialVictim { row: 200, factor: 4.0 },
             SpatialVictim { row: 300, factor: 8.0 },
         ];
-        let mut attack = SpatialAttackConfig::new(vrd_distribution(), victims, seed);
+        let mut attack = AttackConfig::new(vrd_distribution(), victims, seed);
         attack.activations = 400_000;
         let profile = MitigationProfile {
             region_rows: 100,
@@ -456,12 +359,11 @@ mod tests {
     #[test]
     fn spatial_profile_matches_uniform_coverage_at_lower_overhead() {
         let (attack, profile) = spatial_scenario(11);
-        let cfg = MitigationConfig::builder().threshold(3_500).banks(1).seed(11).build();
         for kind in [MitigationKind::Graphene, MitigationKind::Prac] {
-            let mut uniform = kind.build_with(&cfg);
-            let mut profiled = kind.build_with_profile(&cfg, &profile);
-            let u = simulate_spatial_attack(uniform.as_mut(), &attack);
-            let p = simulate_spatial_attack(profiled.as_mut(), &attack);
+            let mut uniform = kind.build(&MitigationProfile::flat(3_500), 1, 11);
+            let mut profiled = kind.build(&profile, 1, 11);
+            let u = simulate_attack(uniform.as_mut(), &attack);
+            let p = simulate_attack(profiled.as_mut(), &attack);
             assert!(u.secure(), "{}: uniform worst-case must hold", kind.name());
             assert!(p.secure(), "{}: profile-driven must hold", kind.name());
             assert!(
@@ -479,9 +381,8 @@ mod tests {
         // A characterization that sampled only the strongest region
         // would configure threshold 28000 everywhere.
         let (attack, _) = spatial_scenario(13);
-        let cfg = MitigationConfig::builder().threshold(28_000).banks(1).seed(13).build();
-        let mut naive = MitigationKind::Graphene.build_with(&cfg);
-        let result = simulate_spatial_attack(naive.as_mut(), &attack);
+        let mut naive = MitigationKind::Graphene.build(&MitigationProfile::flat(28_000), 1, 13);
+        let result = simulate_attack(naive.as_mut(), &attack);
         assert!(!result.secure(), "an 8x-too-high uniform threshold must leak");
         assert!(
             result.per_victim_escapes[0] > 0,
@@ -493,9 +394,8 @@ mod tests {
     #[test]
     fn spatial_baseline_leaks_everywhere() {
         let (attack, _) = spatial_scenario(17);
-        let mut baseline = MitigationKind::None
-            .build_with(&MitigationConfig::builder().threshold(3_500).banks(1).build());
-        let result = simulate_spatial_attack(baseline.as_mut(), &attack);
+        let mut baseline = MitigationKind::None.build(&MitigationProfile::flat(3_500), 1, 0);
+        let result = simulate_attack(baseline.as_mut(), &attack);
         assert!(result.escapes > 0);
         assert!(
             result.per_victim_escapes.iter().all(|&e| e > 0),

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cpu::Core;
 use crate::dram::{DramChannel, DramTiming};
-use crate::mitigation::{Mitigation, MitigationAction, MitigationConfig, MitigationKind};
+use crate::mitigation::{Mitigation, MitigationAction, MitigationKind};
 use crate::profile::MitigationProfile;
 use crate::workload::{AccessStream, WorkloadParams};
 
@@ -120,6 +120,8 @@ pub struct System {
     queues: Vec<Vec<QueuedRequest>>,
     completions: Vec<(u64, usize)>,
     mitigation: Box<dyn Mitigation>,
+    /// The mitigation's action buffer, reused by every hook call.
+    actions: Vec<MitigationAction>,
     now: u64,
 }
 
@@ -127,34 +129,19 @@ impl System {
     /// Builds a system for `cfg` with the given mitigation at the given
     /// uniform effective threshold.
     pub fn new(cfg: &SimConfig, kind: MitigationKind, threshold: u32, seed: u64) -> Self {
-        System::new_with_profile(cfg, kind, &MitigationProfile::flat(threshold), seed)
-    }
-
-    /// Builds a system whose mitigation consults a per-region threshold
-    /// profile. A flat profile reproduces [`System::new`] exactly.
-    pub fn new_with_profile(
-        cfg: &SimConfig,
-        kind: MitigationKind,
-        profile: &MitigationProfile,
-        seed: u64,
-    ) -> Self {
         let cores = cfg
             .mix
             .iter()
             .enumerate()
             .map(|(i, p)| Core::new(AccessStream::new(*p, cfg.banks, seed ^ (i as u64) << 32)))
             .collect();
-        let mitigation_cfg = MitigationConfig::builder()
-            .threshold(profile.min_threshold())
-            .banks(cfg.banks)
-            .seed(seed)
-            .build();
         System {
             cores,
             channel: DramChannel::new(cfg.banks, DramTiming::default()),
             queues: vec![Vec::new(); cfg.banks],
             completions: Vec::new(),
-            mitigation: kind.build_with_profile(&mitigation_cfg, profile),
+            mitigation: kind.build(&MitigationProfile::flat(threshold), cfg.banks, seed),
+            actions: Vec::new(),
             now: 0,
         }
     }
@@ -162,18 +149,6 @@ impl System {
     /// Runs a full simulation and returns the statistics.
     pub fn run_mix(cfg: &SimConfig, kind: MitigationKind, threshold: u32, seed: u64) -> SimStats {
         let mut system = System::new(cfg, kind, threshold, seed);
-        system.run_for(cfg.cycles);
-        system.stats()
-    }
-
-    /// Runs a full simulation with a profile-driven mitigation.
-    pub fn run_mix_with_profile(
-        cfg: &SimConfig,
-        kind: MitigationKind,
-        profile: &MitigationProfile,
-        seed: u64,
-    ) -> SimStats {
-        let mut system = System::new_with_profile(cfg, kind, profile, seed);
         system.run_for(cfg.cycles);
         system.stats()
     }
@@ -202,8 +177,8 @@ impl System {
 
         // Periodic refresh (and the mitigation's REF-time hook).
         if self.channel.maybe_refresh(now) {
-            let actions = self.mitigation.on_refresh(now);
-            self.apply_actions(actions, now);
+            self.mitigation.on_refresh(&mut self.actions);
+            self.apply_actions(now);
         }
 
         // Deliver completed requests.
@@ -241,8 +216,8 @@ impl System {
                 self.completions.push((done_at, req.core));
             } else if !was_hit && self.channel.is_row_hit(bank, row) {
                 // An activation just happened: inform the mitigation.
-                let actions = self.mitigation.on_activate(bank, row, now);
-                self.apply_actions(actions, now);
+                self.mitigation.on_activate(bank, row, &mut self.actions);
+                self.apply_actions(now);
             }
         }
 
@@ -270,9 +245,10 @@ impl System {
         Some(best_idx)
     }
 
-    fn apply_actions(&mut self, actions: Vec<MitigationAction>, now: u64) {
+    /// Applies and empties the buffered mitigation actions.
+    fn apply_actions(&mut self, now: u64) {
         let t_rfm = self.channel.timing().t_rfm;
-        for action in actions {
+        for action in self.actions.drain(..) {
             match action {
                 MitigationAction::RefreshNeighbors { bank, .. } => {
                     self.channel.block_bank(bank, now, t_rfm);
@@ -374,16 +350,5 @@ mod tests {
         let a = System::run_mix(&cfg, MitigationKind::Prac, 128, 9);
         let b = System::run_mix(&cfg, MitigationKind::Prac, 128, 9);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn flat_profile_run_matches_uniform_run() {
-        let cfg = quick_cfg();
-        let flat = MitigationProfile::flat(128);
-        for kind in MitigationKind::EVALUATED {
-            let uniform = System::run_mix(&cfg, kind, 128, 9);
-            let profiled = System::run_mix_with_profile(&cfg, kind, &flat, 9);
-            assert_eq!(uniform, profiled, "{} diverged under a flat profile", kind.name());
-        }
     }
 }

@@ -14,8 +14,8 @@ use vrd::core::campaign::select_rows;
 use vrd::core::online::OnlineProfiler;
 use vrd::core::{find_victim, test_loop, SweepSpec};
 use vrd::dram::{ModuleSpec, TestConditions};
-use vrd::memsim::security::{simulate_attack, AttackConfig};
-use vrd::memsim::MitigationKind;
+use vrd::memsim::security::{simulate_attack, AttackConfig, SpatialVictim};
+use vrd::memsim::{MitigationKind, MitigationProfile};
 
 fn main() {
     let spec = ModuleSpec::by_name("S2").expect("S2 is in Table 1");
@@ -56,9 +56,11 @@ fn main() {
         let attack = AttackConfig {
             activations: 2_000_000,
             rdt_distribution: truth.values().to_vec(),
+            victims: vec![SpatialVictim { row: 7, factor: 1.0 }],
             seed: 9,
         };
-        let result = simulate_attack(MitigationKind::Graphene, rec, &attack);
+        let mut graphene = MitigationKind::Graphene.build(&MitigationProfile::flat(rec), 1, 9);
+        let result = simulate_attack(graphene.as_mut(), &attack);
         println!(
             "{checkpoint:<7} {observed:<13} {rec:<15} {:<12.3} {:.3}",
             profiler.instability(),

@@ -9,8 +9,8 @@ use vrd::core::{find_victim, test_loop, SweepSpec};
 use vrd::dram::access::AccessPattern;
 use vrd::dram::retention::{RetentionModel, RetentionParams};
 use vrd::dram::{DataPattern, ModuleSpec, TestConditions};
-use vrd::memsim::security::{simulate_attack, AttackConfig};
-use vrd::memsim::MitigationKind;
+use vrd::memsim::security::{simulate_attack, AttackConfig, SpatialVictim};
+use vrd::memsim::{MitigationKind, MitigationProfile};
 
 #[test]
 fn online_profile_feeds_a_secure_mitigation_configuration() {
@@ -32,9 +32,15 @@ fn online_profile_feeds_a_secure_mitigation_configuration() {
     }
     let recommendation = profiler.global_recommendation().expect("row profiled");
 
-    let attack =
-        AttackConfig { activations: 1_000_000, rdt_distribution: truth.values().to_vec(), seed: 3 };
-    let result = simulate_attack(MitigationKind::Graphene, recommendation, &attack);
+    let attack = AttackConfig {
+        activations: 1_000_000,
+        rdt_distribution: truth.values().to_vec(),
+        victims: vec![SpatialVictim { row: 7, factor: 1.0 }],
+        seed: 3,
+    };
+    let mut graphene =
+        MitigationKind::Graphene.build(&MitigationProfile::flat(recommendation), 1, 3);
+    let result = simulate_attack(graphene.as_mut(), &attack);
     assert!(
         result.secure(),
         "a 25%-guardbanded online profile must hold: rec {recommendation}, \

@@ -6,10 +6,9 @@
 //!
 //! 1. **Flat-profile equivalence (proptest).** A multi-region profile
 //!    whose regions all share one threshold must drive every mechanism
-//!    action-for-action identically to the classical uniform
-//!    configuration, across random seeds, thresholds, region geometries,
-//!    and access scripts. This is the refactor's no-behavior-change
-//!    guarantee.
+//!    action-for-action identically to the flat (classical uniform)
+//!    profile, across random seeds, thresholds, region geometries, and
+//!    access scripts: the region lookup adds no behavior of its own.
 //! 2. **Per-region monotonicity (proptest).** Lowering one region's
 //!    threshold — configuring it as *weaker* — never decreases the
 //!    mechanism's protective actions, neither in total nor for
@@ -30,24 +29,24 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use vrd::memsim::mitigation::{Mitigation, MitigationConfig, MitigationKind};
+use vrd::memsim::mitigation::{Mitigation, MitigationAction, MitigationKind};
 use vrd::memsim::profile::{MitigationProfile, ProfileError, FORMAT_VERSION};
 use vrd_experiments::{findings, indepth, sweep_exp, Options};
 
-const T_RC_NS: u64 = 46;
-
 /// Drives `mitigation` through `script`, interleaving a periodic refresh
-/// every 16 activations, and returns every action batch in order.
-fn drive(
-    mitigation: &mut dyn Mitigation,
-    script: &[(usize, u32)],
-) -> Vec<Vec<vrd::memsim::mitigation::MitigationAction>> {
+/// every 16 activations through one reused buffer, and returns every
+/// action batch in order.
+fn drive(mitigation: &mut dyn Mitigation, script: &[(usize, u32)]) -> Vec<Vec<MitigationAction>> {
     let mut batches = Vec::with_capacity(script.len());
+    let mut out = Vec::new();
     for (i, &(bank, row)) in script.iter().enumerate() {
-        let now = i as u64 * T_RC_NS;
-        batches.push(mitigation.on_activate(bank, row, now));
+        mitigation.on_activate(bank, row, &mut out);
+        batches.push(out.clone());
+        out.clear();
         if i % 16 == 15 {
-            batches.push(mitigation.on_refresh(now));
+            mitigation.on_refresh(&mut out);
+            batches.push(out.clone());
+            out.clear();
         }
     }
     batches
@@ -55,11 +54,7 @@ fn drive(
 
 /// Protective actions in a batch stream: total count and the count of
 /// neighbor refreshes whose aggressor row lies in `rows`.
-fn count_actions(
-    batches: &[Vec<vrd::memsim::mitigation::MitigationAction>],
-    rows: std::ops::Range<u32>,
-) -> (usize, usize) {
-    use vrd::memsim::mitigation::MitigationAction;
+fn count_actions(batches: &[Vec<MitigationAction>], rows: std::ops::Range<u32>) -> (usize, usize) {
     let total = batches.iter().map(Vec::len).sum();
     let in_region = batches
         .iter()
@@ -74,8 +69,8 @@ fn count_actions(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Layer 1: a profile whose regions all carry the uniform threshold is
-    // indistinguishable from the flat configuration, action for action.
+    // Layer 1: a profile whose regions all carry one threshold is
+    // indistinguishable from the flat profile, action for action.
     // Thresholds stay >= 40 so PARA's probability is < 1 and its RNG
     // draw cadence is identical on both sides.
     #[test]
@@ -94,11 +89,10 @@ proptest! {
             fallback_threshold: threshold,
             guardband_factor: 1.0,
         };
-        let cfg = MitigationConfig::builder().threshold(threshold).banks(2).seed(seed).build();
         for kind in MitigationKind::EXTENDED {
-            let mut uniform = kind.build_with(&cfg);
-            let mut profiled = kind.build_with_profile(&cfg, &profile);
-            let flat_batches = drive(uniform.as_mut(), &script);
+            let mut flat = kind.build(&MitigationProfile::flat(threshold), 2, seed);
+            let mut profiled = kind.build(&profile, 2, seed);
+            let flat_batches = drive(flat.as_mut(), &script);
             let profiled_batches = drive(profiled.as_mut(), &script);
             prop_assert!(
                 flat_batches == profiled_batches,
@@ -133,13 +127,8 @@ proptest! {
         let region_rows =
             weak_region as u32 * REGION_ROWS..(weak_region as u32 + 1) * REGION_ROWS;
         for kind in [MitigationKind::Graphene, MitigationKind::Prac, MitigationKind::Para] {
-            let cfg = MitigationConfig::builder()
-                .threshold(base.min_threshold())
-                .banks(2)
-                .seed(seed)
-                .build();
-            let mut with_base = kind.build_with_profile(&cfg, &base);
-            let mut with_lowered = kind.build_with_profile(&cfg, &lowered);
+            let mut with_base = kind.build(&base, 2, seed);
+            let mut with_lowered = kind.build(&lowered, 2, seed);
             let (base_total, base_region) =
                 count_actions(&drive(with_base.as_mut(), &script), region_rows.clone());
             let (low_total, low_region) =
@@ -307,17 +296,14 @@ fn sweep_is_thread_invariant() {
 }
 
 // The sweep's profile artifact feeds memsim directly: what the
-// experiment writes is exactly what `build_with_profile` consumes.
+// experiment writes is exactly what `MitigationKind::build` consumes.
 #[test]
 fn sweep_artifact_feeds_the_simulator() {
     let study = reference_sweep();
     let reloaded =
         MitigationProfile::from_json(&study.profile.to_json()).expect("artifact round-trips");
-    let cfg =
-        MitigationConfig::builder().threshold(reloaded.min_threshold()).banks(1).seed(9).build();
+    let mut out = Vec::new();
     for kind in MitigationKind::EVALUATED {
-        let mut m = kind.build_with_profile(&cfg, &reloaded);
-        let actions = m.on_activate(0, 0, 0);
-        let _ = actions;
+        kind.build(&reloaded, 1, 9).on_activate(0, 0, &mut out);
     }
 }
