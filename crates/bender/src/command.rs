@@ -35,19 +35,6 @@ pub enum DramCommand {
     Ref,
 }
 
-impl DramCommand {
-    /// Short mnemonic, as printed in command traces.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            DramCommand::Act { .. } => "ACT",
-            DramCommand::Pre { .. } => "PRE",
-            DramCommand::Wr { .. } => "WR",
-            DramCommand::Rd { .. } => "RD",
-            DramCommand::Ref => "REF",
-        }
-    }
-}
-
 impl std::fmt::Display for DramCommand {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -63,12 +50,6 @@ impl std::fmt::Display for DramCommand {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mnemonics() {
-        assert_eq!(DramCommand::Act { bank: 0, row: 1 }.mnemonic(), "ACT");
-        assert_eq!(DramCommand::Ref.mnemonic(), "REF");
-    }
 
     #[test]
     fn display_format() {

@@ -78,11 +78,6 @@ impl MeasurementSpec {
         MeasurementSpec { hammer_count, t_agg_on_ns: TimingParams::ddr5().t_ras, banks: 1 }
     }
 
-    /// RowPress at `t_AggOn` = 7.8 µs on one bank.
-    pub fn rowpress(hammer_count: u64) -> Self {
-        MeasurementSpec { hammer_count, t_agg_on_ns: 7_800.0, banks: 1 }
-    }
-
     /// Tests `banks` banks simultaneously.
     pub fn with_banks(mut self, banks: u32) -> Self {
         assert!(banks > 0, "banks must be nonzero");
@@ -172,11 +167,6 @@ impl CampaignSpec {
         per * groups * self.measurements as f64
     }
 
-    /// Total campaign time in days.
-    pub fn total_time_days(&self, timing: &TimingParams) -> f64 {
-        self.total_time_ns(timing) / 1e9 / 86_400.0
-    }
-
     /// Total campaign energy in joules.
     pub fn total_energy_j(&self, timing: &TimingParams, energy: &EnergyModel) -> f64 {
         let per = one_measurement_energy_nj(timing, &self.measurement, energy);
@@ -200,6 +190,15 @@ pub fn single_row_test_time_s(measurements: u64, mean_rdt: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// RowPress at the paper's `t_AggOn` = 7.8 µs on one bank.
+    fn rowpress(hammer_count: u64) -> MeasurementSpec {
+        MeasurementSpec { t_agg_on_ns: 7_800.0, ..MeasurementSpec::rowhammer(hammer_count) }
+    }
+
+    fn days(spec: &CampaignSpec, timing: &TimingParams) -> f64 {
+        spec.total_time_ns(timing) / 1e9 / 86_400.0
+    }
 
     #[test]
     fn command_counts_match_table4_shape() {
@@ -230,7 +229,7 @@ mod tests {
     fn rowpress_is_much_slower() {
         let timing = TimingParams::ddr5();
         let rh = one_measurement_time_ns(&timing, &MeasurementSpec::rowhammer(1000));
-        let rp = one_measurement_time_ns(&timing, &MeasurementSpec::rowpress(1000));
+        let rp = one_measurement_time_ns(&timing, &rowpress(1000));
         // 7.8 µs vs 32 ns on-time: two orders of magnitude.
         assert!(rp / rh > 50.0, "ratio {}", rp / rh);
     }
@@ -264,7 +263,7 @@ mod tests {
             rows: 32 * 256 * 1024,
             measurements: 100_000,
         };
-        let days = spec.total_time_days(&timing);
+        let days = days(&spec, &timing);
         assert!(days > 20.0 && days < 200.0, "got {days} days");
     }
 
@@ -277,7 +276,7 @@ mod tests {
             rows: 32 * 256 * 1024,
             measurements: 1_000,
         };
-        let hours = spec.total_time_days(&timing) * 24.0;
+        let hours = days(&spec, &timing) * 24.0;
         assert!(hours > 5.0 && hours < 50.0, "got {hours} hours");
     }
 
@@ -286,11 +285,11 @@ mod tests {
         // Appendix: RowPress at 7.8 µs for 100K measurements ⇒ years.
         let timing = TimingParams::ddr5();
         let spec = CampaignSpec {
-            measurement: MeasurementSpec::rowpress(1000).with_banks(32),
+            measurement: rowpress(1000).with_banks(32),
             rows: 32 * 256 * 1024,
             measurements: 100_000,
         };
-        let years = spec.total_time_days(&timing) / 365.0;
+        let years = days(&spec, &timing) / 365.0;
         assert!(years > 3.0, "got {years} years");
     }
 

@@ -9,7 +9,8 @@
 //! - [`timing`] — JEDEC timing parameter tables (DDR4, DDR5 per the
 //!   paper's Table 6, HBM2).
 //! - [`program`] — test programs (command sequences with waits and
-//!   hardware-style repeat loops) and their executor.
+//!   hardware-style repeat loops, built in code through
+//!   `Program::new().cmd(..).wait_ns(..).repeat(..)`) and their executor.
 //! - [`routines`] — the building blocks of Algorithm 1: row
 //!   initialization, double-sided hammering/pressing, read-and-compare.
 //! - [`thermal`] — the heater-pad + PID temperature controller
@@ -33,7 +34,6 @@
 //! println!("{} flips after 10k hammers", flips.len());
 //! ```
 
-pub mod asm;
 pub mod command;
 pub mod estimate;
 pub mod platform;

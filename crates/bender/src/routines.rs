@@ -9,7 +9,6 @@
 use vrd_dram::{Bitflip, DataPattern, TestConditions};
 
 use crate::platform::TestPlatform;
-use crate::program::Program;
 use crate::search::first_true;
 
 /// Write bursts needed to fill one row (the Appendix-A tables use 128
@@ -111,39 +110,6 @@ pub fn hammer_session(
     initialize_rows(platform, bank, victim, conditions.pattern, false);
     hammer_double_sided(platform, bank, victim, hammer_count, conditions);
     read_compare(platform, bank, victim, conditions.pattern)
-}
-
-/// Hammers `victim` through an arbitrary [`AccessPattern`](vrd_dram::access::AccessPattern): each
-/// aggressor receives its weight share of `2 × hammer_count` total
-/// activations (so double-sided matches
-/// [`hammer_double_sided`]'s per-aggressor count). Returns the simulated
-/// time spent (ns).
-pub fn hammer_pattern(
-    platform: &mut TestPlatform,
-    bank: usize,
-    victim: u32,
-    access: vrd_dram::access::AccessPattern,
-    hammer_count: u32,
-    conditions: &TestConditions,
-) -> f64 {
-    let rows = platform.device().config().rows_per_bank();
-    let mapping = platform.device().config().mapping;
-    let mut elapsed = 0.0;
-    for (aggressor, weight) in access.aggressors_of(mapping, victim, rows) {
-        let acts = ((f64::from(hammer_count) * 2.0) * weight).round() as u32;
-        if acts == 0 {
-            continue;
-        }
-        let prog = Program::double_sided_hammer(
-            bank,
-            aggressor,
-            aggressor,
-            acts.div_ceil(2),
-            conditions.t_agg_on_ns,
-        );
-        elapsed += platform.run(&prog).expect("valid hammer program").elapsed_ns;
-    }
-    elapsed
 }
 
 /// Estimates a row's RDT by exponential search followed by bisection
@@ -342,40 +308,6 @@ mod tests {
         let (hits, builds) = p.program_cache_stats();
         assert!(builds <= 4, "4 identical sessions need at most 4 distinct programs");
         assert!(hits >= 12, "repeat sessions must reuse cached programs (hits={hits})");
-    }
-
-    #[test]
-    fn pattern_hammer_double_sided_flips_like_the_builtin() {
-        use vrd_dram::access::AccessPattern;
-        let mut p = TestPlatform::small_test(5);
-        let victim = vulnerable_row(&mut p);
-        let cond = TestConditions::foundational();
-        initialize_rows(&mut p, 0, victim, cond.pattern, false);
-        hammer_pattern(&mut p, 0, victim, AccessPattern::DoubleSided, 400_000, &cond);
-        let flips = read_compare(&mut p, 0, victim, cond.pattern);
-        assert!(!flips.is_empty(), "double-sided pattern hammer must flip");
-    }
-
-    #[test]
-    fn single_sided_needs_more_hammers_than_double() {
-        use vrd_dram::access::AccessPattern;
-        // At a budget where double-sided flips, single-sided (same total
-        // activations, one aggressor, weaker coupling) often does not.
-        let mut p = TestPlatform::small_test(5);
-        let victim = vulnerable_row(&mut p);
-        let cond = TestConditions::foundational();
-        let budget = {
-            let g = guess_rdt(&mut p, 0, victim, &cond, 1 << 20).expect("flips");
-            g + g / 4
-        };
-        initialize_rows(&mut p, 0, victim, cond.pattern, false);
-        hammer_pattern(&mut p, 0, victim, AccessPattern::SingleSided, budget, &cond);
-        let single = read_compare(&mut p, 0, victim, cond.pattern).len();
-        initialize_rows(&mut p, 0, victim, cond.pattern, false);
-        hammer_pattern(&mut p, 0, victim, AccessPattern::DoubleSided, budget, &cond);
-        let double = read_compare(&mut p, 0, victim, cond.pattern).len();
-        assert!(double >= single, "double-sided at least as effective ({double} vs {single})");
-        assert!(double > 0, "double-sided just above the threshold must flip");
     }
 
     #[test]

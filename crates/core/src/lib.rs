@@ -73,7 +73,6 @@ pub mod montecarlo;
 pub mod obs;
 pub mod online;
 pub mod predictability;
-pub mod profile;
 pub mod run;
 pub mod scheduler;
 pub mod series;

@@ -104,12 +104,6 @@ impl OnlineProfiler {
         self.profiles.get(&row).copied()
     }
 
-    /// The guardbanded threshold recommendation for a row.
-    pub fn recommended_threshold(&self, row: u32) -> Option<u32> {
-        let p = self.profiles.get(&row)?;
-        Some(((f64::from(p.observed_min)) * (1.0 - self.guardband)).floor().max(1.0) as u32)
-    }
-
     /// The system-wide recommendation: the guardbanded minimum across
     /// all tracked rows (what a runtime-configurable mitigation would be
     /// programmed with).
@@ -224,7 +218,7 @@ mod tests {
         let mut profiler = OnlineProfiler::new(0.25, TestConditions::foundational());
         profiler.profile_round(&mut platform, &rows);
         let p = profiler.profile(rows[0]).expect("row measured");
-        let rec = profiler.recommended_threshold(rows[0]).unwrap();
+        let rec = profiler.global_recommendation().unwrap();
         assert_eq!(rec, (f64::from(p.observed_min) * 0.75).floor() as u32);
     }
 
@@ -264,7 +258,6 @@ mod tests {
     #[test]
     fn untracked_row_has_no_recommendation() {
         let profiler = OnlineProfiler::new(0.1, TestConditions::foundational());
-        assert_eq!(profiler.recommended_threshold(5), None);
         assert_eq!(profiler.global_recommendation(), None);
         assert_eq!(profiler.coverage(), 0);
     }

@@ -169,11 +169,6 @@ impl RowBatchProfile {
     pub fn aggressor_fill(&self) -> u8 {
         self.aggressor_fill
     }
-
-    /// Number of weak cells captured in the profile.
-    pub fn weak_cells(&self) -> usize {
-        self.hammer.len()
-    }
 }
 
 #[cfg(test)]

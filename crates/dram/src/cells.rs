@@ -60,11 +60,6 @@ impl CellLayout {
         CellLayout { block_rows, starts_anti }
     }
 
-    /// Layout with all-true cells (no anti-cell region).
-    pub fn all_true() -> Self {
-        CellLayout { block_rows: u32::MAX, starts_anti: false }
-    }
-
     /// The polarity of every cell in the given *physical* row.
     pub fn polarity_of_physical_row(&self, physical_row: u32) -> CellPolarity {
         let block = physical_row / self.block_rows;
@@ -120,14 +115,6 @@ mod tests {
         let l = CellLayout::new(4, true);
         assert_eq!(l.polarity_of_physical_row(0), CellPolarity::Anti);
         assert_eq!(l.polarity_of_physical_row(4), CellPolarity::True);
-    }
-
-    #[test]
-    fn all_true_never_anti() {
-        let l = CellLayout::all_true();
-        for r in [0u32, 1000, 1_000_000] {
-            assert_eq!(l.polarity_of_physical_row(r), CellPolarity::True);
-        }
     }
 
     #[test]

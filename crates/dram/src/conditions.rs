@@ -64,12 +64,6 @@ impl TestConditions {
         self
     }
 
-    /// Replaces the temperature (°C).
-    pub fn with_temperature_c(mut self, temperature_c: f64) -> Self {
-        self.temperature_c = temperature_c;
-        self
-    }
-
     /// The full 4 × 3 × 3 grid of test-parameter combinations of §5.
     pub fn full_grid() -> Vec<TestConditions> {
         let mut grid = Vec::with_capacity(36);
@@ -118,11 +112,9 @@ mod tests {
     fn builders_replace_fields() {
         let c = TestConditions::foundational()
             .with_pattern(DataPattern::Rowstripe1)
-            .with_t_agg_on_ns(T_AGG_ON_TREFI_NS)
-            .with_temperature_c(80.0);
+            .with_t_agg_on_ns(T_AGG_ON_TREFI_NS);
         assert_eq!(c.pattern, DataPattern::Rowstripe1);
         assert_eq!(c.t_agg_on_ns, 7800.0);
-        assert_eq!(c.temperature_c, 80.0);
     }
 
     #[test]

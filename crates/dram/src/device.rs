@@ -127,31 +127,10 @@ impl DisturbState {
     }
 }
 
-/// Stored contents of a row. Rows written through the fill API stay
-/// compact; arbitrary data falls back to a byte vector.
-#[derive(Debug, Clone, PartialEq)]
-enum RowData {
-    /// Every byte of the row holds this value.
-    Uniform(u8),
-    /// Explicit bytes.
-    Bytes(Box<[u8]>),
-}
-
-impl RowData {
-    fn bit(&self, bit: u32) -> bool {
-        match self {
-            RowData::Uniform(b) => (b >> (bit % 8)) & 1 == 1,
-            RowData::Bytes(bytes) => {
-                let byte = bytes[(bit / 8) as usize];
-                (byte >> (bit % 8)) & 1 == 1
-            }
-        }
-    }
-}
-
 #[derive(Debug)]
 struct RowState {
-    data: RowData,
+    /// The byte every byte of the row was last written with.
+    fill: u8,
     /// Bit positions whose stored value is currently inverted by a flip.
     flipped: Vec<u32>,
     disturb: DisturbState,
@@ -463,33 +442,7 @@ impl DramDevice {
             return Err(DramError::RowNotOpen { bank, row });
         }
         let state = self.row_state(bank, row);
-        state.data = RowData::Uniform(fill);
-        state.flipped.clear();
-        Ok(())
-    }
-
-    /// Writes arbitrary `bytes` to the open row (truncated / zero-padded
-    /// to the row size), clearing any bitflips.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::RowNotOpen`] if `row` is not the open row.
-    pub fn write_open_row_bytes(
-        &mut self,
-        bank: usize,
-        row: u32,
-        bytes: &[u8],
-    ) -> Result<(), DramError> {
-        self.check_addr(bank, row)?;
-        if self.banks[bank].open_row != Some(row) {
-            return Err(DramError::RowNotOpen { bank, row });
-        }
-        let row_bytes = self.config.row_bytes as usize;
-        let mut data = vec![0u8; row_bytes];
-        let n = bytes.len().min(row_bytes);
-        data[..n].copy_from_slice(&bytes[..n]);
-        let state = self.row_state(bank, row);
-        state.data = RowData::Bytes(data.into_boxed_slice());
+        state.fill = fill;
         state.flipped.clear();
         Ok(())
     }
@@ -521,10 +474,7 @@ impl DramDevice {
         let row_bytes = self.config.row_bytes as usize;
         let on_die_ecc = self.on_die_ecc_enabled;
         let state = self.row_state(bank, row);
-        let mut bytes = match &state.data {
-            RowData::Uniform(b) => vec![*b; row_bytes],
-            RowData::Bytes(data) => data.to_vec(),
-        };
+        let mut bytes = vec![state.fill; row_bytes];
         let flips = visible_flips(&state.flipped, on_die_ecc);
         for bit in flips {
             bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
@@ -550,14 +500,13 @@ impl DramDevice {
             .collect();
         // Also report any mismatch between stored fill and expectation
         // (e.g. the row was never initialized).
-        if let RowData::Uniform(stored) = state.data {
-            if stored != expected {
-                // Whole-row mismatch: report the first differing bit of
-                // each byte value; campaigns never hit this path.
-                for bit in 0..8u32 {
-                    if (stored ^ expected) >> bit & 1 == 1 {
-                        flips.push(Bitflip { bit });
-                    }
+        let mismatch = state.fill ^ expected;
+        if mismatch != 0 {
+            // Whole-row mismatch: report the first differing bit of
+            // each byte value; campaigns never hit this path.
+            for bit in 0..8u32 {
+                if mismatch >> bit & 1 == 1 {
+                    flips.push(Bitflip { bit });
                 }
             }
         }
@@ -641,7 +590,7 @@ impl DramDevice {
         let state = self.banks[bank].rows.get(&row).expect("ensured");
         let mut min: Option<f64> = None;
         for cell in &state.cells {
-            let stored = state.data.bit(cell.bit) ^ state.flipped.contains(&cell.bit);
+            let stored = fill_bit(state.fill, cell.bit) ^ state.flipped.contains(&cell.bit);
             let t = cell.effective_threshold(conditions, stored);
             min = Some(min.map_or(t, |m: f64| m.min(t)));
         }
@@ -675,7 +624,7 @@ impl DramDevice {
         self.banks[bank].rows.insert(
             row,
             RowState {
-                data: RowData::Uniform(0),
+                fill: 0,
                 flipped: Vec::new(),
                 disturb: DisturbState::default(),
                 cells,
@@ -811,7 +760,7 @@ impl DramDevice {
                 let hammers = state.disturb.effective_hammers();
                 for cell in &state.cells {
                     let already = state.flipped.contains(&cell.bit);
-                    let stored = state.data.bit(cell.bit) ^ already;
+                    let stored = fill_bit(state.fill, cell.bit) ^ already;
                     let mut rng = KeyedRng::for_threshold(
                         dynamics_seed,
                         session.epoch,
@@ -833,7 +782,7 @@ impl DramDevice {
             let hammers = state.disturb.effective_hammers();
             for cell in &state.cells {
                 let already = state.flipped.contains(&cell.bit);
-                let stored = state.data.bit(cell.bit) ^ already;
+                let stored = fill_bit(state.fill, cell.bit) ^ already;
                 let threshold = cell.sample_threshold(&mut self.rng, &conditions, stored);
                 if hammers >= threshold && !already {
                     state.flipped.push(cell.bit);
@@ -852,31 +801,19 @@ impl DramDevice {
         }
     }
 
-    /// Infers the effective test conditions for a victim row from its own
-    /// and its aggressors' stored data (the physical coupling the
-    /// pattern-sensitivity factors model) plus device temperature and the
-    /// recorded aggressor on-time.
+    /// Infers the effective test conditions for a victim row from its
+    /// stored fill (the Table-2 pattern nearest to it; every pattern's
+    /// aggressor fill is the victim fill's complement) plus device
+    /// temperature and the recorded aggressor on-time.
     fn infer_conditions(&self, bank: usize, row: u32) -> TestConditions {
         let state = self.banks[bank].rows.get(&row).expect("caller ensured");
         let t_on =
             if state.disturb.t_on_ns > 0.0 { state.disturb.t_on_ns } else { T_AGG_ON_MIN_TRAS_NS };
-        let victim_fill = match state.data {
-            RowData::Uniform(b) => Some(b),
-            RowData::Bytes(_) => None,
-        };
-        let (below, above) = self.config.mapping.neighbors_of(row, self.config.rows_per_bank());
-        let aggressor_fill = [below, above]
-            .into_iter()
-            .flatten()
-            .filter_map(|r| self.banks[bank].rows.get(&r))
-            .find_map(|s| match s.data {
-                RowData::Uniform(b) => Some(b),
-                RowData::Bytes(_) => None,
-            });
-        let pattern = classify_pattern(victim_fill, aggressor_fill)
-            .or_else(|| victim_fill.map(nearest_pattern))
-            .unwrap_or(DataPattern::Checkered0);
-        TestConditions { pattern, t_agg_on_ns: t_on, temperature_c: self.temperature_c }
+        TestConditions {
+            pattern: nearest_pattern(state.fill),
+            t_agg_on_ns: t_on,
+            temperature_c: self.temperature_c,
+        }
     }
 
     /// Catches up trap evolution of `row` to `epoch` under keyed
@@ -961,11 +898,8 @@ impl DramDevice {
         let hammer_t_on = T_AGG_ON_MIN_TRAS_NS.max(hammer_t_on_ns);
         // The conditions the read restore will infer from the rows the
         // session has just written.
-        let inferred = classify_pattern(Some(victim_fill), Some(aggressor_fill))
-            .or_else(|| Some(nearest_pattern(victim_fill)))
-            .unwrap_or(DataPattern::Checkered0);
         let cond_hammer = TestConditions {
-            pattern: inferred,
+            pattern: nearest_pattern(victim_fill),
             t_agg_on_ns: hammer_t_on,
             temperature_c: self.temperature_c,
         };
@@ -1044,7 +978,7 @@ impl DramDevice {
         // buffer is reused across sessions, keeping the probe
         // allocation-free once its capacity settles.
         let state = self.banks[profile.bank].rows.get_mut(&profile.victim).expect("prepared");
-        state.data = RowData::Uniform(profile.victim_fill);
+        state.fill = profile.victim_fill;
         state.disturb = DisturbState::default();
         state.flipped.clear();
         lanes.flips_into(effective, &mut state.flipped);
@@ -1059,7 +993,7 @@ impl DramDevice {
         // folded inline so each row is hashed once per session.
         for (row, from_below) in [(profile.below, false), (profile.above, true)] {
             let state = self.banks[profile.bank].rows.get_mut(&row).expect("prepared");
-            state.data = RowData::Uniform(profile.aggressor_fill);
+            state.fill = profile.aggressor_fill;
             state.flipped.clear();
             state.disturb = DisturbState::default();
             if !state.cells.is_empty() {
@@ -1103,20 +1037,6 @@ impl DramDevice {
     }
 }
 
-/// Classifies the Table-2 data pattern from victim/aggressor fill bytes.
-///
-/// Returns `None` when the fills match no standard pattern.
-pub fn classify_pattern(victim: Option<u8>, aggressor: Option<u8>) -> Option<DataPattern> {
-    let v = victim?;
-    match (v, aggressor) {
-        (0x00, _) => Some(DataPattern::Rowstripe0),
-        (0xFF, _) => Some(DataPattern::Rowstripe1),
-        (0x55, _) => Some(DataPattern::Checkered0),
-        (0xAA, _) => Some(DataPattern::Checkered1),
-        _ => None,
-    }
-}
-
 /// Maps an arbitrary victim fill byte to the Table-2 pattern with the
 /// nearest coupling behaviour: exact matches first, then by Hamming
 /// distance of the fill to the four victim bytes (coupling is driven by
@@ -1127,6 +1047,11 @@ pub fn nearest_pattern(victim_fill: u8) -> DataPattern {
         .into_iter()
         .min_by_key(|p| (victim_fill ^ p.victim_byte()).count_ones())
         .expect("four candidates")
+}
+
+/// The stored value of bit `bit` in a row written with `fill`.
+fn fill_bit(fill: u8, bit: u32) -> bool {
+    (fill >> (bit % 8)) & 1 == 1
 }
 
 fn visible_flips(flipped: &[u32], on_die_ecc: bool) -> Vec<u32> {
@@ -1275,16 +1200,6 @@ mod tests {
     }
 
     #[test]
-    fn write_bytes_round_trips() {
-        let mut dev = DramDevice::new(DeviceConfig::small_test(), 0);
-        dev.activate(0, 7).unwrap();
-        dev.write_open_row_bytes(0, 7, &[1, 2, 3]).unwrap();
-        let data = dev.read_open_row(0, 7).unwrap();
-        assert_eq!(&data[..3], &[1, 2, 3]);
-        assert_eq!(data[3], 0);
-    }
-
-    #[test]
     fn heavy_hammer_flips_vulnerable_row() {
         let mut dev = DramDevice::new(strong_config(), 42);
         let victim = find_vulnerable_row(&mut dev);
@@ -1396,14 +1311,6 @@ mod tests {
         dev.set_on_die_ecc_enabled(false);
         let without_ecc = dev.read_and_compare(0, victim, p.victim_byte());
         assert!(with_ecc.len() <= without_ecc.len());
-    }
-
-    #[test]
-    fn classify_patterns() {
-        assert_eq!(classify_pattern(Some(0x00), Some(0xFF)), Some(DataPattern::Rowstripe0));
-        assert_eq!(classify_pattern(Some(0xAA), Some(0x55)), Some(DataPattern::Checkered1));
-        assert_eq!(classify_pattern(Some(0x12), Some(0x34)), None);
-        assert_eq!(classify_pattern(None, Some(0xFF)), None);
     }
 
     #[test]

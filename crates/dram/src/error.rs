@@ -14,8 +14,6 @@ pub enum DramError {
     /// A row access was issued while the bank had a different row open
     /// (a real chip would corrupt data; the model rejects the command).
     RowNotOpen { bank: usize, row: u32 },
-    /// The module name was not recognized by the fleet.
-    UnknownModule(String),
 }
 
 impl fmt::Display for DramError {
@@ -30,7 +28,6 @@ impl fmt::Display for DramError {
             DramError::RowNotOpen { bank, row } => {
                 write!(f, "row {row} is not open in bank {bank}")
             }
-            DramError::UnknownModule(name) => write!(f, "unknown module {name:?}"),
         }
     }
 }
@@ -45,8 +42,8 @@ mod tests {
     fn display_messages() {
         let e = DramError::BankOutOfRange { bank: 9, banks: 8 };
         assert!(e.to_string().contains("bank 9"));
-        let e = DramError::UnknownModule("Z9".into());
-        assert!(e.to_string().contains("Z9"));
+        let e = DramError::RowNotOpen { bank: 2, row: 77 };
+        assert!(e.to_string().contains("row 77"));
     }
 
     #[test]

@@ -89,14 +89,6 @@ impl Topology {
         let channel = rest / self.pseudo_channels;
         BankAddress { channel, pseudo_channel, bank_group: group, bank: in_group }
     }
-
-    /// Recomposes a hierarchical address into the flat bank index.
-    pub fn flat_index(&self, addr: BankAddress) -> u32 {
-        ((addr.channel * self.pseudo_channels + addr.pseudo_channel) * self.bank_groups
-            + addr.bank_group)
-            * self.banks_per_group
-            + addr.bank
-    }
 }
 
 /// Hierarchical address of one bank within a [`Topology`].
@@ -357,11 +349,12 @@ mod tests {
     }
 
     #[test]
-    fn flat_index_roundtrips() {
+    fn bank_addresses_are_distinct_and_in_range() {
         for topo in [DeviceFamily::hbm2().topology, Topology::linear(5, 100)] {
+            let mut seen = std::collections::HashSet::new();
             for bank in 0..topo.banks() {
                 let addr = topo.address_of(bank);
-                assert_eq!(topo.flat_index(addr), bank);
+                assert!(seen.insert(addr), "bank {bank} shares an address");
                 assert!(addr.channel < topo.channels);
                 assert!(addr.pseudo_channel < topo.pseudo_channels);
                 assert!(addr.bank_group < topo.bank_groups);

@@ -1,13 +1,13 @@
 //! The fleet of simulated modules matching the paper's Table 1.
 //!
-//! A [`Fleet`] instantiates one device per tested module/chip, each with
-//! the VRD parameters calibrated from Table 7. Devices are created lazily
-//! (constructing a device is cheap; rows materialize on first touch).
+//! A [`Module`] instantiates the device for one tested module/chip, with
+//! the VRD parameters calibrated from Table 7. Constructing a device is
+//! cheap; rows materialize on first touch. The roster helpers here scope
+//! ([`FleetScope`]), shard, fingerprint and synthesize module specs.
 
 use serde::{Deserialize, Serialize};
 
 use crate::device::{DeviceConfig, DramDevice};
-use crate::error::DramError;
 use crate::spec::{DramStandard, ModuleSpec};
 
 /// One simulated module: its spec plus a live device model.
@@ -156,64 +156,14 @@ pub enum FleetScope {
     Hbm2,
 }
 
-/// The full roster of simulated modules.
-#[derive(Debug)]
-pub struct Fleet {
-    modules: Vec<Module>,
-}
-
-impl Fleet {
-    /// Instantiates the paper's full Table-1 roster, deterministic in
-    /// `seed` (each module derives its own sub-seed).
-    pub fn standard(seed: u64) -> Self {
-        Self::with_scope(seed, FleetScope::All)
-    }
-
-    /// Instantiates a subset of the roster.
-    pub fn with_scope(seed: u64, scope: FleetScope) -> Self {
-        let modules = ModuleSpec::table1()
-            .into_iter()
-            .filter(|s| match scope {
-                FleetScope::All => true,
-                FleetScope::Ddr4 => s.standard == DramStandard::Ddr4,
-                FleetScope::Hbm2 => s.standard == DramStandard::Hbm2,
-            })
-            .enumerate()
-            .map(|(i, spec)| Module::new(spec, seed.wrapping_add(0x9E37 * (i as u64 + 1))))
-            .collect();
-        Fleet { modules }
-    }
-
-    /// The modules in Table-1 order.
-    pub fn modules(&self) -> &[Module] {
-        &self.modules
-    }
-
-    /// Mutable access to the modules.
-    pub fn modules_mut(&mut self) -> &mut [Module] {
-        &mut self.modules
-    }
-
-    /// Number of modules in the fleet.
-    pub fn len(&self) -> usize {
-        self.modules.len()
-    }
-
-    /// Whether the fleet is empty (only for non-standard scopes).
-    pub fn is_empty(&self) -> bool {
-        self.modules.is_empty()
-    }
-
-    /// Finds a module by its paper name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::UnknownModule`] when no module matches.
-    pub fn module_mut(&mut self, name: &str) -> Result<&mut Module, DramError> {
-        self.modules
-            .iter_mut()
-            .find(|m| m.spec.name == name)
-            .ok_or_else(|| DramError::UnknownModule(name.to_owned()))
+impl FleetScope {
+    /// Whether `spec` belongs to this part of the fleet.
+    pub fn includes(self, spec: &ModuleSpec) -> bool {
+        match self {
+            FleetScope::All => true,
+            FleetScope::Ddr4 => spec.standard == DramStandard::Ddr4,
+            FleetScope::Hbm2 => spec.standard == DramStandard::Hbm2,
+        }
     }
 }
 
@@ -221,42 +171,28 @@ impl Fleet {
 mod tests {
     use super::*;
 
-    #[test]
-    fn standard_fleet_has_25_modules() {
-        let fleet = Fleet::standard(1);
-        assert_eq!(fleet.len(), 25);
-        assert!(!fleet.is_empty());
+    fn module(name: &str) -> Module {
+        Module::new(ModuleSpec::by_name(name).expect("Table-1 name"), 1)
     }
 
     #[test]
     fn scopes_partition_roster() {
-        let ddr4 = Fleet::with_scope(1, FleetScope::Ddr4);
-        let hbm2 = Fleet::with_scope(1, FleetScope::Hbm2);
-        assert_eq!(ddr4.len(), 21);
-        assert_eq!(hbm2.len(), 4);
-    }
-
-    #[test]
-    fn module_lookup() {
-        let mut fleet = Fleet::standard(1);
-        assert!(fleet.module_mut("S0").is_ok());
-        assert!(matches!(fleet.module_mut("nope"), Err(DramError::UnknownModule(_))));
+        let all = ModuleSpec::table1();
+        let count = |scope: FleetScope| all.iter().filter(|s| scope.includes(s)).count();
+        assert_eq!(count(FleetScope::All), 25);
+        assert_eq!(count(FleetScope::Ddr4), 21);
+        assert_eq!(count(FleetScope::Hbm2), 4);
     }
 
     #[test]
     fn modules_have_distinct_seeds() {
-        let mut fleet = Fleet::standard(1);
-        // Two same-spec modules (H3/H4) must still get different weak-cell
-        // layouts because their seeds differ.
-        let h3_counts: Vec<usize> = {
-            let m = fleet.module_mut("H3").unwrap();
+        // Two same-spec modules (H3/H4) built from one campaign seed must
+        // still get different weak-cell layouts because their names differ.
+        let counts = |name: &str| -> Vec<usize> {
+            let mut m = module(name);
             (0..200).map(|r| m.device_mut().oracle_weak_cell_count(0, r)).collect()
         };
-        let h4_counts: Vec<usize> = {
-            let m = fleet.module_mut("H4").unwrap();
-            (0..200).map(|r| m.device_mut().oracle_weak_cell_count(0, r)).collect()
-        };
-        assert_ne!(h3_counts, h4_counts);
+        assert_ne!(counts("H3"), counts("H4"));
     }
 
     #[test]
@@ -355,11 +291,10 @@ mod tests {
 
     #[test]
     fn device_config_matches_spec() {
-        let mut fleet = Fleet::standard(1);
-        let m = fleet.module_mut("M0").unwrap();
+        let m = module("M0");
         assert_eq!(m.device().config().banks(), 16);
         assert_eq!(m.device().config().rows_per_bank(), 128 * 1024);
-        let c = fleet.module_mut("Chip0").unwrap();
+        let c = module("Chip0");
         assert_eq!(c.device().config().banks(), 32);
         assert_eq!(c.device().config().topology.pseudo_channels, 2);
     }

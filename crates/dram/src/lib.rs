@@ -12,7 +12,7 @@
 //! - [`device::DramDevice`] — a bank-organized DRAM chip you can
 //!   activate/precharge/read/write; reading a row materializes
 //!   read-disturbance bitflips from accumulated aggressor activity.
-//! - [`spec::ModuleSpec`] and [`fleet::Fleet`] — the 21 DDR4 modules and
+//! - [`spec::ModuleSpec`] and [`fleet::Module`] — the 21 DDR4 modules and
 //!   4 HBM2 chips of the paper's Table 1, with per-module VRD model
 //!   parameters calibrated to Table 7.
 //! - [`family::DeviceFamily`] — per-family descriptors (topology, timing,
@@ -21,6 +21,12 @@
 //! - [`mapping::RowMapping`] — logical→physical row address translation
 //!   schemes plus reverse engineering (§3.1).
 //! - [`pattern::DataPattern`] — the four data patterns of Table 2.
+//!
+//! A row stores one fill byte, as every Table-2 pattern is a uniform
+//! fill. The model covers read disturbance only: the paper's tests
+//! finish within one refresh window (§3.1), so retention failures are
+//! out of scope. The on-die mechanisms the methodology disables (TRR,
+//! on-die ECC) are switches on [`DramDevice`].
 //!
 //! # Examples
 //!
@@ -40,7 +46,6 @@
 //! println!("{} bitflips", flips.len());
 //! ```
 
-pub mod access;
 pub mod batch;
 pub mod cells;
 pub mod conditions;
@@ -52,7 +57,6 @@ pub mod hashing;
 pub mod keyed;
 pub mod mapping;
 pub mod pattern;
-pub mod retention;
 pub mod spatial;
 pub mod spec;
 pub mod vrd;
@@ -63,7 +67,7 @@ pub use conditions::TestConditions;
 pub use device::{Bitflip, DeviceConfig, DramDevice};
 pub use error::DramError;
 pub use family::{BankAddress, BankVariation, ChipMapping, DeviceFamily, FamilyTimings, Topology};
-pub use fleet::{Fleet, Module};
+pub use fleet::Module;
 pub use mapping::RowMapping;
 pub use pattern::DataPattern;
 pub use spec::{DieDensity, DramStandard, Manufacturer, ModuleSpec};

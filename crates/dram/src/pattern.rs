@@ -65,12 +65,6 @@ impl DataPattern {
         }
     }
 
-    /// Value of bit `bit` (0 = LSB of byte 0) in a row filled with this
-    /// pattern's victim byte.
-    pub fn victim_bit(self, bit: usize) -> bool {
-        (self.victim_byte() >> (bit % 8)) & 1 == 1
-    }
-
     /// Short display name matching the paper's figures.
     pub fn name(self) -> &'static str {
         match self {
@@ -125,15 +119,6 @@ mod tests {
             assert!(!seen[p.index()]);
             seen[p.index()] = true;
         }
-    }
-
-    #[test]
-    fn victim_bit_checkered() {
-        // 0x55 = 0b01010101: even bit positions are 1.
-        assert!(DataPattern::Checkered0.victim_bit(0));
-        assert!(!DataPattern::Checkered0.victim_bit(1));
-        assert!(DataPattern::Checkered0.victim_bit(10));
-        assert!(!DataPattern::Checkered0.victim_bit(11));
     }
 
     #[test]

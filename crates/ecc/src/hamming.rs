@@ -10,12 +10,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::DecodeOutcome;
 
-/// Number of bits in a codeword.
-pub const CODEWORD_BITS: u32 = 72;
-
-/// Number of data bits per codeword.
-pub const DATA_BITS: u32 = 64;
-
 /// Positions 1..=71 that are *not* powers of two, in ascending order:
 /// these hold the data bits.
 fn data_positions() -> impl Iterator<Item = u32> {

@@ -11,12 +11,13 @@
 //! - [`rs`] — a Chipkill-class single-symbol-correcting (SSC) shortened
 //!   Reed–Solomon code over GF(2⁸) with 18 symbols (144 bits) per
 //!   codeword, built on [`gf256`].
-//! - [`ondie`] — the Hamming(136,128) on-die SEC code the paper's
-//!   methodology disables (§3.1), including its error-amplification
-//!   hazard on double flips.
 //! - [`analysis`] — the analytic binomial error-probability model behind
 //!   the paper's Table 3, cross-checked against the real decoders by
 //!   this crate's tests.
+//!
+//! On-die ECC, which the paper's methodology disables (§3.1), is not a
+//! code here: the device model owns it as an interference control
+//! (`vrd_dram::DramDevice::set_on_die_ecc_enabled`).
 //!
 //! [`DecodeOutcome`] classifies every decode uniformly so campaign code
 //! can count corrected / detected / silently-corrupted words the way the
@@ -40,7 +41,6 @@
 pub mod analysis;
 pub mod gf256;
 pub mod hamming;
-pub mod ondie;
 pub mod rs;
 
 use serde::{Deserialize, Serialize};
@@ -88,11 +88,6 @@ impl DecodeOutcome {
         }
     }
 
-    /// Whether the outcome returns (any) data to the host.
-    pub fn returns_data(&self) -> bool {
-        !matches!(self, DecodeOutcome::DetectedUncorrectable)
-    }
-
     /// Whether the outcome is a silent data corruption.
     pub fn is_sdc(&self) -> bool {
         matches!(self, DecodeOutcome::SilentCorruption { .. })
@@ -111,11 +106,5 @@ mod tests {
         assert!(bad.is_sdc());
         let corrected = DecodeOutcome::Corrected { data: 7, bits_corrected: 1 }.classify_against(5);
         assert!(corrected.is_sdc());
-    }
-
-    #[test]
-    fn detected_uncorrectable_returns_no_data() {
-        assert!(!DecodeOutcome::DetectedUncorrectable.returns_data());
-        assert!(DecodeOutcome::Clean { data: 0 }.returns_data());
     }
 }

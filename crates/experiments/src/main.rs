@@ -10,7 +10,8 @@
 //!      discovery memsim-sweep family all
 //!
 //! flags:
-//!   --paper               paper-scale measurement counts (slow!)
+//!   --paper               paper-scale base (slow!); every other flag
+//!                         overrides it, in any order
 //!   --measurements N      foundational measurements per row
 //!   --indepth N           in-depth measurements per row per condition
 //!   --rows N              rows selected per segment (in-depth)
@@ -191,8 +192,12 @@ const ALL_IDS: &[&str] = &[
     "takeaways",
 ];
 
+/// Parses the command line into experiment ids (in first-occurrence
+/// order, each once) and options. `--paper` picks the base scale wherever
+/// it appears, so every other flag overrides it in any order.
 fn parse(args: &[String]) -> Result<(Vec<String>, Options), String> {
-    let mut opts = Options::default();
+    let mut opts =
+        if args.iter().any(|a| a == "--paper") { Options::paper() } else { Options::default() };
     let mut ids = Vec::new();
     let mut iter = args.iter().peekable();
     let need = |iter: &mut std::iter::Peekable<std::slice::Iter<String>>,
@@ -209,13 +214,7 @@ fn parse(args: &[String]) -> Result<(Vec<String>, Options), String> {
                 );
                 std::process::exit(0);
             }
-            "--paper" => {
-                let keep_modules = std::mem::take(&mut opts.modules);
-                let keep_family = opts.family;
-                opts = Options::paper();
-                opts.modules = keep_modules;
-                opts.family = keep_family;
-            }
+            "--paper" => {}
             "--measurements" => {
                 opts.foundational_measurements =
                     need(&mut iter, arg)?.parse().map_err(|e| format!("{arg}: {e}"))?
@@ -320,7 +319,8 @@ fn parse(args: &[String]) -> Result<(Vec<String>, Options), String> {
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    ids.dedup();
+    let mut seen = std::collections::HashSet::new();
+    ids.retain(|id| seen.insert(id.clone()));
     if opts.fail_after_units.is_some() && opts.checkpoint_dir.is_none() {
         return Err("--fail-after-units needs --checkpoint-dir (nothing survives otherwise)".into());
     }
@@ -505,5 +505,45 @@ fn run_experiment(id: &str, opts: &Options, ctx: &Ctx) {
             let _ = save_json(opts, "findings", &checks);
         }
         other => sinks::error(format!("unknown experiment {other:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_str(args: &str) -> (Vec<String>, Options) {
+        let args: Vec<String> = args.split_whitespace().map(str::to_owned).collect();
+        parse(&args).expect("valid command line")
+    }
+
+    #[test]
+    fn paper_is_a_base_every_flag_overrides_in_any_order() {
+        let paper = Options::paper();
+        for line in [
+            "fig1 --out D --checkpoint-dir C --threads 1 --measurements 7 --paper",
+            "--paper fig1 --out D --checkpoint-dir C --threads 1 --measurements 7",
+        ] {
+            let (_, opts) = parse_str(line);
+            assert_eq!(opts.out_dir, "D", "{line}");
+            assert_eq!(opts.checkpoint_dir.as_deref(), Some("C"), "{line}");
+            assert_eq!(opts.threads, 1, "{line}");
+            assert_eq!(opts.foundational_measurements, 7, "{line}");
+            assert_eq!(opts.indepth_measurements, paper.indepth_measurements, "{line}");
+            assert_eq!(opts.row_bytes, paper.row_bytes, "{line}");
+        }
+        let (_, opts) = parse_str("fig1 --threads 1");
+        assert_eq!(opts.row_bytes, Options::default().row_bytes);
+    }
+
+    #[test]
+    fn each_id_runs_once_in_first_occurrence_order() {
+        let (ids, _) = parse_str("fig5 fig1 fig5");
+        assert_eq!(ids, ["fig5", "fig1"]);
+        let (ids, _) = parse_str("all fig1");
+        assert_eq!(ids, ALL_IDS);
+        let (ids, _) = parse_str("tab7 all");
+        assert_eq!(ids.len(), ALL_IDS.len());
+        assert_eq!(ids[0], "tab7");
     }
 }

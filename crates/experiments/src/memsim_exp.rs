@@ -105,24 +105,6 @@ pub fn render(result: &Fig14Result) -> String {
     )
 }
 
-/// The performance delta a mitigation pays going from no margin to
-/// `margin` at `rdt` (the paper's "reduces by X% compared to no margin").
-pub fn margin_cost(
-    result: &Fig14Result,
-    kind: MitigationKind,
-    rdt: u32,
-    margin: f64,
-) -> Option<f64> {
-    let at = |m: f64| {
-        result
-            .points
-            .iter()
-            .find(|p| p.mitigation == kind && p.rdt == rdt && (p.margin - m).abs() < 1e-9)
-            .map(|p| p.normalized_performance)
-    };
-    Some(at(0.0)? - at(margin)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,6 +118,21 @@ mod tests {
             opts.sim_cycles = 150_000;
             run(&opts)
         })
+    }
+
+    /// The performance a mitigation loses going from no margin to
+    /// `margin` at `rdt` (the paper's "reduces by X% compared to no
+    /// margin").
+    fn margin_cost(result: &Fig14Result, kind: MitigationKind, rdt: u32, margin: f64) -> f64 {
+        let at = |m: f64| {
+            result
+                .points
+                .iter()
+                .find(|p| p.mitigation == kind && p.rdt == rdt && (p.margin - m).abs() < 1e-9)
+                .map(|p| p.normalized_performance)
+                .expect("grid point")
+        };
+        at(0.0) - at(margin)
     }
 
     #[test]
@@ -162,8 +159,8 @@ mod tests {
         // PARA and MINT substantially more than a 10% margin.
         let r = smoke_result();
         for kind in [MitigationKind::Para, MitigationKind::Mint] {
-            let c10 = margin_cost(r, kind, 128, 0.10).unwrap();
-            let c50 = margin_cost(r, kind, 128, 0.50).unwrap();
+            let c10 = margin_cost(r, kind, 128, 0.10);
+            let c50 = margin_cost(r, kind, 128, 0.50);
             assert!(
                 c50 >= c10 - 0.02,
                 "{}: 50% margin must cost at least as much as 10% ({c50} vs {c10})",

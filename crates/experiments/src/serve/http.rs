@@ -79,8 +79,9 @@ fn accept_loop(listener: &TcpListener, service: &Arc<Service>) {
 
 /// Parses one request and routes it. A head longer than
 /// [`MAX_HEAD_BYTES`] is answered with 431, a `Content-Length` that does
-/// not parse with 400, and one above [`MAX_BODY_BYTES`] with 413.
-fn handle(mut stream: TcpStream, service: &Service) {
+/// not parse with 400, and one above [`MAX_BODY_BYTES`] with 413, all
+/// through [`reject`].
+fn handle(stream: TcpStream, service: &Service) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
@@ -96,7 +97,8 @@ fn handle(mut stream: TcpStream, service: &Service) {
             // The cap cut the line short, or the client hung up mid-head.
             Ok(_) if !line.ends_with('\n') => {
                 if head.limit() == 0 {
-                    return reject_head(stream, reader);
+                    let error = format!("request head exceeds {MAX_HEAD_BYTES} bytes");
+                    return reject(stream, reader, 431, &error);
                 }
                 return;
             }
@@ -118,10 +120,10 @@ fn handle(mut stream: TcpStream, service: &Service) {
     let content_length = match content_length {
         Ok(n) if n > MAX_BODY_BYTES => {
             let error = format!("request body exceeds {MAX_BODY_BYTES} bytes");
-            return json(&mut stream, 413, &format!("{{\"error\":{}}}", quote(&error)));
+            return reject(stream, reader, 413, &error);
         }
         Ok(n) => n,
-        Err(_) => return json(&mut stream, 400, "{\"error\":\"unparsable Content-Length\"}"),
+        Err(_) => return reject(stream, reader, 400, "unparsable Content-Length"),
     };
     let mut body = vec![0u8; content_length];
     if content_length > 0 && reader.read_exact(&mut body).is_err() {
@@ -131,13 +133,13 @@ fn handle(mut stream: TcpStream, service: &Service) {
     route(stream, service, &method, &target, &body);
 }
 
-/// Answers a head over [`MAX_HEAD_BYTES`] with 431. Closing a socket
-/// with unread request bytes resets the connection, which can discard
-/// the response before the client reads it, so the write side is closed
-/// first and a bounded tail of the request drained.
-fn reject_head(mut stream: TcpStream, reader: BufReader<TcpStream>) {
-    let error = format!("request head exceeds {MAX_HEAD_BYTES} bytes");
-    json(&mut stream, 431, &format!("{{\"error\":{}}}", quote(&error)));
+/// Answers a request the service will not read to its end (an oversized
+/// head or body, or an unparsable `Content-Length`) with `status`.
+/// Closing a socket with unread request bytes resets the connection,
+/// which can discard the response before the client reads it, so the
+/// write side is closed first and a bounded tail of the request drained.
+fn reject(mut stream: TcpStream, reader: BufReader<TcpStream>, status: u16, error: &str) {
+    json(&mut stream, status, &format!("{{\"error\":{}}}", quote(error)));
     let _ = stream.shutdown(Shutdown::Write);
     let _ = std::io::copy(&mut reader.take(MAX_BODY_BYTES as u64), &mut std::io::sink());
 }
@@ -325,6 +327,9 @@ mod tests {
             // 1 TiB: allocating it would abort the process.
             post_jobs("1099511627776", ""),
             post_jobs(&(MAX_BODY_BYTES + 1).to_string(), ""),
+            // Body bytes already sent must not reset the connection
+            // before the client reads the 413.
+            post_jobs(&(MAX_BODY_BYTES + 1).to_string(), &"x".repeat(16 * 1024)),
             post_jobs("abc", ""),
             post_jobs("-5", ""),
             post_jobs("18446744073709551616", ""),
@@ -338,6 +343,6 @@ mod tests {
                 "X-Many: 1\r\n".repeat(MAX_HEAD_BYTES as usize / 8)
             ),
         ];
-        assert_eq!(statuses(&requests), [200, 413, 413, 400, 400, 400, 431, 431]);
+        assert_eq!(statuses(&requests), [200, 413, 413, 413, 400, 400, 400, 431, 431]);
     }
 }

@@ -224,11 +224,7 @@ impl JobSpec {
     /// Deterministic in `(spec, fleet)`.
     pub fn select_specs(&self, fleet: &[ModuleSpec]) -> Vec<ModuleSpec> {
         let scope = self.fleet_scope().unwrap_or(FleetScope::All);
-        let scoped = fleet.iter().filter(|s| match scope {
-            FleetScope::All => true,
-            FleetScope::Ddr4 => s.standard == vrd_dram::DramStandard::Ddr4,
-            FleetScope::Hbm2 => s.standard == vrd_dram::DramStandard::Hbm2,
-        });
+        let scoped = fleet.iter().filter(|s| scope.includes(s));
         if self.modules.is_empty() {
             scoped.take(self.limit).cloned().collect()
         } else {

@@ -86,15 +86,6 @@ impl Core {
         assert!(self.outstanding > 0, "no outstanding miss to complete");
         self.outstanding -= 1;
     }
-
-    /// Instructions per cycle over `elapsed` nanoseconds.
-    pub fn ipc(&self, elapsed: u64) -> f64 {
-        if elapsed == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / elapsed as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -153,8 +144,8 @@ mod tests {
             c.step();
             let _ = c.take_request();
         }
-        assert!((c.ipc(10) - 1.0).abs() < 1e-12);
-        assert_eq!(c.ipc(0), 0.0);
+        // Drained misses never stall the core: one instruction per step.
+        assert_eq!(c.instructions, 10);
     }
 
     #[test]

@@ -157,11 +157,6 @@ impl DramChannel {
         self.last_act_in_group[group] = Some(now);
     }
 
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
     /// The timing table.
     pub fn timing(&self) -> &DramTiming {
         &self.timing

@@ -190,11 +190,6 @@ impl Graphene {
         }
     }
 
-    /// The worst-case (weakest-region) preventive-refresh trigger count.
-    pub fn trigger(&self) -> u32 {
-        (self.thresholds.min_threshold() / 4).max(1)
-    }
-
     /// The preventive-refresh trigger count for one row.
     pub fn trigger_for(&self, row: u32) -> u32 {
         (self.thresholds.threshold_for(row) / 4).max(1)
@@ -251,17 +246,6 @@ impl Para {
 
     fn p_of(threshold: u32) -> f64 {
         (Self::PARA_CONSTANT / f64::from(threshold.max(1))).min(1.0)
-    }
-
-    /// The worst-case (weakest-region) per-activation refresh
-    /// probability.
-    pub fn probability(&self) -> f64 {
-        Self::p_of(self.thresholds.min_threshold())
-    }
-
-    /// The per-activation refresh probability for one row.
-    pub fn probability_for(&self, row: u32) -> f64 {
-        Self::p_of(self.thresholds.threshold_for(row))
     }
 }
 
@@ -350,12 +334,6 @@ impl Mint {
             Some((threshold / 2).max(1))
         }
     }
-
-    /// Whether the worst-case (weakest-region) threshold requires
-    /// inserted RFMs.
-    pub fn inserts_rfms(&self) -> bool {
-        Self::interval_of(self.thresholds.min_threshold()).is_some()
-    }
 }
 
 impl Mitigation for Mint {
@@ -408,12 +386,6 @@ impl BlockHammer {
     pub fn new(thresholds: MitigationProfile) -> Self {
         let window_len = 32_000_000 / 46; // tREFW / tRC activations
         BlockHammer { thresholds, counters: HashMap::new(), window_acts: 0, window_len }
-    }
-
-    /// The worst-case (weakest-region) activation quota before
-    /// throttling.
-    pub fn quota(&self) -> u32 {
-        (self.thresholds.min_threshold() / 2).max(1)
     }
 
     /// The activation quota for one row.
@@ -516,7 +488,7 @@ mod tests {
     #[test]
     fn graphene_triggers_at_quarter_threshold() {
         let mut g = Graphene::new(MitigationProfile::flat(1024), 2);
-        assert_eq!(g.trigger(), 256);
+        assert_eq!(g.trigger_for(42), 256);
         let refreshes: usize = (0..256).map(|_| act(&mut g, 0, 42).len()).sum();
         assert_eq!(refreshes, 1, "the 256th activation of one row must trigger");
     }
@@ -539,10 +511,8 @@ mod tests {
 
     #[test]
     fn para_probability_scales_inverse_threshold() {
-        let p_high = Para::new(MitigationProfile::flat(1024), 0);
-        let p_low = Para::new(MitigationProfile::flat(128), 0);
-        assert!((p_high.probability() - 30.0 / 1024.0).abs() < 1e-12);
-        assert!((p_low.probability() - 30.0 / 128.0).abs() < 1e-12);
+        assert!((Para::p_of(1024) - 30.0 / 1024.0).abs() < 1e-12);
+        assert!((Para::p_of(128) - 30.0 / 128.0).abs() < 1e-12);
     }
 
     #[test]
@@ -571,7 +541,6 @@ mod tests {
     #[test]
     fn mint_inserts_no_rfms_at_high_threshold() {
         let mut m = Mint::new(MitigationProfile::flat(1024));
-        assert!(!m.inserts_rfms());
         for i in 0..10_000u32 {
             assert!(act(&mut m, 0, i % 3).is_empty());
         }
@@ -581,7 +550,6 @@ mod tests {
     fn mint_inserts_rfms_at_low_threshold() {
         // Effective threshold 64 < ACTS_PER_TREFI (84): RFM every 32 acts.
         let mut m = Mint::new(MitigationProfile::flat(64));
-        assert!(m.inserts_rfms());
         let blocks = (0..320u32)
             .flat_map(|i| act(&mut m, 0, i))
             .filter(|a| matches!(a, MitigationAction::BlockChannel { .. }))
@@ -608,7 +576,7 @@ mod tests {
     #[test]
     fn blockhammer_throttles_over_quota() {
         let mut bh = BlockHammer::new(MitigationProfile::flat(128));
-        assert_eq!(bh.quota(), 64);
+        assert_eq!(bh.quota_for(9), 64);
         for _ in 0..64 {
             assert!(act(&mut bh, 0, 9).is_empty());
         }
@@ -647,7 +615,6 @@ mod tests {
         let mut g = Graphene::new(profile_of(100, &[400, 1600], 400), 1);
         assert_eq!(g.trigger_for(50), 100);
         assert_eq!(g.trigger_for(150), 400);
-        assert_eq!(g.trigger(), 100, "worst case is the weakest region");
         let weak: usize = (0..400).map(|_| act(&mut g, 0, 50).len()).sum();
         let strong: usize = (0..400).map(|_| act(&mut g, 0, 150).len()).sum();
         assert_eq!(weak, 4, "weak row refreshes every 100 acts");
@@ -656,10 +623,6 @@ mod tests {
 
     #[test]
     fn para_probability_follows_regions() {
-        let para = Para::new(profile_of(100, &[300, 3000], 300), 1);
-        assert!((para.probability_for(10) - 0.1).abs() < 1e-12);
-        assert!((para.probability_for(110) - 0.01).abs() < 1e-12);
-        assert!((para.probability() - 0.1).abs() < 1e-12);
         // The strong region empirically refreshes about 10x less often.
         let mut para = Para::new(profile_of(100, &[300, 3000], 300), 7);
         let mut weak = 0usize;
@@ -726,7 +689,6 @@ mod tests {
         let mut bh = BlockHammer::new(profile_of(10, &[128, 1024], 128));
         assert_eq!(bh.quota_for(5), 64);
         assert_eq!(bh.quota_for(15), 512);
-        assert_eq!(bh.quota(), 64);
         for _ in 0..64 {
             assert!(act(&mut bh, 0, 5).is_empty());
         }

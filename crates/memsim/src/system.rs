@@ -65,43 +65,6 @@ impl SimStats {
         }
         sum / mine.len() as f64
     }
-
-    /// Harmonic-mean speedup — penalizes unfairness more than the
-    /// weighted (arithmetic) form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the baseline has a different core count or any core's
-    /// IPC is zero in either run.
-    pub fn harmonic_ipc(&self, baseline: &SimStats) -> f64 {
-        assert_eq!(self.instructions.len(), baseline.instructions.len());
-        let mine = self.ipcs();
-        let base = baseline.ipcs();
-        let mut denom = 0.0;
-        for (m, b) in mine.iter().zip(&base) {
-            assert!(*b > 0.0 && *m > 0.0, "cores must make progress");
-            denom += b / m;
-        }
-        mine.len() as f64 / denom
-    }
-
-    /// Maximum per-core slowdown versus the baseline (≥ 1 when the
-    /// mitigation hurts; the fairness metric of throttling studies).
-    ///
-    /// # Panics
-    ///
-    /// Panics on mismatched core counts or zero IPC.
-    pub fn max_slowdown(&self, baseline: &SimStats) -> f64 {
-        assert_eq!(self.instructions.len(), baseline.instructions.len());
-        self.ipcs()
-            .iter()
-            .zip(&baseline.ipcs())
-            .map(|(m, b)| {
-                assert!(*m > 0.0, "core must make progress");
-                b / m
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
 /// One in-flight memory request.
@@ -288,17 +251,6 @@ mod tests {
     fn baseline_weighted_ipc_is_one_against_itself() {
         let stats = System::run_mix(&quick_cfg(), MitigationKind::None, 1024, 1);
         assert!((stats.weighted_ipc(&stats) - 1.0).abs() < 1e-12);
-        assert!((stats.harmonic_ipc(&stats) - 1.0).abs() < 1e-12);
-        assert!((stats.max_slowdown(&stats) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn harmonic_is_at_most_weighted() {
-        let cfg = quick_cfg();
-        let baseline = System::run_mix(&cfg, MitigationKind::None, 64, 2);
-        let para = System::run_mix(&cfg, MitigationKind::Para, 64, 2);
-        assert!(para.harmonic_ipc(&baseline) <= para.weighted_ipc(&baseline) + 1e-12);
-        assert!(para.max_slowdown(&baseline) >= 1.0 - 1e-9);
     }
 
     #[test]

@@ -99,21 +99,6 @@ impl Histogram {
         self.total
     }
 
-    /// Width of each bin.
-    pub fn bin_width(&self) -> f64 {
-        (self.hi - self.lo) / self.counts.len() as f64
-    }
-
-    /// Midpoint of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.bins()`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        assert!(i < self.bins(), "bin index out of range");
-        self.lo + self.bin_width() * (i as f64 + 0.5)
-    }
-
     /// Number of modes: local maxima in the count sequence separated by a
     /// strictly lower bin. Used to detect bimodal RDT distributions like the
     /// paper observed for HBM2 Chip1 (Finding 2).
@@ -182,7 +167,6 @@ mod tests {
     fn constant_series_single_bin() {
         let h = Histogram::with_bins(&[3.0; 10], 4).unwrap();
         assert_eq!(h.counts()[0], 10);
-        assert_eq!(h.bin_width(), 0.0);
     }
 
     #[test]
@@ -197,13 +181,6 @@ mod tests {
     fn unique_count_basic() {
         assert_eq!(unique_count(&[1, 1, 1]), 1);
         assert_eq!(unique_count(&[1, 2, 3]), 3);
-    }
-
-    #[test]
-    fn bin_center_is_midpoint() {
-        let h = Histogram::with_bins(&[0.0, 10.0], 2).unwrap();
-        assert_eq!(h.bin_center(0), 2.5);
-        assert_eq!(h.bin_center(1), 7.5);
     }
 
     #[test]

@@ -1,15 +1,12 @@
-//! Kolmogorov–Smirnov tests.
+//! The two-sample Kolmogorov–Smirnov test.
 //!
-//! The chi-square test (§4.1 of the paper) needs binning choices; the
-//! one-sample KS test against a fitted normal and the two-sample KS test
-//! between measurement series provide binning-free alternatives. The
-//! two-sample form is what campaigns use to ask "did the RDT
-//! distribution change between conditions?" (Findings 12–16).
+//! A binning-free comparison of two measurement series: campaigns use it
+//! to ask "did the RDT distribution change between conditions?"
+//! (Findings 12–16).
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::StatsError;
-use crate::normal::normal_cdf;
 
 /// Outcome of a KS test.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -45,33 +42,6 @@ fn kolmogorov_sf(lambda: f64) -> f64 {
         }
     }
     (2.0 * sum).clamp(0.0, 1.0)
-}
-
-/// One-sample KS test of `values` against `N(mean, sd²)`.
-///
-/// # Errors
-///
-/// Returns [`StatsError::TooFewSamples`] for fewer than 8 samples and
-/// [`StatsError::InvalidParameter`] for non-positive `sd`.
-pub fn ks_test_normal(values: &[f64], mean: f64, sd: f64) -> Result<KsResult, StatsError> {
-    if values.len() < 8 {
-        return Err(StatsError::TooFewSamples { required: 8, actual: values.len() });
-    }
-    if sd <= 0.0 {
-        return Err(StatsError::InvalidParameter("sd must be positive"));
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN values"));
-    let n = sorted.len() as f64;
-    let mut d = 0.0f64;
-    for (i, &x) in sorted.iter().enumerate() {
-        let cdf = normal_cdf(x, mean, sd);
-        let upper = (i as f64 + 1.0) / n - cdf;
-        let lower = cdf - i as f64 / n;
-        d = d.max(upper).max(lower);
-    }
-    let lambda = (n.sqrt() + 0.12 + 0.11 / n.sqrt()) * d;
-    Ok(KsResult { statistic: d, p_value: kolmogorov_sf(lambda) })
 }
 
 /// Two-sample KS test between `a` and `b`.
@@ -114,33 +84,7 @@ pub fn ks_test_two_sample(a: &[f64], b: &[f64]) -> Result<KsResult, StatsError> 
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn normal_sample_passes_against_its_own_parameters() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let xs: Vec<f64> =
-            (0..3000).map(|_| crate::normal::sample_normal(&mut rng, 10.0, 2.0)).collect();
-        let r = ks_test_normal(&xs, 10.0, 2.0).unwrap();
-        assert!(r.same_distribution(0.05), "p = {}", r.p_value);
-    }
-
-    #[test]
-    fn shifted_normal_fails() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let xs: Vec<f64> =
-            (0..3000).map(|_| crate::normal::sample_normal(&mut rng, 10.0, 2.0)).collect();
-        let r = ks_test_normal(&xs, 11.0, 2.0).unwrap();
-        assert!(!r.same_distribution(0.05));
-    }
-
-    #[test]
-    fn uniform_fails_against_normal() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let xs: Vec<f64> = (0..3000).map(|_| rng.gen_range(0.0..1.0)).collect();
-        let r = ks_test_normal(&xs, 0.5, 0.2887).unwrap();
-        assert!(!r.same_distribution(0.05));
-    }
+    use rand::SeedableRng;
 
     #[test]
     fn two_samples_from_same_distribution_pass() {
@@ -175,7 +119,6 @@ mod tests {
 
     #[test]
     fn too_few_samples_error() {
-        assert!(ks_test_normal(&[1.0; 5], 0.0, 1.0).is_err());
         assert!(ks_test_two_sample(&[1.0; 5], &[1.0; 20]).is_err());
     }
 

@@ -17,6 +17,8 @@
 //! - [`chi_square`] — Pearson chi-square goodness-of-fit against a fitted
 //!   normal distribution (§4.1), with the required special functions
 //!   implemented in [`special`].
+//! - [`ks`] — the two-sample Kolmogorov–Smirnov test between
+//!   measurement series (did the RDT distribution change?).
 //! - [`normal`] — normal/lognormal sampling (Box–Muller) and CDF/PDF.
 //! - [`montecarlo`] — deterministic seed derivation and subsampling
 //!   utilities for the paper's Monte-Carlo analyses (§5.1).
@@ -61,7 +63,7 @@ pub use chi_square::{chi_square_gof_normal, ChiSquareResult};
 pub use descriptive::{coefficient_of_variation, mean, percentile, stddev, Summary};
 pub use error::StatsError;
 pub use histogram::Histogram;
-pub use ks::{ks_test_normal, ks_test_two_sample, KsResult};
+pub use ks::{ks_test_two_sample, KsResult};
 pub use montecarlo::{derive_seed, sample_indices_without_replacement};
 pub use runlength::run_length_histogram;
 pub use scurve::SCurve;

@@ -82,18 +82,6 @@ impl SCurve {
         let first_above = self.sorted.partition_point(|&v| v <= threshold);
         (self.sorted.len() - first_above) as f64 / self.sorted.len() as f64
     }
-
-    /// Index (0-based) of the first point at or above percentile `p`,
-    /// useful for picking the paper's "P50 row" and "P100 row" examples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn index_at_percentile(&self, p: f64) -> usize {
-        assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-        let raw = (p / 100.0 * (self.sorted.len() - 1) as f64).round() as usize;
-        raw.min(self.sorted.len() - 1)
-    }
 }
 
 #[cfg(test)]
@@ -135,12 +123,5 @@ mod tests {
     fn fraction_above_is_strict() {
         let s = SCurve::from_values(vec![1.0, 1.0, 2.0, 3.0]).unwrap();
         assert_eq!(s.fraction_above(1.0), 0.5);
-    }
-
-    #[test]
-    fn index_at_percentile_bounds() {
-        let s = SCurve::from_values(vec![5.0; 10]).unwrap();
-        assert_eq!(s.index_at_percentile(0.0), 0);
-        assert_eq!(s.index_at_percentile(100.0), 9);
     }
 }

@@ -1,13 +1,11 @@
 //! Integration tests for the extension features: online profiling with
-//! attack validation, the program assembler end-to-end, the access
-//! pattern library against the device, and the VRT retention analogue.
+//! attack validation, a hand-built test program executed end to end on
+//! the platform, BlockHammer in the memory-system simulator, spatial
+//! variation in row selection, and non-Table-2 fill bytes.
 
-use vrd::bender::asm::{assemble, disassemble};
-use vrd::bender::TestPlatform;
+use vrd::bender::{DramCommand, Instr, Program, TestPlatform};
 use vrd::core::online::OnlineProfiler;
 use vrd::core::{find_victim, test_loop, SweepSpec};
-use vrd::dram::access::AccessPattern;
-use vrd::dram::retention::{RetentionModel, RetentionParams};
 use vrd::dram::{DataPattern, ModuleSpec, TestConditions};
 use vrd::memsim::security::{simulate_attack, AttackConfig, SpatialVictim};
 use vrd::memsim::{MitigationKind, MitigationProfile};
@@ -52,86 +50,35 @@ fn online_profile_feeds_a_secure_mitigation_configuration() {
 
 #[test]
 fn assembled_hammer_program_flips_a_vulnerable_row() {
-    // Write the double-sided hammer as assembly text, execute it on the
-    // platform, observe the bitflip — the full DRAM-Bender workflow.
+    // Build the double-sided hammer as a DRAM-Bender-style program
+    // (row initialization, then a hardware loop of ACT/WAIT/PRE on both
+    // aggressors), execute it on the platform, observe the bitflip.
     let mut platform = TestPlatform::small_test(41);
     let conditions = TestConditions::foundational();
     let (victim, _) =
         find_victim(&mut platform, 0, &conditions, 40_000, 2..3000).expect("vulnerable row");
     let pattern = DataPattern::Checkered0;
+    let (below, above) = (victim - 1, victim + 1);
 
-    let source = format!(
-        "# initialize victim and aggressors\n\
-         ACT 0 {v}\nLOOP 128\n  WR 0 0x55\nENDLOOP\nPRE 0\n\
-         ACT 0 {below}\nLOOP 128\n  WR 0 0xAA\nENDLOOP\nPRE 0\n\
-         ACT 0 {above}\nLOOP 128\n  WR 0 0xAA\nENDLOOP\nPRE 0\n\
-         # double-sided hammer\n\
-         LOOP 400000\n  ACT 0 {below}\n  WAIT 35\n  PRE 0\n  ACT 0 {above}\n  WAIT 35\n  PRE 0\nENDLOOP\n",
-        v = victim,
-        below = victim - 1,
-        above = victim + 1,
-    );
-    let program = assemble(&source).expect("valid assembly");
-    // The disassembly round-trips.
-    assert_eq!(assemble(&disassemble(&program)).unwrap(), program);
+    let mut program = Program::new();
+    for (row, fill) in [(victim, 0x55), (below, 0xAA), (above, 0xAA)] {
+        program
+            .cmd(DramCommand::Act { bank: 0, row })
+            .repeat(128, vec![Instr::Cmd(DramCommand::Wr { bank: 0, fill })])
+            .cmd(DramCommand::Pre { bank: 0 });
+    }
+    let mut hammer = Program::new();
+    for row in [below, above] {
+        hammer
+            .cmd(DramCommand::Act { bank: 0, row })
+            .wait_ns(35.0)
+            .cmd(DramCommand::Pre { bank: 0 });
+    }
+    program.repeat(400_000, hammer.instrs().to_vec());
 
     platform.run(&program).expect("program executes");
     let flips = platform.device_mut().read_and_compare(0, victim, pattern.victim_byte());
-    assert!(!flips.is_empty(), "400k assembled hammers must flip the vulnerable row");
-}
-
-#[test]
-fn access_patterns_rank_by_effectiveness_on_the_device() {
-    // Hammer the same row with the same per-aggressor budget under
-    // different patterns; double-sided must flip at a budget where
-    // single-sided does not.
-    let spec = ModuleSpec::by_name("S2").expect("S2 exists");
-    let conditions = TestConditions::foundational();
-    let pattern = DataPattern::Checkered0;
-
-    let run = |access: AccessPattern, budget: u32| -> bool {
-        let mut platform =
-            TestPlatform::for_module_with_row_bytes(ModuleSpec::by_name("S2").unwrap(), 51, 512);
-        platform.set_temperature_c(50.0);
-        let (victim, guess) =
-            find_victim(&mut platform, 0, &conditions, 40_000, 2..20_000).expect("row");
-        // Scale to the row's vulnerability, at 2x the guessed threshold:
-        // the guess is a noisy sample of a fluctuating threshold, so
-        // hammering at exactly 1x is a coin flip, not a test.
-        let budget = budget.max(guess.saturating_mul(2));
-        let device = platform.device_mut();
-        device.write_row(0, victim, pattern.victim_byte());
-        let rows = device.config().rows_per_bank();
-        let mapping = device.config().mapping;
-        for (aggressor, weight) in access.aggressors_of(mapping, victim, rows) {
-            device.write_row(0, aggressor, pattern.aggressor_byte());
-            device.precharge(0).expect("bank");
-            let acts = (f64::from(budget) * weight * 2.0) as u32;
-            device.activate_n(0, aggressor, acts, 35.0).expect("address");
-            device.precharge(0).expect("bank");
-        }
-        !device.read_and_compare(0, victim, pattern.victim_byte()).is_empty()
-    };
-
-    let _ = spec;
-    // At 2x the guessed threshold per side, double-sided flips.
-    assert!(run(AccessPattern::DoubleSided, 0), "double-sided at ~2x guess must flip");
-}
-
-#[test]
-fn retention_profiling_mirrors_rdt_profiling_incompleteness() {
-    // The VRT analogue of Takeaway 2: one profiling round misses
-    // failures that repeated rounds expose.
-    let params = RetentionParams {
-        leaky_cells_per_row: 0.08,
-        vrt_fraction: 0.8,
-        vrt_ratio: 0.2,
-        ..RetentionParams::default()
-    };
-    let model = RetentionModel::new(params, 99);
-    let one = model.profile_rows(0..20_000, 350.0, 50.0, 1).len();
-    let many = model.profile_rows(0..20_000, 350.0, 50.0, 48).len();
-    assert!(many > one, "repeated profiling must find more VRT failures ({many} vs {one})");
+    assert!(!flips.is_empty(), "400k programmed hammers must flip the vulnerable row");
 }
 
 #[test]
