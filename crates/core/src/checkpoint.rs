@@ -45,9 +45,9 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::exec::{self, ExecReport, Progress, Unit, UnitCtx, UnitKey, UnitOutcome};
@@ -363,7 +363,7 @@ impl Checkpoint {
             serde_json::to_string(value).expect("value serializes"),
         );
         let line = format!("{RECORD_MAGIC} {:016x} {body}\n", fnv1a64(body.as_bytes()));
-        let mut file = self.writer.lock();
+        let mut file = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         file.write_all(line.as_bytes())?;
         file.flush()
     }

@@ -25,10 +25,15 @@
 //! largest other queue when it runs dry. A panicking unit is caught,
 //! reported as [`UnitOutcome::Panicked`], and never blocks the pool.
 //!
-//! Shared progress lives in [`Progress`] (atomic counters behind
-//! `parking_lot`-style locks only where needed): units done, bitflips
-//! found, and simulated test time consumed, for CLI throughput
-//! rendering while a campaign runs.
+//! Shared progress lives in [`Progress`] (atomic counters): units
+//! done, bitflips found, and simulated test time consumed, for CLI
+//! throughput rendering while a campaign runs.
+//!
+//! Workers run in a [`std::thread::scope`] and send outcomes over a
+//! [`std::sync::mpsc`] channel. Every lock ignores poisoning: a unit's
+//! panic is caught before it can unwind through a held guard, and the
+//! queues hold plain indices, so a poisoned lock still guards valid
+//! data and the pool keeps serving.
 //!
 //! Runs can be **cancelled** and **observed** through
 //! [`crate::run::RunOptions`]: [`crate::run::run_units`] is the
@@ -52,9 +57,10 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::algorithm::{EvalStrategy, SearchStrategy};
@@ -469,7 +475,7 @@ impl<T> ExecReport<T> {
     /// # Panics
     ///
     /// Re-raises the first unit panic (campaign code treats a panicking
-    /// unit as a bug, matching the old `crossbeam::scope` behaviour).
+    /// unit as a bug).
     pub fn into_results(self) -> Vec<T> {
         self.outcomes
             .into_iter()
@@ -527,20 +533,20 @@ where
     let queues: Vec<Mutex<VecDeque<usize>>> =
         (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
     for i in 0..units.len() {
-        queues[i % threads].lock().push_back(i);
+        queues[i % threads].lock().unwrap_or_else(PoisonError::into_inner).push_back(i);
     }
 
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, UnitOutcome<T>)>();
+    let (tx, rx) = mpsc::channel::<(usize, UnitOutcome<T>)>();
     let units = &units;
     let queues = &queues;
     let f = &f;
 
     let mut slots: Vec<Option<UnitOutcome<T>>> = Vec::new();
     slots.resize_with(units.len(), || None);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for worker in 0..threads {
             let tx = tx.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 while !cancel.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
                     let Some(index) = next_unit(worker, queues) else { break };
                     let unit = &units[index];
@@ -586,15 +592,14 @@ where
                 }
             });
         }
-        drop(tx); // workers hold the remaining senders
-                  // Collect on the scope's own thread, overlapping execution; the
-                  // iterator ends once every worker has exited and dropped its
-                  // sender.
+        // Workers hold the remaining senders. Collect on the scope's own
+        // thread, overlapping execution; the iterator ends once every
+        // worker has exited and dropped its sender.
+        drop(tx);
         for (index, outcome) in rx.iter() {
             slots[index] = Some(outcome);
         }
-    })
-    .expect("executor scope");
+    });
 
     ExecReport {
         // A slot left empty means its unit was never popped before
@@ -609,22 +614,23 @@ where
 /// work (the pool is draining; remaining in-flight units are owned by
 /// other workers).
 fn next_unit(worker: usize, queues: &[Mutex<VecDeque<usize>>]) -> Option<usize> {
-    if let Some(index) = queues[worker].lock().pop_front() {
+    if let Some(index) = queues[worker].lock().unwrap_or_else(PoisonError::into_inner).pop_front() {
         return Some(index);
     }
     // Pick the victim with the most queued work, then steal the back
     // half of its queue (the owner keeps draining the front).
-    let victim =
-        (0..queues.len()).filter(|&q| q != worker).max_by_key(|&q| queues[q].lock().len())?;
+    let victim = (0..queues.len())
+        .filter(|&q| q != worker)
+        .max_by_key(|&q| queues[q].lock().unwrap_or_else(PoisonError::into_inner).len())?;
     let stolen: VecDeque<usize> = {
-        let mut victim_queue = queues[victim].lock();
+        let mut victim_queue = queues[victim].lock().unwrap_or_else(PoisonError::into_inner);
         let keep = victim_queue.len().div_ceil(2);
         victim_queue.split_off(keep)
     };
     if stolen.is_empty() {
         return None;
     }
-    let mut own = queues[worker].lock();
+    let mut own = queues[worker].lock().unwrap_or_else(PoisonError::into_inner);
     *own = stolen;
     own.pop_front()
 }

@@ -30,7 +30,8 @@
 //! boundaries — into a form that is byte-identical at any thread count,
 //! which the observer test suite asserts at `--threads 1/2/8`.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
+
 use serde::{Deserialize, Serialize};
 
 use crate::exec::UnitKey;
@@ -260,23 +261,23 @@ impl MemorySink {
 
     /// A copy of everything captured so far, in arrival order.
     pub fn events(&self) -> Vec<Event> {
-        self.events.lock().clone()
+        self.events.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Number of captured events.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.events.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// Whether nothing was captured.
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.events.lock().unwrap_or_else(PoisonError::into_inner).is_empty()
     }
 }
 
 impl Observer for MemorySink {
     fn on_event(&self, event: &Event) {
-        self.events.lock().push(event.clone());
+        self.events.lock().unwrap_or_else(PoisonError::into_inner).push(event.clone());
     }
 }
 

@@ -5,7 +5,8 @@
 //! quantity Appendix A budgets). The experiments runner serializes the
 //! reports as `metrics.json` next to the campaign outputs.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
+
 use serde::{Deserialize, Serialize};
 
 use super::{Event, Observer, OutcomeKind};
@@ -227,13 +228,13 @@ impl MetricsSink {
 
     /// The reports of all campaigns finished so far.
     pub fn reports(&self) -> Vec<MetricsReport> {
-        self.state.lock().reports.clone()
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).reports.clone()
     }
 }
 
 impl Observer for MetricsSink {
     fn on_event(&self, event: &Event) {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         match event {
             Event::CampaignStarted { campaign } => {
                 state.current = CampaignAccum { campaign: campaign.clone(), ..Default::default() };

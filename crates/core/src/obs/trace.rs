@@ -6,8 +6,7 @@
 
 use std::collections::BTreeMap;
 use std::io::Write;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use super::{Event, Observer};
 
@@ -27,14 +26,14 @@ impl<W: Write + Send> JsonlSink<W> {
     /// Unwraps the inner writer (flushing is per-line, so nothing is
     /// buffered here).
     pub fn into_inner(self) -> W {
-        self.writer.into_inner()
+        self.writer.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl<W: Write + Send> Observer for JsonlSink<W> {
     fn on_event(&self, event: &Event) {
         let line = serde_json::to_string(event).expect("event serializes");
-        let mut w = self.writer.lock();
+        let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         // Trace output is best-effort telemetry: a full disk must not
         // abort a week-long campaign, so IO errors are swallowed.
         let _ = writeln!(w, "{line}");

@@ -44,12 +44,12 @@
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use vrd_core::checkpoint::{self, Checkpoint, CheckpointError, CheckpointManifest};
@@ -201,7 +201,7 @@ impl EventHub {
     /// Registers a live subscriber; every subsequent event line is sent
     /// to it (history is served by `events.jsonl`, not replayed here).
     pub fn subscribe(&self, tx: Sender<String>) {
-        self.subscribers.lock().push(tx);
+        self.subscribers.lock().unwrap_or_else(PoisonError::into_inner).push(tx);
     }
 
     /// Serializes and publishes one event: appended (and flushed) to
@@ -210,11 +210,14 @@ impl EventHub {
     pub fn publish(&self, event: &Event) {
         let line = serde_json::to_string(event).expect("event serializes");
         {
-            let mut f = self.file.lock();
+            let mut f = self.file.lock().unwrap_or_else(PoisonError::into_inner);
             let _ = writeln!(f, "{line}");
             let _ = f.flush();
         }
-        self.subscribers.lock().retain(|tx| tx.send(line.clone()).is_ok());
+        self.subscribers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|tx| tx.send(line.clone()).is_ok());
     }
 }
 
@@ -237,8 +240,14 @@ pub struct Service {
     cfg: ServeConfig,
     specs: Vec<ModuleSpec>,
     inner: Mutex<Inner>,
+    /// Wakes idle workers; notified under `inner` changes that can give
+    /// a worker something to do or let it exit: submit, job finish,
+    /// cancel and shutdown.
+    work: Condvar,
     events: EventHub,
     fault: Option<FaultPlan>,
+    /// Set under the `inner` lock, so a worker that checked it there
+    /// before waiting cannot miss the wakeup.
     shutdown: AtomicBool,
     /// Serializes dashboard rewrites: they share one temp file, and an
     /// older snapshot must never replace a newer one.
@@ -380,6 +389,7 @@ impl Service {
             cfg,
             specs,
             inner: Mutex::new(Inner { sched, jobs, resume, sched_log, dispatch, submitted }),
+            work: Condvar::new(),
             events,
             fault,
             shutdown: AtomicBool::new(false),
@@ -412,7 +422,16 @@ impl Service {
     /// Requests a graceful shutdown: running jobs finish, queued jobs
     /// stay queued (they resume on the next boot).
     pub fn request_shutdown(&self) {
+        let _inner = self.lock_inner();
         self.shutdown.store(true, Ordering::SeqCst);
+        self.work.notify_all();
+    }
+
+    /// Locks the service state. Like every lock in the service it
+    /// ignores poisoning: a panicking job is caught outside the lock,
+    /// and the service keeps serving.
+    fn lock_inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn root(&self) -> PathBuf {
@@ -437,7 +456,7 @@ impl Service {
         if spec.select_specs(&self.specs).is_empty() {
             return Err("job scope matches no fleet module".into());
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock_inner();
         let id = format!("job-{:05}", inner.submitted);
         let record =
             JobRecord { id: id.clone(), spec: spec.clone(), state: JobState::Queued, error: None };
@@ -456,6 +475,7 @@ impl Service {
             .jobs
             .insert(id.clone(), JobEntry { record, cancel: Arc::new(AtomicBool::new(false)) });
         drop(inner);
+        self.work.notify_all();
         self.events.publish(&Event::Message {
             level: Level::Info,
             body: format!("job {id} submitted ({} by {})", spec.kind.as_str(), spec.tenant),
@@ -471,7 +491,7 @@ impl Service {
     ///
     /// Returns a message for unknown ids and already-terminal jobs.
     pub fn cancel(&self, id: &str) -> Result<(), String> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock_inner();
         let state = match inner.jobs.get(id) {
             Some(entry) => entry.record.state,
             None => return Err(format!("unknown job {id:?}")),
@@ -486,6 +506,7 @@ impl Service {
                 let record = entry.record.clone();
                 write_json_atomic(&self.job_dir(id).join("job.json"), &record)?;
                 drop(inner);
+                self.work.notify_all();
                 self.write_fleet_metrics();
                 Ok(())
             }
@@ -499,17 +520,17 @@ impl Service {
 
     /// All job records, sorted by id.
     pub fn records(&self) -> Vec<JobRecord> {
-        self.inner.lock().jobs.values().map(|e| e.record.clone()).collect()
+        self.lock_inner().jobs.values().map(|e| e.record.clone()).collect()
     }
 
     /// One job's record.
     pub fn record(&self, id: &str) -> Option<JobRecord> {
-        self.inner.lock().jobs.get(id).map(|e| e.record.clone())
+        self.lock_inner().jobs.get(id).map(|e| e.record.clone())
     }
 
     /// The aggregated dashboard, computed fresh.
     pub fn fleet_metrics(&self) -> FleetMetrics {
-        let inner = self.inner.lock();
+        let inner = self.lock_inner();
         let mut totals = FleetTotals { submitted: inner.submitted, ..FleetTotals::default() };
         let jobs: Vec<JobMetrics> = inner
             .jobs
@@ -545,7 +566,7 @@ impl Service {
     /// Rewrites `fleet_metrics.json` atomically (write-then-rename, like
     /// `job.json`), reporting a failed write as an error message.
     pub fn write_fleet_metrics(&self) {
-        let _serial = self.dashboard.lock();
+        let _serial = self.dashboard.lock().unwrap_or_else(PoisonError::into_inner);
         let path = self.root().join("fleet_metrics.json");
         if let Err(e) = write_json_atomic(&path, &self.fleet_metrics()) {
             sinks::error(format!("write {}: {e}", path.display()));
@@ -556,7 +577,7 @@ impl Service {
     /// scheduler's pick (logged + appended to `dispatch.jsonl` before
     /// the lock drops).
     fn take_task(&self) -> Option<(JobRecord, Arc<AtomicBool>, bool)> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock_inner();
         if !inner.resume.is_empty() {
             let id = inner.resume.remove(0);
             let entry = inner.jobs.get(&id).expect("resumed job has a record");
@@ -578,26 +599,24 @@ impl Service {
         Some((record, cancel, false))
     }
 
-    /// Whether no queued, resumable, or running work remains.
-    fn drained(&self) -> bool {
-        let inner = self.inner.lock();
-        inner.sched.pending() == 0
-            && inner.resume.is_empty()
-            && inner.jobs.values().all(|e| e.record.state != JobState::Running)
-    }
-
     /// One worker thread: pull jobs until drained (script mode) or
-    /// shutdown.
+    /// shutdown. An idle worker blocks on the `work` condvar; it checks
+    /// for work, drain and shutdown under the same lock that every
+    /// notifier changes them under, so no wakeup is lost.
     pub fn worker_loop(&self) {
         loop {
-            match self.take_task() {
-                Some((record, cancel, resumed)) => self.run_job(record, &cancel, resumed),
-                None => {
-                    if self.is_shutdown() || (self.cfg.script.is_some() && self.drained()) {
-                        break;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                }
+            if let Some((record, cancel, resumed)) = self.take_task() {
+                self.run_job(record, &cancel, resumed);
+                continue;
+            }
+            let inner = self.lock_inner();
+            let idle = inner.sched.pending() == 0 && inner.resume.is_empty();
+            let running = inner.jobs.values().any(|e| e.record.state == JobState::Running);
+            if self.is_shutdown() || (self.cfg.script.is_some() && idle && !running) {
+                break;
+            }
+            if idle {
+                drop(self.work.wait(inner).unwrap_or_else(PoisonError::into_inner));
             }
         }
     }
@@ -608,9 +627,19 @@ impl Service {
     fn run_job(&self, record: JobRecord, cancel: &Arc<AtomicBool>, resumed: bool) {
         let id = record.id.clone();
         let dir = self.job_dir(&id);
-        let outcome = self.execute(&record, cancel, &dir);
+        // A job that panics (a campaign re-raises its units' panics)
+        // fails alone; its worker goes on serving.
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.execute(&record, cancel, &dir)));
         let (state, error) = match outcome {
-            Ok(json) => {
+            Err(payload) => {
+                let message = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+                    .unwrap_or_default();
+                (JobState::Failed, Some(format!("job panicked: {message}")))
+            }
+            Ok(Ok(json)) => {
                 let artifacts = dir.join("artifacts");
                 let write = fs::create_dir_all(&artifacts)
                     .and_then(|()| fs::write(artifacts.join("result.json"), json));
@@ -619,19 +648,20 @@ impl Service {
                     Err(e) => (JobState::Failed, Some(format!("write result: {e}"))),
                 }
             }
-            Err(CheckpointError::Interrupted { .. }) if cancel.load(Ordering::SeqCst) => {
+            Ok(Err(CheckpointError::Interrupted { .. })) if cancel.load(Ordering::SeqCst) => {
                 (JobState::Cancelled, None)
             }
-            Err(e) => (JobState::Failed, Some(e.to_string())),
+            Ok(Err(e)) => (JobState::Failed, Some(e.to_string())),
         };
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock_inner();
             let entry = inner.jobs.get_mut(&id).expect("running job has a record");
             entry.record.state = state;
             entry.record.error = error.clone();
             let record = entry.record.clone();
             let _ = write_json_atomic(&dir.join("job.json"), &record);
         }
+        self.work.notify_all();
         self.events.publish(&Event::Message {
             level: if state == JobState::Failed { Level::Error } else { Level::Info },
             body: match &error {
@@ -725,7 +755,7 @@ impl Service {
     /// Returns a message on unreadable or unparseable script lines.
     pub fn submit_script(&self, path: &str) -> Result<usize, String> {
         let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let already = self.inner.lock().submitted as usize;
+        let already = self.lock_inner().submitted as usize;
         let mut submitted = 0usize;
         for (i, line) in text.lines().filter(|l| !l.trim().is_empty()).enumerate() {
             if i < already {
@@ -919,6 +949,76 @@ mod tests {
         fs::create_dir(&path).unwrap();
         svc.write_fleet_metrics();
         assert!(path.is_dir());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Blocks until the hub publishes a line containing `needle`.
+    fn await_event(rx: &std::sync::mpsc::Receiver<String>, needle: &str) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        loop {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            let line = rx.recv_timeout(left).unwrap_or_else(|e| panic!("no {needle:?}: {e}"));
+            if line.contains(needle) {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn idle_daemon_worker_wakes_on_submit_and_returns_on_shutdown() {
+        let dir = scratch("idle");
+        let svc = Arc::new(Service::boot(tiny_config(&dir)).unwrap());
+        let (events, rx) = std::sync::mpsc::channel();
+        svc.events().subscribe(events);
+        let (exited, worker_done) = std::sync::mpsc::channel();
+        // Not scoped: a worker that misses a wakeup must fail the test,
+        // not hang it in the scope's join.
+        let worker = Arc::clone(&svc);
+        std::thread::spawn(move || {
+            worker.worker_loop();
+            let _ = exited.send(());
+        });
+        // Each pause lets the worker block on the condvar before the
+        // next submit or the shutdown, so a lost wakeup fails the test.
+        // Passing never depends on the pause; only catching one does.
+        let pause = || std::thread::sleep(std::time::Duration::from_millis(100));
+        for expected in ["job-00000 done", "job-00001 done"] {
+            pause();
+            svc.submit(JobSpec::new("alice", JobKind::Family)).unwrap();
+            await_event(&rx, expected);
+        }
+        pause();
+        assert!(worker_done.try_recv().is_err(), "a daemon worker idles, it does not exit");
+        svc.request_shutdown();
+        worker_done
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("an idle worker returns promptly after shutdown");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone_and_the_worker_keeps_serving() {
+        let dir = scratch("panic");
+        let mut cfg = tiny_config(&dir);
+        cfg.script = Some(String::new());
+        let mut svc = Service::boot(cfg).unwrap();
+        let (doomed, healthy) = (svc.fleet()[0].name.clone(), svc.fleet()[1].name.clone());
+        svc.fault = Some(FaultPlan::none().panic_on(vrd_core::exec::UnitKey::module(&doomed)));
+        for module in [doomed, healthy] {
+            let mut spec = JobSpec::new("alice", JobKind::Foundational);
+            spec.modules = vec![module];
+            spec.measurements = 4;
+            svc.submit(spec).unwrap();
+        }
+        svc.worker_loop();
+        let records = svc.records();
+        assert_eq!(records[0].state, JobState::Failed);
+        let error = records[0].error.as_deref().unwrap_or_default();
+        assert!(
+            error.starts_with("job panicked: ") && error.contains("fault injection"),
+            "{error}"
+        );
+        assert_eq!(records[1].state, JobState::Done, "the next job still runs");
         let _ = fs::remove_dir_all(&dir);
     }
 

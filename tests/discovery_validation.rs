@@ -125,10 +125,10 @@ fn discovery_bound_is_sound_against_in_depth_minima() {
 
             // The point of early stopping: the campaign spends far
             // fewer epochs than the fixed budget it is sound against.
-            // (The headline savings ratio is gated against the
-            // in-depth *default* budget by `bench_discovery_json
-            // --check`; here the reference ceiling is only 120 epochs,
-            // so demand a 25% saving.)
+            // (The headline savings ratio is gated against a 300-epoch
+            // budget by `vrd-bench`'s `discovery.savings` record; here
+            // the reference ceiling is only 120 epochs, so demand a 25%
+            // saving.)
             let spent: u64 = discovery.rows.iter().map(|r| u64::from(r.epochs_used)).sum();
             let fixed = discovery.rows.len() as u64 * u64::from(cfg.max_epochs);
             assert!(
