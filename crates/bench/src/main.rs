@@ -79,6 +79,8 @@ const SERVICE_JOBS: usize = 6;
 const BATCH_WINDOW: Duration = Duration::from_millis(20);
 /// Samples behind each best-of figure outside the batch suite.
 const TIMING_REPS: usize = 10;
+/// Observed/unobserved campaign pairs behind the observer-overhead ratio.
+const OBSERVER_PAIRS: usize = 20;
 /// Calls per sample of the nanosecond-scale estimator timings.
 const ESTIMATE_CALLS: u32 = 100_000;
 
@@ -218,11 +220,13 @@ struct ServiceRun {
     dispatch_invariant: bool,
 }
 
-/// Best-of timings no e2ebench per-layer metric reports.
+/// Timings no e2ebench per-layer metric reports.
 struct Timings {
     in_depth_threads_1_ms: f64,
     in_depth_threads_4_ms: f64,
-    in_depth_threads_4_observed_ms: f64,
+    /// Observed over unobserved wall time of each back-to-back pair of
+    /// 4-thread campaigns.
+    observer_ratios: Vec<f64>,
     executor_ns_per_unit: f64,
     /// `one_measurement_time_ns`, `one_measurement_energy_nj` and
     /// `CampaignSpec::total_time_ns`, ns per call.
@@ -324,6 +328,15 @@ fn ms(wall: Duration) -> f64 {
 
 fn best(samples: &[f64]) -> f64 {
     samples.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+/// The `p`-th percentile of a non-empty sample.
+fn quartile(samples: &[f64], p: f64) -> f64 {
+    vrd_stats::percentile(samples, p).expect("samples are non-empty")
+}
+
+fn iqr(samples: &[f64]) -> f64 {
+    quartile(samples, 75.0) - quartile(samples, 25.0)
 }
 
 /// The best of `reps` timed calls.
@@ -437,10 +450,6 @@ fn measure_batch(module: &'static str) -> Comparison {
 }
 
 fn batch_records(runs: &[Comparison]) -> Vec<Record> {
-    let quartile = |samples: &[f64], p: f64| {
-        vrd_stats::percentile(samples, p).expect("a window holds samples")
-    };
-    let iqr = |samples: &[f64]| quartile(samples, 75.0) - quartile(samples, 25.0);
     let mut records = Vec::new();
     for c in runs {
         let name = |what: &str| format!("batch.{}.{what}", c.module);
@@ -482,13 +491,13 @@ fn batch_records(runs: &[Comparison]) -> Vec<Record> {
 /// epochs saved and check each row's bound.
 fn measure_discovery(module: &'static str) -> DiscoveryRun {
     let spec = ModuleSpec::by_name(module).expect("module exists in Table 1");
-    let cfg = DiscoveryConfig::quick().to_builder().seed(SEED).max_epochs(FIXED_BUDGET).build();
+    let cfg = DiscoveryConfig { seed: SEED, max_epochs: FIXED_BUDGET, ..DiscoveryConfig::quick() };
     let started = Instant::now();
     let discovery = run_discovery(&spec, &cfg);
     let wall_ms = ms(started.elapsed());
 
     let indepth_cfg =
-        InDepthConfig::quick().to_builder().seed(SEED).measurements(FIXED_BUDGET).build();
+        InDepthConfig { seed: SEED, measurements: FIXED_BUDGET, ..InDepthConfig::quick() };
     let opts = RunOptions::new(ExecConfig::serial(indepth_cfg.seed));
     let reference =
         in_depth_campaign(&[spec], &indepth_cfg, &opts).expect("plain run cannot fail").remove(0);
@@ -747,29 +756,50 @@ fn measure_timings() -> Timings {
     // set-up is small beside it, small enough to repeat.
     let specs: Vec<ModuleSpec> =
         ["H3", "M1"].iter().map(|n| ModuleSpec::by_name(n).expect("module")).collect();
-    let cfg = InDepthConfig::quick()
-        .to_builder()
-        .measurements(30)
-        .segment_rows(48)
-        .picks_per_segment(3)
-        .build();
-    // Round-robin samples, so drift on a shared host hits all three
-    // variants alike: 1 thread, 4 threads, 4 threads observed.
-    let variants = [(1, false), (4, false), (4, true)];
-    let mut campaign_ms = [f64::INFINITY; 3];
+    let cfg = InDepthConfig {
+        measurements: 30,
+        segment_rows: 48,
+        picks_per_segment: 3,
+        ..InDepthConfig::quick()
+    };
+    let time_ms = |f: &dyn Fn()| {
+        let started = Instant::now();
+        f();
+        ms(started.elapsed())
+    };
+    let campaign = |opts: &RunOptions<'_>| {
+        black_box(in_depth_campaign(&specs, &cfg, opts).expect("plain run cannot fail"));
+    };
+    // Round-robin samples, so drift on a shared host hits both thread
+    // counts alike.
+    let mut threads_ms = [f64::INFINITY; 2];
     for _ in 0..TIMING_REPS {
-        for (best, &(threads, observed)) in campaign_ms.iter_mut().zip(&variants) {
-            let metrics = MetricsSink::new();
-            let mut opts = RunOptions::new(ExecConfig::new(threads, cfg.seed));
-            if observed {
-                opts = opts.observer(&metrics);
-            }
-            let started = Instant::now();
-            black_box(in_depth_campaign(&specs, &cfg, &opts).expect("plain run cannot fail"));
-            black_box(metrics.reports());
-            *best = best.min(ms(started.elapsed()));
+        for (best, threads) in threads_ms.iter_mut().zip([1, 4]) {
+            let opts = RunOptions::new(ExecConfig::new(threads, cfg.seed));
+            *best = best.min(time_ms(&|| campaign(&opts)));
         }
     }
+    // Back-to-back pairs, alternating which half runs first, so drift
+    // lands on both halves of a pair and cancels in its ratio.
+    let observer_ratios = (0..OBSERVER_PAIRS)
+        .map(|pair| {
+            let plain = RunOptions::new(ExecConfig::new(4, cfg.seed));
+            let unobserved = || campaign(&plain);
+            let observed = || {
+                let metrics = MetricsSink::new();
+                campaign(&plain.observer(&metrics));
+                black_box(metrics.reports());
+            };
+            let (observed_ms, unobserved_ms) = if pair % 2 == 0 {
+                let observed_ms = time_ms(&observed);
+                (observed_ms, time_ms(&unobserved))
+            } else {
+                let unobserved_ms = time_ms(&unobserved);
+                (time_ms(&observed), unobserved_ms)
+            };
+            observed_ms / unobserved_ms
+        })
+        .collect();
     let overhead = best_of(TIMING_REPS, || {
         let units: Vec<Unit<u64>> =
             (0..1000u32).map(|i| Unit::new(UnitKey::cell("OVH", i, 0), u64::from(i))).collect();
@@ -787,9 +817,9 @@ fn measure_timings() -> Timings {
             / f64::from(ESTIMATE_CALLS)
     };
     Timings {
-        in_depth_threads_1_ms: campaign_ms[0],
-        in_depth_threads_4_ms: campaign_ms[1],
-        in_depth_threads_4_observed_ms: campaign_ms[2],
+        in_depth_threads_1_ms: threads_ms[0],
+        in_depth_threads_4_ms: threads_ms[1],
+        observer_ratios,
         executor_ns_per_unit: overhead.as_secs_f64() * 1e9 / 1000.0,
         estimate_ns: [
             per_call(&|| one_measurement_time_ns(black_box(&timing), black_box(&spec))),
@@ -805,12 +835,13 @@ fn timing_records(t: &Timings) -> Vec<Record> {
         Record::new("exec.in_depth_threads_4", "exec", "ms", t.in_depth_threads_4_ms)
             .baseline(t.in_depth_threads_1_ms),
         Record::new(
-            "exec.in_depth_threads_4_observed",
+            "exec.observer_ratio.median",
             "exec",
-            "ms",
-            t.in_depth_threads_4_observed_ms,
-        )
-        .baseline(t.in_depth_threads_4_ms),
+            "ratio",
+            quartile(&t.observer_ratios, 50.0),
+        ),
+        Record::new("exec.observer_ratio.iqr", "exec", "ratio", iqr(&t.observer_ratios)),
+        Record::new("exec.observer_ratio.pairs", "exec", "count", t.observer_ratios.len() as f64),
         Record::new("exec.overhead_per_unit", "exec", "ns", t.executor_ns_per_unit),
         Record::new("bender.estimate.one_measurement_time", "bender", "ns", time),
         Record::new("bender.estimate.one_measurement_energy", "bender", "ns", energy),
@@ -878,7 +909,7 @@ mod tests {
             timings: Timings {
                 in_depth_threads_1_ms: 80.0,
                 in_depth_threads_4_ms: 80.0,
-                in_depth_threads_4_observed_ms: 81.0,
+                observer_ratios: vec![0.98, 1.0, 1.01, 1.03],
                 executor_ns_per_unit: 200.0,
                 estimate_ns: [5.0, 9.0, 6.0],
             },

@@ -3,21 +3,19 @@
 //! 1,000 measurements × the data-pattern / `t_AggOn` / temperature grid).
 //!
 //! Campaign scale is configurable: the defaults match the paper; tests
-//! and quick runs shrink the measurement counts and row ranges.
+//! and quick runs shrink the measurement counts and row ranges. The
+//! configurations are plain data — write a struct literal over
+//! `..FoundationalConfig::default()` or `..InDepthConfig::quick()`.
 //!
-//! Two execution paths exist:
-//!
-//! - [`run_foundational`] is the legacy single-module serial entry point,
-//!   kept byte-for-byte stable (regression suites pin its output).
-//! - [`foundational_campaign`] / [`in_depth_campaign`] shard the work
-//!   across the deterministic executor ([`crate::exec`]): every unit
-//!   (module, or module × row × condition cell) runs on a fresh platform
-//!   whose dynamics RNG is reseeded from the unit's derived seed, so the
-//!   campaign output is bit-identical at any thread count. A
-//!   [`RunOptions`] value selects the capabilities — progress counters,
-//!   event observers, checkpointing, cancellation — that used to be the
-//!   `run_X_campaign{,_observed,_checkpointed}` triad (removed after a
-//!   deprecation cycle).
+//! [`foundational_campaign`] and [`in_depth_campaign`] shard the work
+//! across the deterministic executor ([`crate::exec`]) through
+//! [`run_units`]: every unit (module, or module × row × condition cell)
+//! runs on a fresh platform whose dynamics RNG is reseeded from the
+//! unit's derived seed, so the campaign output is bit-identical at any
+//! thread count. A [`RunOptions`] value selects the capabilities —
+//! progress counters, event observers, checkpointing, cancellation.
+//! [`run_foundational`] is the single-module serial form of Alg. 1 on
+//! the device seed alone, without unit reseeding.
 
 use std::time::Instant;
 
@@ -33,7 +31,7 @@ use crate::algorithm::{
     FIND_VICTIM_CUTOFF,
 };
 use crate::checkpoint::CheckpointError;
-use crate::exec::{ExecReport, Progress, Unit, UnitCtx, UnitKey};
+use crate::exec::{ExecConfig, ExecReport, Progress, Unit, UnitCtx, UnitKey};
 use crate::obs::{CampaignSummary, Event};
 use crate::run::{run_units, RunOptions};
 use crate::series::RdtSeries;
@@ -45,13 +43,9 @@ pub const FOUNDATIONAL: &str = "foundational";
 /// Campaign label of the in-depth (§5) campaign.
 pub const IN_DEPTH: &str = "in_depth";
 
-/// Configuration of the §4 foundational campaign.
-///
-/// `#[non_exhaustive]`: construct via [`FoundationalConfig::default`] or
-/// [`FoundationalConfig::builder`], so future fields are not breaking
-/// changes.
+/// Configuration of the §4 foundational campaign; the
+/// [`Default`] is the paper's scale.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
 pub struct FoundationalConfig {
     /// RDT measurements per victim row (paper: 100,000).
     pub measurements: u32,
@@ -75,62 +69,6 @@ impl Default for FoundationalConfig {
             row_bytes: 2048,
             scan_rows: 8192,
         }
-    }
-}
-
-impl FoundationalConfig {
-    /// A builder seeded with the paper defaults.
-    pub fn builder() -> FoundationalConfigBuilder {
-        FoundationalConfigBuilder { cfg: FoundationalConfig::default() }
-    }
-
-    /// A builder seeded with this configuration's values.
-    pub fn to_builder(&self) -> FoundationalConfigBuilder {
-        FoundationalConfigBuilder { cfg: self.clone() }
-    }
-}
-
-/// Builder for [`FoundationalConfig`]; obtained from
-/// [`FoundationalConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct FoundationalConfigBuilder {
-    cfg: FoundationalConfig,
-}
-
-impl FoundationalConfigBuilder {
-    /// Sets the RDT measurements per victim row.
-    pub fn measurements(mut self, measurements: u32) -> Self {
-        self.cfg.measurements = measurements;
-        self
-    }
-
-    /// Sets the test conditions.
-    pub fn conditions(mut self, conditions: TestConditions) -> Self {
-        self.cfg.conditions = conditions;
-        self
-    }
-
-    /// Sets the device seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the device-model row size in bytes.
-    pub fn row_bytes(mut self, row_bytes: u32) -> Self {
-        self.cfg.row_bytes = row_bytes;
-        self
-    }
-
-    /// Sets how many rows `find_victim` may scan.
-    pub fn scan_rows(mut self, scan_rows: u32) -> Self {
-        self.cfg.scan_rows = scan_rows;
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> FoundationalConfig {
-        self.cfg
     }
 }
 
@@ -174,7 +112,7 @@ pub fn run_foundational(spec: &ModuleSpec, cfg: &FoundationalConfig) -> Option<F
 /// entry point.
 ///
 /// Each module is one work unit: a fresh platform built from `cfg.seed`
-/// (so the weak-cell layout matches the legacy path) with its dynamics
+/// (so the weak-cell layout matches [`run_foundational`]) with its dynamics
 /// RNG reseeded from the unit's derived seed. Output order follows
 /// `specs`; entries are `None` for modules with no vulnerable row in
 /// the scanned range.
@@ -192,8 +130,7 @@ pub fn foundational_campaign(
     cfg: &FoundationalConfig,
     opts: &RunOptions<'_>,
 ) -> Result<Vec<Option<FoundationalResult>>, CheckpointError> {
-    let search = opts.exec().search;
-    let eval = opts.exec().eval;
+    let ExecConfig { search, eval, .. } = opts.exec;
     run_campaign_phases(opts, FOUNDATIONAL, |opts| {
         run_units(opts, FOUNDATIONAL, "measure", foundational_units(specs), |ctx, spec| {
             foundational_unit(spec, cfg, search, eval, &ctx)
@@ -213,16 +150,13 @@ pub(crate) fn run_campaign_phases<T>(
     body: impl FnOnce(&RunOptions<'_>) -> Result<T, CheckpointError>,
 ) -> Result<T, CheckpointError> {
     let own_progress = Progress::new();
-    let opts = match opts.has_progress() {
-        true => *opts,
-        false => opts.progress(&own_progress),
-    };
-    let observer = opts.observer_ref();
-    observer.on_event(&Event::CampaignStarted { campaign: campaign.to_owned() });
+    let progress = opts.progress.unwrap_or(&own_progress);
+    let opts = opts.progress(progress);
+    opts.observer.on_event(&Event::CampaignStarted { campaign: campaign.to_owned() });
     let started = Instant::now();
     let result = body(&opts)?;
-    let snap = opts.progress_ref().expect("progress installed above").snapshot();
-    observer.on_event(&Event::CampaignFinished {
+    let snap = progress.snapshot();
+    opts.observer.on_event(&Event::CampaignFinished {
         campaign: campaign.to_owned(),
         summary: CampaignSummary {
             units_total: snap.units_total,
@@ -282,13 +216,9 @@ fn foundational_unit(
     })
 }
 
-/// Configuration of the §5 in-depth campaign.
-///
-/// `#[non_exhaustive]`: construct via [`InDepthConfig::default`],
-/// [`InDepthConfig::quick`], or [`InDepthConfig::builder`], so future
-/// fields are not breaking changes.
+/// Configuration of the §5 in-depth campaign; the [`Default`] is the
+/// paper's scale and [`InDepthConfig::quick`] a reduced one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
 pub struct InDepthConfig {
     /// RDT measurements per row per condition (paper: 1,000).
     pub measurements: u32,
@@ -329,66 +259,6 @@ impl InDepthConfig {
             seed: 5025,
             row_bytes: 512,
         }
-    }
-
-    /// A builder seeded with the paper defaults.
-    pub fn builder() -> InDepthConfigBuilder {
-        InDepthConfigBuilder { cfg: InDepthConfig::default() }
-    }
-
-    /// A builder seeded with this configuration's values.
-    pub fn to_builder(&self) -> InDepthConfigBuilder {
-        InDepthConfigBuilder { cfg: self.clone() }
-    }
-}
-
-/// Builder for [`InDepthConfig`]; obtained from
-/// [`InDepthConfig::builder`] or [`InDepthConfig::to_builder`].
-#[derive(Debug, Clone)]
-pub struct InDepthConfigBuilder {
-    cfg: InDepthConfig,
-}
-
-impl InDepthConfigBuilder {
-    /// Sets the RDT measurements per row per condition.
-    pub fn measurements(mut self, measurements: u32) -> Self {
-        self.cfg.measurements = measurements;
-        self
-    }
-
-    /// Sets the rows scanned per segment.
-    pub fn segment_rows(mut self, segment_rows: u32) -> Self {
-        self.cfg.segment_rows = segment_rows;
-        self
-    }
-
-    /// Sets the rows selected per segment.
-    pub fn picks_per_segment(mut self, picks_per_segment: usize) -> Self {
-        self.cfg.picks_per_segment = picks_per_segment;
-        self
-    }
-
-    /// Sets the test-condition grid.
-    pub fn conditions(mut self, conditions: Vec<TestConditions>) -> Self {
-        self.cfg.conditions = conditions;
-        self
-    }
-
-    /// Sets the device seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the device-model row size in bytes.
-    pub fn row_bytes(mut self, row_bytes: u32) -> Self {
-        self.cfg.row_bytes = row_bytes;
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> InDepthConfig {
-        self.cfg
     }
 }
 
@@ -480,9 +350,8 @@ pub fn select_rows(
 /// 2. **Measurement** — every (module × row × condition) cell is one
 ///    unit: a fresh platform reseeded from the cell's derived seed
 ///    re-guesses the RDT under the cell's conditions and runs the
-///    `test_loop` sweep. All cells across all modules share one
-///    work-stealing pool, so a module with few vulnerable rows does not
-///    idle its threads.
+///    `test_loop` sweep. All cells across all modules share one pool,
+///    so a module with few vulnerable rows does not idle its threads.
 ///
 /// Output order follows `specs`; within a module, rows follow selection
 /// order and conditions follow `cfg.conditions` order, independent of
@@ -508,8 +377,7 @@ pub fn in_depth_campaign(
     cfg: &InDepthConfig,
     opts: &RunOptions<'_>,
 ) -> Result<Vec<InDepthResult>, CheckpointError> {
-    let search = opts.exec().search;
-    let eval = opts.exec().eval;
+    let ExecConfig { search, eval, .. } = opts.exec;
     run_campaign_phases(opts, IN_DEPTH, |opts| {
         // Phase 1: per-module row selection.
         let selections: Vec<Vec<(u32, u32)>> =
@@ -647,7 +515,6 @@ fn measure_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ExecConfig;
 
     fn quick_foundational() -> FoundationalConfig {
         FoundationalConfig {

@@ -46,13 +46,10 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize, Value};
 
-use crate::exec::{self, ExecReport, Progress, Unit, UnitCtx, UnitKey, UnitOutcome};
-use crate::obs::Event;
-use crate::run::RunOptions;
+use crate::exec::UnitKey;
 
 /// Version tag of the journal/manifest format; bump on incompatible
 /// layout changes so old checkpoints are rejected instead of misread.
@@ -205,23 +202,17 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Hooks around unit execution. The checkpointed executor calls these
-/// at well-defined points; the cfg-gated `exec::faults::FaultPlan` uses
-/// them to inject deterministic failures, and they default to no-ops so
+/// Hooks around unit execution. [`crate::run::run_units`] calls these
+/// at well-defined points; [`crate::exec::faults::FaultPlan`] uses them
+/// to inject deterministic failures, and they default to no-ops so
 /// production campaigns pay nothing.
 pub trait UnitHooks: Sync {
     /// Called before a unit's work closure runs (on the worker thread).
     fn before_unit(&self, _key: &UnitKey) {}
 
-    /// Called after a unit's record has been appended **and flushed** to
-    /// the journal — the unit is durable once this fires.
+    /// Called after a record has been appended **and flushed** to the
+    /// journal — the unit (or mid-unit stash) is durable once this fires.
     fn after_commit(&self, _key: &UnitKey) {}
-
-    /// A cooperative cancellation flag checked by the executor before
-    /// popping each unit.
-    fn cancel_flag(&self) -> Option<&std::sync::atomic::AtomicBool> {
-        None
-    }
 }
 
 /// An open checkpoint: the verified manifest, the set of units already
@@ -317,8 +308,15 @@ impl Checkpoint {
         self.dir.join(JOURNAL_FILE)
     }
 
-    /// The journaled result for `key`, decoded as `T`, if present.
-    fn cached<T: Deserialize>(&self, key: &UnitKey) -> Result<Option<T>, CheckpointError> {
+    /// The most recent journaled record under `key`, decoded as `T`, if
+    /// present. Records under one key supersede each other (the journal
+    /// replays front to back, last record wins), which is what lets the
+    /// discovery campaign stash a row's mid-unit state repeatedly under
+    /// a sentinel key.
+    pub(crate) fn cached<T: Deserialize>(
+        &self,
+        key: &UnitKey,
+    ) -> Result<Option<T>, CheckpointError> {
         let Some(json) = self.completed.get(key) else { return Ok(None) };
         match serde_json::from_str::<T>(json) {
             Ok(v) => Ok(Some(v)),
@@ -326,37 +324,8 @@ impl Checkpoint {
         }
     }
 
-    /// Journals an auxiliary record under `key` and flushes it — the
-    /// mid-unit counterpart of the executor's per-unit commit, used by
-    /// the discovery campaign to persist a row's sequential state every
-    /// few epochs. Repeated stashes under one key supersede each other
-    /// (the journal replays front to back, last record wins), and a torn
-    /// stash at the crash point simply falls back to the previous one.
-    ///
-    /// Use a key that can never collide with a real unit (e.g. a
-    /// sentinel condition index): a stash record under a unit's own key
-    /// would be restored as that unit's final result.
-    ///
-    /// # Errors
-    ///
-    /// The underlying I/O error when the append or flush fails.
-    pub fn stash<T: Serialize>(&self, key: &UnitKey, value: &T) -> std::io::Result<()> {
-        self.append(key, value)
-    }
-
-    /// The most recent [`Checkpoint::stash`] record under `key` from any
-    /// previous run, decoded as `T`.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Decode`] when the journaled record no longer
-    /// decodes as `T`.
-    pub fn stashed<T: Deserialize>(&self, key: &UnitKey) -> Result<Option<T>, CheckpointError> {
-        self.cached(key)
-    }
-
-    /// Appends one finished unit and flushes, making it durable.
-    fn append<T: Serialize>(&self, key: &UnitKey, value: &T) -> std::io::Result<()> {
+    /// Appends one record and flushes, making it durable.
+    pub(crate) fn append<T: Serialize>(&self, key: &UnitKey, value: &T) -> std::io::Result<()> {
         let body = format!(
             "{{\"key\":{},\"value\":{}}}",
             serde_json::to_string(key).expect("key serializes"),
@@ -436,102 +405,4 @@ fn parse_record(line: &[u8]) -> Result<(UnitKey, String), String> {
     let value = record.get("value").ok_or_else(|| "record has no `value`".to_owned())?;
     let value_json = serde_json::to_string(value).expect("value re-serializes");
     Ok((key, value_json))
-}
-
-/// Runs `units` through `f` under `opts` (executor, observer, hooks,
-/// cancellation), backed by `checkpoint`: units already in the journal
-/// are restored without running (counted as done in `progress`, each
-/// emitting [`Event::UnitRestored`]), and every freshly finished unit is
-/// appended and flushed before the run moves on, emitting
-/// [`Event::CheckpointCommitted`] with the measured commit latency.
-/// [`crate::run::run_units`] is the public entry point.
-///
-/// # Errors
-///
-/// - [`CheckpointError::Decode`] when a journaled record does not decode
-///   as `T` (checkpoint written by an incompatible build).
-/// - [`CheckpointError::Interrupted`] when cancellation skipped units.
-///
-/// # Panics
-///
-/// Panics when the journal append itself fails (disk full / I/O error):
-/// continuing would silently lose crash safety.
-pub(crate) fn execute_checkpointed_run<I, T, F>(
-    opts: &RunOptions<'_>,
-    checkpoint: &Checkpoint,
-    units: Vec<Unit<I>>,
-    progress: &Progress,
-    f: F,
-) -> Result<ExecReport<T>, CheckpointError>
-where
-    I: Send + Sync,
-    T: Serialize + Deserialize + Send,
-    F: Fn(UnitCtx<'_>, &I) -> T + Sync,
-{
-    let observer = opts.observer_ref();
-    let hooks = opts.hooks_ref();
-    let total = units.len();
-    let mut slots: Vec<Option<UnitOutcome<T>>> = Vec::new();
-    slots.resize_with(total, || None);
-
-    // Partition into journaled (restored) and pending (run live) units.
-    let mut pending: Vec<Unit<I>> = Vec::new();
-    let mut pending_slots: Vec<usize> = Vec::new();
-    for (i, unit) in units.into_iter().enumerate() {
-        match checkpoint.cached::<T>(&unit.key)? {
-            Some(value) => {
-                observer.on_event(&Event::UnitRestored { key: unit.key.clone() });
-                slots[i] = Some(UnitOutcome::Completed(value));
-            }
-            None => {
-                pending_slots.push(i);
-                pending.push(unit);
-            }
-        }
-    }
-    progress.restore(total - pending.len());
-
-    let cancel = opts.effective_cancel();
-    let report =
-        exec::execute_run(opts.exec(), pending, progress, cancel, observer, |ctx, payload| {
-            let key = ctx.key;
-            if let Some(h) = hooks {
-                h.before_unit(key);
-            }
-            let value = f(ctx, payload);
-            if ctx.was_interrupted() {
-                // The closure yielded mid-unit to cancellation: its value is
-                // partial, so it must not be journaled — the executor reports
-                // the unit as skipped and a resume reruns it (from whatever
-                // the closure stashed).
-                return value;
-            }
-            let commit_started = Instant::now();
-            if let Err(e) = checkpoint.append(key, &value) {
-                panic!("checkpoint journal append failed: {e}");
-            }
-            observer.on_event(&Event::CheckpointCommitted {
-                key: key.clone(),
-                latency_ns: commit_started.elapsed().as_nanos() as u64,
-            });
-            if let Some(h) = hooks {
-                h.after_commit(key);
-            }
-            value
-        });
-
-    let mut skipped = 0usize;
-    for (slot, outcome) in pending_slots.into_iter().zip(report.outcomes) {
-        if outcome.is_skipped() {
-            skipped += 1;
-        }
-        slots[slot] = Some(outcome);
-    }
-    if skipped > 0 {
-        return Err(CheckpointError::Interrupted { completed: total - skipped, total });
-    }
-    Ok(ExecReport {
-        outcomes: slots.into_iter().map(|s| s.expect("every slot filled")).collect(),
-        progress: progress.snapshot(),
-    })
 }

@@ -26,10 +26,13 @@
 //! guardband below the observed minimum, mirroring how a deployed
 //! mitigation would derate the discovered threshold.
 //!
-//! Mid-row checkpointing: with a [`Checkpoint`] configured, every
+//! Mid-row checkpointing: with a
+//! [`Checkpoint`](crate::checkpoint::Checkpoint) configured, every
 //! [`DiscoveryConfig::stash_every`] epochs the row's observation stream
-//! so far is stashed under a sentinel key ([`DISCOVERY_STATE_CONDITION`])
-//! via [`Checkpoint::stash`]. A resumed run replays the stash by
+//! so far is journaled under a sentinel key
+//! ([`DISCOVERY_STATE_CONDITION`]); later stashes of a row supersede
+//! earlier ones, and a torn stash at the crash point falls back to the
+//! previous one. A resumed run replays the stash by
 //! fast-forwarding the platform's epoch counter — measured values are
 //! pure functions of `(unit seed, epoch)`, so the continuation is
 //! byte-identical to an uninterrupted run.
@@ -48,8 +51,8 @@ use crate::algorithm::{
     measure_rdt_once_using, EvalStrategy, SearchStrategy, SweepSpec, FIND_VICTIM_CUTOFF,
 };
 use crate::campaign::{run_campaign_phases, select_unit_with};
-use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::exec::{Unit, UnitCtx, UnitKey};
+use crate::checkpoint::CheckpointError;
+use crate::exec::{ExecConfig, Unit, UnitCtx, UnitKey};
 use crate::obs::Event;
 use crate::run::{run_units, RunOptions};
 use crate::series::RdtSeries;
@@ -64,13 +67,10 @@ pub const DISCOVERY: &str = "discovery";
 /// a shared journal.
 pub const DISCOVERY_STATE_CONDITION: u32 = u32::MAX - 1;
 
-/// Configuration of the discovery campaign.
-///
-/// `#[non_exhaustive]`: construct via [`DiscoveryConfig::default`],
-/// [`DiscoveryConfig::quick`], or [`DiscoveryConfig::builder`], so
-/// future fields are not breaking changes.
+/// Configuration of the discovery campaign; [`DiscoveryConfig::quick`]
+/// is a reduced scale. [`discovery_campaign`] checks the stopping-rule
+/// parameters and the guardband before it runs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
 pub struct DiscoveryConfig {
     /// Confidence target of the stopping rule (in `(0, 1)`).
     pub confidence: f64,
@@ -131,16 +131,6 @@ impl DiscoveryConfig {
         }
     }
 
-    /// A builder seeded with the defaults.
-    pub fn builder() -> DiscoveryConfigBuilder {
-        DiscoveryConfigBuilder { cfg: DiscoveryConfig::default() }
-    }
-
-    /// A builder seeded with this configuration's values.
-    pub fn to_builder(&self) -> DiscoveryConfigBuilder {
-        DiscoveryConfigBuilder { cfg: self.clone() }
-    }
-
     /// The stopping rule this configuration describes.
     ///
     /// # Errors
@@ -149,97 +139,6 @@ impl DiscoveryConfig {
     /// or epoch bounds are out of range (see [`StoppingRule::new`]).
     pub fn stopping_rule(&self) -> Result<StoppingRule, StatsError> {
         StoppingRule::new(self.confidence, self.epsilon, self.min_epochs, self.max_epochs)
-    }
-}
-
-/// Builder for [`DiscoveryConfig`]; obtained from
-/// [`DiscoveryConfig::builder`] or [`DiscoveryConfig::to_builder`].
-#[derive(Debug, Clone)]
-pub struct DiscoveryConfigBuilder {
-    cfg: DiscoveryConfig,
-}
-
-impl DiscoveryConfigBuilder {
-    /// Sets the confidence target.
-    pub fn confidence(mut self, confidence: f64) -> Self {
-        self.cfg.confidence = confidence;
-        self
-    }
-
-    /// Sets the tolerated per-epoch undercut probability.
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.cfg.epsilon = epsilon;
-        self
-    }
-
-    /// Sets the epoch floor.
-    pub fn min_epochs(mut self, min_epochs: u32) -> Self {
-        self.cfg.min_epochs = min_epochs;
-        self
-    }
-
-    /// Sets the epoch ceiling.
-    pub fn max_epochs(mut self, max_epochs: u32) -> Self {
-        self.cfg.max_epochs = max_epochs;
-        self
-    }
-
-    /// Sets the reporting guardband.
-    pub fn guardband(mut self, guardband: f64) -> Self {
-        self.cfg.guardband = guardband;
-        self
-    }
-
-    /// Sets the mid-row stash cadence (0 disables stashing).
-    pub fn stash_every(mut self, stash_every: u32) -> Self {
-        self.cfg.stash_every = stash_every;
-        self
-    }
-
-    /// Sets the rows scanned per segment.
-    pub fn segment_rows(mut self, segment_rows: u32) -> Self {
-        self.cfg.segment_rows = segment_rows;
-        self
-    }
-
-    /// Sets the rows selected per segment.
-    pub fn picks_per_segment(mut self, picks_per_segment: usize) -> Self {
-        self.cfg.picks_per_segment = picks_per_segment;
-        self
-    }
-
-    /// Sets the test conditions.
-    pub fn conditions(mut self, conditions: TestConditions) -> Self {
-        self.cfg.conditions = conditions;
-        self
-    }
-
-    /// Sets the device seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the device-model row size in bytes.
-    pub fn row_bytes(mut self, row_bytes: u32) -> Self {
-        self.cfg.row_bytes = row_bytes;
-        self
-    }
-
-    /// Finalizes the configuration.
-    ///
-    /// # Panics
-    ///
-    /// When the stopping-rule parameters are invalid (confidence or
-    /// epsilon outside `(0, 1)`, `min_epochs == 0`,
-    /// `max_epochs < min_epochs`) or the guardband is outside `[0, 1)`.
-    pub fn build(self) -> DiscoveryConfig {
-        self.cfg.stopping_rule().expect("discovery stopping-rule parameters must be valid");
-        assert!(
-            self.cfg.guardband >= 0.0 && self.cfg.guardband < 1.0,
-            "guardband must be in [0, 1)"
-        );
-        self.cfg
     }
 }
 
@@ -322,16 +221,17 @@ pub struct DiscoveryResult {
 ///
 /// # Panics
 ///
-/// When `cfg` describes an invalid stopping rule (impossible for
-/// configurations produced by the builder, which validates).
+/// When the stopping-rule parameters are invalid (confidence or epsilon
+/// outside `(0, 1)`, `min_epochs == 0`, `max_epochs < min_epochs`) or
+/// the guardband is outside `[0, 1)`.
 pub fn discovery_campaign(
     specs: &[ModuleSpec],
     cfg: &DiscoveryConfig,
     opts: &RunOptions<'_>,
 ) -> Result<Vec<DiscoveryResult>, CheckpointError> {
-    let search = opts.exec().search;
-    let eval = opts.exec().eval;
+    let ExecConfig { search, eval, .. } = opts.exec;
     let rule = cfg.stopping_rule().expect("discovery stopping-rule parameters must be valid");
+    assert!((0.0..1.0).contains(&cfg.guardband), "guardband must be in [0, 1)");
     run_campaign_phases(opts, DISCOVERY, |opts| {
         // Phase 1: per-module row selection, exactly as in-depth.
         let selection_units: Vec<Unit<ModuleSpec>> =
@@ -363,7 +263,6 @@ pub fn discovery_campaign(
 
 /// Runs the discovery campaign against one module, serially.
 pub fn run_discovery(spec: &ModuleSpec, cfg: &DiscoveryConfig) -> DiscoveryResult {
-    use crate::exec::ExecConfig;
     discovery_campaign(
         std::slice::from_ref(spec),
         cfg,
@@ -408,28 +307,6 @@ fn merge_discovery(
         .collect()
 }
 
-/// Stashes a row's observation stream and fires the commit plumbing —
-/// the [`Event::CheckpointCommitted`] event and the
-/// [`crate::checkpoint::UnitHooks::after_commit`] hook — so observers
-/// and fault plans count stash commits like unit commits.
-fn stash_row_state(
-    ckpt: &Checkpoint,
-    opts: &RunOptions<'_>,
-    key: &UnitKey,
-    observations: &[Option<u32>],
-) {
-    let state = DiscoveryRowState { observations: observations.to_vec() };
-    let commit_started = std::time::Instant::now();
-    ckpt.stash(key, &state).expect("checkpoint stash write failed");
-    opts.observer_ref().on_event(&Event::CheckpointCommitted {
-        key: key.clone(),
-        latency_ns: commit_started.elapsed().as_nanos() as u64,
-    });
-    if let Some(hooks) = opts.hooks_ref() {
-        hooks.after_commit(key);
-    }
-}
-
 /// One discovery unit: bound one row's reliable RDT with the sequential
 /// stopping rule. Returns `None` when the row never flips within range
 /// (no guess) or every epoch before stopping was censored — and also,
@@ -454,12 +331,12 @@ fn discover_row(
     let guess = guess_rdt(&mut platform, 0, row, &cfg.conditions, FIND_VICTIM_CUTOFF * 8)?;
     let sweep = SweepSpec::from_guess(guess);
 
-    let ckpt = opts.checkpoint_ref();
+    let ckpt = opts.checkpoint;
     let stash_key = UnitKey::cell(&spec.name, row, DISCOVERY_STATE_CONDITION);
     let mut observations: Vec<Option<u32>> = Vec::new();
     let mut state = SequentialMin::new();
     if let Some(ckpt) = ckpt {
-        match ckpt.stashed::<DiscoveryRowState>(&stash_key) {
+        match ckpt.cached::<DiscoveryRowState>(&stash_key) {
             Ok(Some(stash)) => {
                 // Fast-forward: each measured value is a pure function
                 // of (dynamics seed, epoch), so replaying an already
@@ -475,12 +352,18 @@ fn discover_row(
         }
     }
 
+    // Stashes go through the same commit as a finished unit, so
+    // observers and fault plans count them alike.
+    let commit_stash = |ckpt, observations: &[Option<u32>]| {
+        let state = DiscoveryRowState { observations: observations.to_vec() };
+        opts.commit(ckpt, &stash_key, &state);
+    };
     let mut stashed_len = observations.len();
     while !rule.should_stop(&state) {
         if ctx.is_cancelled() {
             if let Some(ckpt) = ckpt {
                 if observations.len() > stashed_len {
-                    stash_row_state(ckpt, opts, &stash_key, &observations);
+                    commit_stash(ckpt, &observations);
                 }
             }
             ctx.interrupt();
@@ -497,7 +380,7 @@ fn discover_row(
                 && (observations.len() - stashed_len) >= cfg.stash_every as usize
                 && !rule.should_stop(&state)
             {
-                stash_row_state(ckpt, opts, &stash_key, &observations);
+                commit_stash(ckpt, &observations);
                 stashed_len = observations.len();
             }
         }
@@ -526,7 +409,7 @@ fn discover_row(
     };
     let chi_square_p = chi_square_gof_normal(&sample, None).ok().map(|r| r.p_value);
 
-    opts.observer_ref().on_event(&Event::DiscoveryStopped {
+    opts.observer.on_event(&Event::DiscoveryStopped {
         key: ctx.key.clone(),
         epochs_used,
         bound,
@@ -551,7 +434,6 @@ fn discover_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ExecConfig;
     use crate::obs::MemorySink;
 
     #[test]
@@ -628,12 +510,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "stopping-rule")]
     fn builder_rejects_invalid_confidence() {
-        DiscoveryConfig::builder().confidence(1.5).build();
+        let spec = ModuleSpec::by_name("M1").unwrap();
+        run_discovery(&spec, &DiscoveryConfig { confidence: 1.5, ..DiscoveryConfig::quick() });
     }
 
     #[test]
     #[should_panic(expected = "guardband")]
     fn builder_rejects_invalid_guardband() {
-        DiscoveryConfig::builder().guardband(1.0).build();
+        let spec = ModuleSpec::by_name("M1").unwrap();
+        run_discovery(&spec, &DiscoveryConfig { guardband: 1.0, ..DiscoveryConfig::quick() });
     }
 }

@@ -17,48 +17,43 @@
 //!    its platform's dynamics RNG with it, so no unit observes RNG state
 //!    left behind by another.
 //! 3. Results are collected over a channel tagged with the unit's input
-//!    index and emitted in input order, so the output sequence is stable
-//!    no matter which worker finished first.
+//!    index and stored in that index's slot, so the output sequence is
+//!    stable no matter which worker finished first.
 //!
-//! Scheduling is work-stealing: each worker owns a queue (striped
-//! round-robin at submission), pops locally, and steals half of the
-//! largest other queue when it runs dry. A panicking unit is caught,
-//! reported as [`UnitOutcome::Panicked`], and never blocks the pool.
+//! Since no output depends on which worker runs a unit, scheduling is
+//! one shared cursor: each worker claims the next input index with an
+//! atomic `fetch_add` until the list runs out. A panicking unit is
+//! caught, reported as [`UnitOutcome::Panicked`], and never blocks the
+//! pool.
 //!
 //! Shared progress lives in [`Progress`] (atomic counters): units
 //! done, bitflips found, and simulated test time consumed, for CLI
 //! throughput rendering while a campaign runs.
 //!
 //! Workers run in a [`std::thread::scope`] and send outcomes over a
-//! [`std::sync::mpsc`] channel. Every lock ignores poisoning: a unit's
-//! panic is caught before it can unwind through a held guard, and the
-//! queues hold plain indices, so a poisoned lock still guards valid
-//! data and the pool keeps serving.
+//! [`std::sync::mpsc`] channel.
 //!
-//! Runs can be **cancelled** and **observed** through
-//! [`crate::run::RunOptions`]: [`crate::run::run_units`] is the
-//! campaign-facing entry point, layering checkpointing
-//! ([`crate::checkpoint`]), unit hooks, a cancellation flag, and an
-//! [`Observer`] over this pool. [`execute`] is the plain pool, for work
-//! whose results need not serialize. A cancellation flag is checked
-//! before each unit is popped; units never started report
-//! [`UnitOutcome::Skipped`], and in-flight units finish normally unless
-//! they poll [`UnitCtx::is_cancelled`] themselves and yield via
-//! [`UnitCtx::interrupt`] (long per-unit loops, like the discovery
-//! campaign's epoch loop, do — an interrupted unit also reports
-//! `Skipped` and reruns on resume). The cfg-gated [`faults`] module
-//! turns the flag into a deterministic kill switch for testing.
-//! Observation emits [`crate::obs::Event::UnitStarted`] /
-//! `UnitFinished` (with per-unit wall time, simulated test time/energy,
-//! and bitflips), feeding JSONL traces and `metrics.json`; it is purely
-//! additive — it never touches seeds, scheduling, or outputs.
+//! [`crate::run::run_units`] is the campaign-facing entry point: it
+//! layers checkpointing ([`crate::checkpoint`]), unit hooks, a
+//! cancellation flag, and an [`Observer`] over this pool. [`execute`] is
+//! the plain pool, for work whose results need not serialize. The
+//! cancellation flag is checked before each unit is claimed; units never
+//! started report [`UnitOutcome::Skipped`], and in-flight units finish
+//! normally unless they poll [`UnitCtx::is_cancelled`] themselves and
+//! yield via [`UnitCtx::interrupt`] (long per-unit loops, like the
+//! discovery campaign's epoch loop, do — an interrupted unit also
+//! reports `Skipped` and reruns on resume). The [`faults`] module drives
+//! the flag and the hooks deterministically, for crash/resume testing
+//! and the CLI's simulated crash. Observation emits
+//! [`crate::obs::Event::UnitStarted`] / `UnitFinished` (with per-unit
+//! wall time, simulated test time/energy, and bitflips), feeding JSONL
+//! traces and `metrics.json`; it is purely additive — it never touches
+//! seeds, scheduling, or outputs.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -66,7 +61,6 @@ use serde::{Deserialize, Serialize};
 use crate::algorithm::{EvalStrategy, SearchStrategy};
 use crate::obs::{Event, NullObserver, Observer, OutcomeKind};
 
-#[cfg(feature = "fault-injection")]
 pub mod faults;
 
 /// Executor configuration: worker-thread count and the campaign seed all
@@ -416,8 +410,8 @@ impl UnitCtx<'_> {
 
     /// Marks this unit as interrupted: its return value is partial and
     /// must be discarded, not committed. The executor reports the unit
-    /// as [`UnitOutcome::Skipped`] (so a resume reruns it) and the
-    /// checkpointed path skips the journal append.
+    /// as [`UnitOutcome::Skipped`] (so a resume reruns it) and
+    /// [`crate::run::run_units`] skips the journal append.
     pub fn interrupt(&self) {
         self.tally.interrupted.set(true);
     }
@@ -488,7 +482,7 @@ impl<T> ExecReport<T> {
     }
 }
 
-/// Runs every unit through `f` on a work-stealing pool and returns the
+/// Runs every unit through `f` on the thread pool and returns the
 /// outcomes in input order. See the [module docs](self) for the
 /// determinism contract.
 pub fn execute<I, T, F>(cfg: &ExecConfig, units: Vec<Unit<I>>, f: F) -> ExecReport<T>
@@ -502,7 +496,7 @@ where
 
 /// The fully general pool behind [`execute`] and
 /// [`crate::run::run_units`]: reports into caller-owned `progress`, stops
-/// popping units once `cancel` flips (never-started units come back as
+/// claiming units once `cancel` flips (never-started units come back as
 /// [`UnitOutcome::Skipped`]), and emits [`Event::UnitStarted`] and
 /// [`Event::UnitFinished`] (with the unit's wall time and its own
 /// bitflip / simulated-time / simulated-energy deltas) into `observer`.
@@ -527,29 +521,23 @@ where
         return ExecReport { outcomes: Vec::new(), progress: progress.snapshot() };
     }
     let threads = cfg.effective_threads(units.len());
-
-    // Striped initial assignment: unit i starts on queue i mod threads,
-    // so every worker begins with a share of early (often larger) units.
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    for i in 0..units.len() {
-        queues[i % threads].lock().unwrap_or_else(PoisonError::into_inner).push_back(i);
-    }
-
+    // The next input index to claim; an index past the end means the
+    // list is drained.
+    let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, UnitOutcome<T>)>();
     let units = &units;
-    let queues = &queues;
+    let cursor = &cursor;
     let f = &f;
 
     let mut slots: Vec<Option<UnitOutcome<T>>> = Vec::new();
     slots.resize_with(units.len(), || None);
     std::thread::scope(|scope| {
-        for worker in 0..threads {
+        for _ in 0..threads {
             let tx = tx.clone();
             scope.spawn(move || {
                 while !cancel.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
-                    let Some(index) = next_unit(worker, queues) else { break };
-                    let unit = &units[index];
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(unit) = units.get(index) else { break };
                     observer.on_event(&Event::UnitStarted { key: unit.key.clone() });
                     let tally = UnitTally::default();
                     let started = Instant::now();
@@ -602,37 +590,11 @@ where
     });
 
     ExecReport {
-        // A slot left empty means its unit was never popped before
+        // A slot left empty means its unit was never claimed before
         // cancellation; without a cancel flag every slot is filled.
         outcomes: slots.into_iter().map(|s| s.unwrap_or(UnitOutcome::Skipped)).collect(),
         progress: progress.snapshot(),
     }
-}
-
-/// Pops the worker's next unit: its own queue first, then a steal of
-/// half the largest other queue. Returns `None` when no queue holds
-/// work (the pool is draining; remaining in-flight units are owned by
-/// other workers).
-fn next_unit(worker: usize, queues: &[Mutex<VecDeque<usize>>]) -> Option<usize> {
-    if let Some(index) = queues[worker].lock().unwrap_or_else(PoisonError::into_inner).pop_front() {
-        return Some(index);
-    }
-    // Pick the victim with the most queued work, then steal the back
-    // half of its queue (the owner keeps draining the front).
-    let victim = (0..queues.len())
-        .filter(|&q| q != worker)
-        .max_by_key(|&q| queues[q].lock().unwrap_or_else(PoisonError::into_inner).len())?;
-    let stolen: VecDeque<usize> = {
-        let mut victim_queue = queues[victim].lock().unwrap_or_else(PoisonError::into_inner);
-        let keep = victim_queue.len().div_ceil(2);
-        victim_queue.split_off(keep)
-    };
-    if stolen.is_empty() {
-        return None;
-    }
-    let mut own = queues[worker].lock().unwrap_or_else(PoisonError::into_inner);
-    *own = stolen;
-    own.pop_front()
 }
 
 /// Renders a caught panic payload.

@@ -1,11 +1,13 @@
-//! Deterministic fault injection for the checkpoint/resume machinery
-//! (cfg-gated behind the `fault-injection` feature; test builds only).
+//! Deterministic fault injection for the checkpoint/resume machinery:
+//! the crash/resume test suites and the CLI's `--fail-after-units`
+//! simulated crash.
 //!
 //! A [`FaultPlan`] implements [`UnitHooks`] and can:
 //!
 //! - **kill** a run at the Nth unit-commit boundary — cooperatively
-//!   (in-process, via the executor's cancel flag) or hard (simulated
-//!   crash via `process::exit`, for CLI-level testing with
+//!   (in-process: pass [`FaultPlan::kill_flag`] to
+//!   [`RunOptions::cancel`](crate::run::RunOptions::cancel)) or hard
+//!   (simulated crash via `process::exit`, for CLI-level testing with
 //!   `--fail-after-units`);
 //! - **panic** specific units by key, exercising the journal's
 //!   "panicked units are never journaled" property;
@@ -66,7 +68,8 @@ impl FaultPlan {
     /// Cancels the run cooperatively once `units` have committed:
     /// in-flight units finish and commit, never-started units come back
     /// as skipped, and the campaign reports
-    /// `CheckpointError::Interrupted`.
+    /// `CheckpointError::Interrupted`. The run must be given the plan's
+    /// [`FaultPlan::kill_flag`] as its cancellation flag.
     pub fn kill_after(units: u64) -> Self {
         FaultPlan { kill_after_units: Some(units), ..FaultPlan::default() }
     }
@@ -103,6 +106,13 @@ impl FaultPlan {
     pub fn fired(&self) -> bool {
         self.cancel.load(Ordering::SeqCst)
     }
+
+    /// The flag the kill fault sets: install it with
+    /// [`RunOptions::cancel`](crate::run::RunOptions::cancel) so a
+    /// [`FaultPlan::kill_after`] plan stops the run.
+    pub fn kill_flag(&self) -> &AtomicBool {
+        &self.cancel
+    }
 }
 
 impl UnitHooks for FaultPlan {
@@ -130,10 +140,6 @@ impl UnitHooks for FaultPlan {
                 self.cancel.store(true, Ordering::SeqCst);
             }
         }
-    }
-
-    fn cancel_flag(&self) -> Option<&AtomicBool> {
-        Some(&self.cancel)
     }
 }
 

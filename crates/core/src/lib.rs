@@ -23,9 +23,9 @@
 //! - [`discovery`] — the DiscoRD-style early-stopping campaign: bound
 //!   each row's reliable RDT with a sequential quiet-streak stopping
 //!   rule instead of a fixed measurement budget.
-//! - [`exec`] — the deterministic work-stealing executor that shards
-//!   campaign work units across threads with per-unit derived seeds, so
-//!   parallel campaigns are bit-identical to serial ones.
+//! - [`exec`] — the deterministic executor that shards campaign work
+//!   units across threads with per-unit derived seeds, so parallel
+//!   campaigns are bit-identical to serial ones.
 //! - [`checkpoint`] — crash-safe campaign persistence: an append-only,
 //!   checksummed journal of finished units plus a manifest binding it to
 //!   one campaign config/seed/shard, so a killed campaign resumes to
@@ -34,10 +34,11 @@
 //!   (unit/phase/checkpoint lifecycle with wall time, simulated test
 //!   time/energy, and bitflips) flowing to pluggable sinks — JSONL
 //!   traces, metrics aggregation, in-memory capture.
-//! - [`run`] — the unified campaign-run surface: [`run::RunOptions`]
-//!   bundles executor config, observer, checkpoint, and cancellation,
-//!   so observed/checkpointed are configurations of one entry point
-//!   instead of separate functions.
+//! - [`run`] — the campaign-run surface: [`run::RunOptions`] bundles
+//!   executor config, observer, checkpoint, hooks, and cancellation, so
+//!   observed/checkpointed are configurations of one entry point, and
+//!   [`run::run_units`] is the one body every campaign phase runs
+//!   through.
 //! - [`scheduler`] — deterministic fair-share scheduling for
 //!   multi-tenant campaign services: stride scheduling across tenants
 //!   with a replayable op log, so dispatch order is a pure function of

@@ -1,12 +1,14 @@
-//! The unified campaign-run surface.
+//! The campaign-run surface: one [`RunOptions`] value and one
+//! [`run_units`] body under every campaign.
 //!
-//! PRs 1–3 grew each campaign into a `run_X_campaign` / `_observed` /
-//! `_checkpointed` triad — a combinatorial API that every new capability
-//! (cancellation, tracing, metrics) would double again. [`RunOptions`]
-//! collapses the axes into one value: *observed* and *checkpointed* are
-//! configurations, not separate functions. The campaign entry points in
-//! [`crate::campaign`] take `&RunOptions` and behave like whichever
-//! member of the old triad the options describe.
+//! [`RunOptions`] bundles everything configurable about a run — the
+//! executor, an event observer, shared progress counters, a checkpoint,
+//! unit hooks, and a cancellation flag — so *observed*, *checkpointed*
+//! and *cancellable* are configurations of each campaign entry point in
+//! [`crate::campaign`] and [`crate::discovery`], not separate functions.
+//! [`run_units`] runs one phase of a campaign under those options: it
+//! restores journaled units, runs the rest on the executor, and commits
+//! each finished unit to the journal when a checkpoint is present.
 //!
 //! ```
 //! use vrd_core::campaign::{foundational_campaign, FoundationalConfig};
@@ -16,8 +18,12 @@
 //! use vrd_dram::spec::ModuleSpec;
 //!
 //! let specs = vec![ModuleSpec::by_name("M1").unwrap()];
-//! let cfg =
-//!     FoundationalConfig::builder().measurements(50).row_bytes(512).scan_rows(3000).build();
+//! let cfg = FoundationalConfig {
+//!     measurements: 50,
+//!     row_bytes: 512,
+//!     scan_rows: 3000,
+//!     ..FoundationalConfig::default()
+//! };
 //! let sink = MemorySink::new();
 //! let opts = RunOptions::new(ExecConfig::serial(7)).observer(&sink);
 //! let results = foundational_campaign(&specs, &cfg, &opts).unwrap();
@@ -26,30 +32,28 @@
 //! ```
 
 use std::sync::atomic::AtomicBool;
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{self, Checkpoint, CheckpointError, UnitHooks};
-use crate::exec::{self, ExecConfig, ExecReport, Progress, Unit, UnitCtx};
+use crate::checkpoint::{Checkpoint, CheckpointError, UnitHooks};
+use crate::exec::{self, ExecConfig, ExecReport, Progress, Unit, UnitCtx, UnitKey, UnitOutcome};
 use crate::obs::{Event, NullObserver, Observer};
 
 /// Everything configurable about one campaign run: the executor, an
 /// event sink, shared progress counters, a checkpoint, unit hooks, and
 /// a cancellation flag. Borrowed pieces default to inert values
-/// ([`NullObserver`], no checkpoint, no cancel), so
-/// `RunOptions::new(exec)` alone reproduces the plain triad member.
-///
-/// `#[non_exhaustive]`: construct with [`RunOptions::new`] and the
-/// chaining setters.
+/// ([`NullObserver`], no checkpoint, no hooks, no cancel), so
+/// `RunOptions::new(exec)` alone is a plain run. Construct with
+/// [`RunOptions::new`] and the chaining setters.
 #[derive(Clone, Copy)]
-#[non_exhaustive]
 pub struct RunOptions<'a> {
-    exec: ExecConfig,
-    observer: &'a dyn Observer,
-    progress: Option<&'a Progress>,
-    checkpoint: Option<&'a Checkpoint>,
-    hooks: Option<&'a dyn UnitHooks>,
-    cancel: Option<&'a AtomicBool>,
+    pub(crate) exec: ExecConfig,
+    pub(crate) observer: &'a dyn Observer,
+    pub(crate) progress: Option<&'a Progress>,
+    pub(crate) checkpoint: Option<&'a Checkpoint>,
+    pub(crate) hooks: Option<&'a dyn UnitHooks>,
+    pub(crate) cancel: Option<&'a AtomicBool>,
 }
 
 impl std::fmt::Debug for RunOptions<'_> {
@@ -113,60 +117,60 @@ impl<'a> RunOptions<'a> {
         self
     }
 
-    /// The executor configuration.
-    pub fn exec(&self) -> &ExecConfig {
-        &self.exec
-    }
-
-    /// The event sink.
-    pub fn observer_ref(&self) -> &'a dyn Observer {
-        self.observer
-    }
-
-    /// Whether caller-owned progress counters are installed.
-    pub fn has_progress(&self) -> bool {
-        self.progress.is_some()
-    }
-
-    /// The shared progress counters, if any.
-    pub fn progress_ref(&self) -> Option<&'a Progress> {
-        self.progress
-    }
-
-    /// The checkpoint, if any.
-    pub fn checkpoint_ref(&self) -> Option<&'a Checkpoint> {
-        self.checkpoint
-    }
-
-    /// The unit-boundary hooks, if any. Campaign code that commits
-    /// mid-unit state (the discovery campaign's [`Checkpoint::stash`])
-    /// fires [`UnitHooks::after_commit`] through this, so fault plans
-    /// count stash commits like unit commits.
-    pub fn hooks_ref(&self) -> Option<&'a dyn UnitHooks> {
-        self.hooks
-    }
-
-    /// The effective cancellation flag: the explicit one, else the
-    /// hooks' flag.
-    pub fn effective_cancel(&self) -> Option<&'a AtomicBool> {
-        self.cancel.or_else(|| self.hooks.and_then(UnitHooks::cancel_flag))
+    /// Appends `value` under `key` to `checkpoint` and flushes it, then
+    /// emits [`Event::CheckpointCommitted`] with the commit latency and
+    /// fires [`UnitHooks::after_commit`]: the record is durable once the
+    /// hook runs. Unit commits and the discovery campaign's mid-row
+    /// stashes both go through here, so observers and fault plans count
+    /// them alike.
+    ///
+    /// # Panics
+    ///
+    /// When the append itself fails (disk full / I/O error): continuing
+    /// would silently lose crash safety.
+    pub(crate) fn commit<T: Serialize>(&self, checkpoint: &Checkpoint, key: &UnitKey, value: &T) {
+        let started = Instant::now();
+        if let Err(e) = checkpoint.append(key, value) {
+            panic!("checkpoint journal append failed: {e}");
+        }
+        self.observer.on_event(&Event::CheckpointCommitted {
+            key: key.clone(),
+            latency_ns: started.elapsed().as_nanos() as u64,
+        });
+        if let Some(hooks) = self.hooks {
+            hooks.after_commit(key);
+        }
     }
 }
 
-/// Runs one phase of a campaign under `opts`: emits
-/// [`Event::PhaseStarted`], dispatches to the checkpointed or plain
-/// executor, and turns cancellation into
-/// [`CheckpointError::Interrupted`].
+/// Runs one phase of a campaign under `opts` and returns one outcome per
+/// unit, in input order.
 ///
-/// Campaign entry points call this once per phase; the multi-phase
-/// in-depth campaign calls it twice under one set of options, so the
-/// phases share progress counters, the checkpoint journal, and the
-/// event stream.
+/// Emits [`Event::PhaseStarted`]. With a checkpoint, units already in
+/// the journal are restored without running (each emitting
+/// [`Event::UnitRestored`] and counted as done in the progress
+/// counters), and every other unit is appended and flushed to the
+/// journal as it finishes, emitting [`Event::CheckpointCommitted`] and
+/// then firing [`UnitHooks::after_commit`]. A unit that yields to
+/// cancellation mid-run ([`UnitCtx::interrupt`]) is never journaled, so
+/// a resume reruns it. Hooks see [`UnitHooks::before_unit`] before each
+/// unit runs.
+///
+/// Campaign entry points call this once per phase under one set of
+/// options, so the phases of a multi-phase campaign share progress
+/// counters, the checkpoint journal, and the event stream.
 ///
 /// # Errors
 ///
-/// - [`CheckpointError::Interrupted`] when cancellation skipped units.
-/// - Checkpoint open/decode errors when a checkpoint is configured.
+/// - [`CheckpointError::Interrupted`] when cancellation skipped units
+///   (committed units stay in the journal, resumable).
+/// - [`CheckpointError::Decode`] when a journaled record does not decode
+///   as `T` (a checkpoint written by an incompatible build).
+///
+/// # Panics
+///
+/// When a journal append fails (disk full / I/O error): continuing
+/// would silently lose crash safety.
 pub fn run_units<I, T, F>(
     opts: &RunOptions<'_>,
     campaign: &str,
@@ -184,31 +188,62 @@ where
         phase: phase.to_owned(),
         units: units.len(),
     });
-    let own_progress;
-    let progress = match opts.progress {
-        Some(p) => p,
-        None => {
-            own_progress = Progress::new();
-            &own_progress
-        }
-    };
-    if let Some(ckpt) = opts.checkpoint {
-        return checkpoint::execute_checkpointed_run(opts, ckpt, units, progress, f);
-    }
+    let own_progress = Progress::new();
+    let progress = opts.progress.unwrap_or(&own_progress);
+
+    // Restored units fill their slots now; the rest run on the pool and
+    // fill the empty slots in input order.
     let total = units.len();
-    let hooks = opts.hooks;
-    let cancel = opts.effective_cancel();
-    let report = exec::execute_run(&opts.exec, units, progress, cancel, opts.observer, |ctx, p| {
-        if let Some(h) = hooks {
-            h.before_unit(ctx.key);
+    let mut slots: Vec<Option<UnitOutcome<T>>> = Vec::with_capacity(total);
+    let mut pending: Vec<Unit<I>> = Vec::new();
+    for unit in units {
+        let cached = match opts.checkpoint {
+            Some(ckpt) => ckpt.cached::<T>(&unit.key)?,
+            None => None,
+        };
+        match cached {
+            Some(value) => {
+                opts.observer.on_event(&Event::UnitRestored { key: unit.key.clone() });
+                slots.push(Some(UnitOutcome::Completed(value)));
+            }
+            None => {
+                slots.push(None);
+                pending.push(unit);
+            }
         }
-        f(ctx, p)
-    });
-    let skipped = report.outcomes.iter().filter(|o| o.is_skipped()).count();
+    }
+    progress.restore(total - pending.len());
+
+    let report = exec::execute_run(
+        &opts.exec,
+        pending,
+        progress,
+        opts.cancel,
+        opts.observer,
+        |ctx, payload| {
+            if let Some(hooks) = opts.hooks {
+                hooks.before_unit(ctx.key);
+            }
+            let value = f(ctx, payload);
+            // An interrupted unit's value is partial: the executor
+            // reports it skipped, and it must not reach the journal.
+            if let Some(ckpt) = opts.checkpoint.filter(|_| !ctx.was_interrupted()) {
+                opts.commit(ckpt, ctx.key, &value);
+            }
+            value
+        },
+    );
+
+    let mut ran = report.outcomes.into_iter();
+    let outcomes: Vec<UnitOutcome<T>> = slots
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|| ran.next().expect("one outcome per pending unit")))
+        .collect();
+    let skipped = outcomes.iter().filter(|o| o.is_skipped()).count();
     if skipped > 0 {
         return Err(CheckpointError::Interrupted { completed: total - skipped, total });
     }
-    Ok(report)
+    Ok(ExecReport { outcomes, progress: report.progress })
 }
 
 #[cfg(test)]

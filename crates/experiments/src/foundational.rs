@@ -25,11 +25,12 @@ pub struct FoundationalStudy {
 
 /// The foundational campaign configuration at this scale.
 pub fn config(opts: &Options) -> FoundationalConfig {
-    FoundationalConfig::builder()
-        .measurements(opts.foundational_measurements)
-        .seed(opts.seed)
-        .row_bytes(opts.row_bytes)
-        .build()
+    FoundationalConfig {
+        measurements: opts.foundational_measurements,
+        seed: opts.seed,
+        row_bytes: opts.row_bytes,
+        ..FoundationalConfig::default()
+    }
 }
 
 /// Runs the foundational campaign over an explicit spec list under

@@ -25,9 +25,8 @@ pub struct InDepthStudy {
 
 /// Runs the in-depth campaign across the module scope on the
 /// deterministic executor. Every (module × row × condition) cell is one
-/// work unit sharing a single work-stealing pool, so thin modules do
-/// not idle threads — and the output is identical at any `--threads`
-/// value.
+/// work unit sharing a single pool, so thin modules do not idle threads
+/// — and the output is identical at any `--threads` value.
 pub fn run(opts: &Options) -> InDepthStudy {
     let cfg = config(opts);
     let specs = opts.specs();
@@ -38,14 +37,14 @@ pub fn run(opts: &Options) -> InDepthStudy {
 
 /// The in-depth campaign configuration at this scale.
 pub fn config(opts: &Options) -> InDepthConfig {
-    InDepthConfig::builder()
-        .measurements(opts.indepth_measurements)
-        .segment_rows(opts.segment_rows)
-        .picks_per_segment(opts.picks_per_segment)
-        .conditions(opts.condition_grid())
-        .seed(opts.seed)
-        .row_bytes(opts.row_bytes)
-        .build()
+    InDepthConfig {
+        measurements: opts.indepth_measurements,
+        segment_rows: opts.segment_rows,
+        picks_per_segment: opts.picks_per_segment,
+        conditions: opts.condition_grid(),
+        seed: opts.seed,
+        row_bytes: opts.row_bytes,
+    }
 }
 
 /// Runs the in-depth campaign over an explicit spec list under

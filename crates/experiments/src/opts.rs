@@ -185,15 +185,16 @@ impl Options {
     /// parameters (segments, picks, seed, row size) match the in-depth
     /// campaign's, so both select identical rows.
     pub fn discovery_config(&self) -> vrd_core::discovery::DiscoveryConfig {
-        vrd_core::discovery::DiscoveryConfig::builder()
-            .confidence(self.discovery_confidence)
-            .min_epochs(self.discovery_min_epochs)
-            .max_epochs(self.discovery_max_epochs)
-            .segment_rows(self.segment_rows)
-            .picks_per_segment(self.picks_per_segment)
-            .seed(self.seed)
-            .row_bytes(self.row_bytes)
-            .build()
+        vrd_core::discovery::DiscoveryConfig {
+            confidence: self.discovery_confidence,
+            min_epochs: self.discovery_min_epochs,
+            max_epochs: self.discovery_max_epochs,
+            segment_rows: self.segment_rows,
+            picks_per_segment: self.picks_per_segment,
+            seed: self.seed,
+            row_bytes: self.row_bytes,
+            ..vrd_core::discovery::DiscoveryConfig::default()
+        }
     }
 
     /// The in-depth condition grid at this scale.

@@ -216,12 +216,13 @@ mod tests {
             .join(format!("vrd-runner-test-{}", std::process::id()))
             .to_string_lossy()
             .into_owned();
-        let cfg = FoundationalConfig::builder()
-            .measurements(50)
-            .seed(opts.seed)
-            .row_bytes(512)
-            .scan_rows(3_000)
-            .build();
+        let cfg = FoundationalConfig {
+            measurements: 50,
+            seed: opts.seed,
+            row_bytes: 512,
+            scan_rows: 3_000,
+            ..FoundationalConfig::default()
+        };
         let specs = opts.specs();
         let results = run_campaign(&opts, "foundational", &cfg, |run_opts| {
             foundational_campaign(&specs, &cfg, run_opts)

@@ -575,9 +575,15 @@ impl Service {
 
     /// Takes the next unit of work: a resumed job first, else the
     /// scheduler's pick (logged + appended to `dispatch.jsonl` before
-    /// the lock drops).
+    /// the lock drops). Returns `None` once shutdown was requested, so
+    /// queued jobs stay queued for the next boot, and when the pick's
+    /// dispatch could not be written: that job has left the queue, so
+    /// it ends `Failed` with the write error.
     fn take_task(&self) -> Option<(JobRecord, Arc<AtomicBool>, bool)> {
         let mut inner = self.lock_inner();
+        if self.is_shutdown() {
+            return None;
+        }
         if !inner.resume.is_empty() {
             let id = inner.resume.remove(0);
             let entry = inner.jobs.get(&id).expect("resumed job has a record");
@@ -586,10 +592,16 @@ impl Service {
             return Some((record, cancel, true));
         }
         let queued = inner.sched.next()?;
-        append_op(&mut inner.sched_log, &SchedOp::Poll).ok()?;
-        let line_ok = writeln!(inner.dispatch, "{}", queued.job).is_ok();
-        let _ = inner.dispatch.flush();
-        if !line_ok {
+        let written = append_op(&mut inner.sched_log, &SchedOp::Poll)
+            .map_err(|e| format!("sched_log.jsonl: {e}"))
+            .and_then(|()| {
+                writeln!(inner.dispatch, "{}", queued.job)
+                    .and_then(|()| inner.dispatch.flush())
+                    .map_err(|e| format!("dispatch.jsonl: {e}"))
+            });
+        if let Err(e) = written {
+            let error = Some(format!("dispatch failed: {e}"));
+            self.settle(inner, &queued.job, JobState::Failed, error, false);
             return None;
         }
         let entry = inner.jobs.get_mut(&queued.job).expect("queued job has a record");
@@ -625,8 +637,7 @@ impl Service {
     /// sink + multiplexed hub observer, per-job checkpoint journal,
     /// per-job cancel flag, service-wide fault plan.
     fn run_job(&self, record: JobRecord, cancel: &Arc<AtomicBool>, resumed: bool) {
-        let id = record.id.clone();
-        let dir = self.job_dir(&id);
+        let dir = self.job_dir(&record.id);
         // A job that panics (a campaign re-raises its units' panics)
         // fails alone; its worker goes on serving.
         let outcome = catch_unwind(AssertUnwindSafe(|| self.execute(&record, cancel, &dir)));
@@ -653,14 +664,26 @@ impl Service {
             }
             Ok(Err(e)) => (JobState::Failed, Some(e.to_string())),
         };
-        {
-            let mut inner = self.lock_inner();
-            let entry = inner.jobs.get_mut(&id).expect("running job has a record");
-            entry.record.state = state;
-            entry.record.error = error.clone();
-            let record = entry.record.clone();
-            let _ = write_json_atomic(&dir.join("job.json"), &record);
-        }
+        self.settle(self.lock_inner(), &record.id, state, error, resumed);
+    }
+
+    /// Ends job `id` in a terminal `state`: records it (and `error`)
+    /// under the held `inner` lock and in `job.json`, then wakes idle
+    /// workers, publishes a `Message` event and rewrites the dashboard.
+    fn settle(
+        &self,
+        mut inner: MutexGuard<'_, Inner>,
+        id: &str,
+        state: JobState,
+        error: Option<String>,
+        resumed: bool,
+    ) {
+        let entry = inner.jobs.get_mut(id).expect("settled job has a record");
+        entry.record.state = state;
+        entry.record.error = error.clone();
+        let record = entry.record.clone();
+        let _ = write_json_atomic(&self.job_dir(id).join("job.json"), &record);
+        drop(inner);
         self.work.notify_all();
         self.events.publish(&Event::Message {
             level: if state == JobState::Failed { Level::Error } else { Level::Info },
@@ -1019,6 +1042,69 @@ mod tests {
             "{error}"
         );
         assert_eq!(records[1].state, JobState::Done, "the next job still runs");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_dispatch_write_fails_the_job_instead_of_stranding_it() {
+        let dir = scratch("dispatch-fail");
+        let mut cfg = tiny_config(&dir);
+        cfg.script = Some(String::new());
+        let svc = Service::boot(cfg).unwrap();
+        let (events, rx) = std::sync::mpsc::channel();
+        svc.events().subscribe(events);
+        for tenant in ["alice", "bob"] {
+            svc.submit(JobSpec::new(tenant, JobKind::Family)).unwrap();
+        }
+        // A read-only handle: every dispatch line fails to write.
+        svc.lock_inner().dispatch = File::open(dir.join("dispatch.jsonl")).unwrap();
+        svc.worker_loop();
+        for id in ["job-00000", "job-00001"] {
+            let record = svc.record(id).unwrap();
+            assert_eq!(record.state, JobState::Failed, "{id} left the queue, so it must fail");
+            let error = record.error.unwrap_or_default();
+            assert!(error.starts_with("dispatch failed: dispatch.jsonl: "), "{error}");
+            let text = fs::read_to_string(dir.join("jobs").join(id).join("job.json")).unwrap();
+            let on_disk: JobRecord = serde_json::from_str(&text).unwrap();
+            assert_eq!((on_disk.state, on_disk.error), (JobState::Failed, Some(error)));
+        }
+        let text = fs::read_to_string(dir.join("fleet_metrics.json")).unwrap();
+        let dashboard: FleetMetrics = serde_json::from_str(&text).unwrap();
+        assert_eq!((dashboard.totals.failed, dashboard.totals.queued), (2, 0));
+        let messages: Vec<String> = rx.try_iter().collect();
+        for id in ["job-00000", "job-00001"] {
+            let needle = format!("job {id} failed: dispatch failed");
+            assert!(messages.iter().any(|m| m.contains(&needle)), "{needle} in {messages:?}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_worker_dispatches_nothing_after_shutdown_and_a_resume_runs_the_queue() {
+        let dir = scratch("shutdown-queued");
+        let svc = Service::boot(tiny_config(&dir)).unwrap();
+        for tenant in ["alice", "bob"] {
+            let mut spec = JobSpec::new(tenant, JobKind::Family);
+            spec.limit = 1;
+            svc.submit(spec).unwrap();
+        }
+        svc.request_shutdown();
+        // A daemon worker returns at once, leaving the queue for the next boot.
+        svc.worker_loop();
+        let states: Vec<JobState> = svc.records().iter().map(|r| r.state).collect();
+        assert_eq!(states, vec![JobState::Queued; 2]);
+        assert_eq!(fs::read_to_string(dir.join("dispatch.jsonl")).unwrap(), "");
+        drop(svc);
+
+        let mut cfg = tiny_config(&dir);
+        cfg.resume = true;
+        cfg.script = Some(String::new());
+        let svc = Service::boot(cfg).unwrap();
+        svc.worker_loop();
+        let states: Vec<JobState> = svc.records().iter().map(|r| r.state).collect();
+        assert_eq!(states, vec![JobState::Done; 2]);
+        let dispatch = fs::read_to_string(dir.join("dispatch.jsonl")).unwrap();
+        assert_eq!(dispatch.lines().count(), 2, "{dispatch}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -34,14 +34,14 @@ fn main() {
             temperature_c: 50.0,
         })
         .collect();
-    let cfg = InDepthConfig::builder()
-        .measurements(200)
-        .segment_rows(128)
-        .picks_per_segment(5)
-        .conditions(conditions)
-        .seed(99)
-        .row_bytes(1024)
-        .build();
+    let cfg = InDepthConfig {
+        measurements: 200,
+        segment_rows: 128,
+        picks_per_segment: 5,
+        conditions,
+        seed: 99,
+        row_bytes: 1024,
+    };
     let opts = RunOptions::new(ExecConfig::serial(cfg.seed));
     let result = in_depth_campaign(&[spec], &cfg, &opts).expect("plain run cannot fail").remove(0);
 

@@ -32,12 +32,13 @@ fn foundational_json(threads: usize, seed: u64, eval: EvalStrategy) -> String {
     use serde::Serialize as _;
     let specs: Vec<ModuleSpec> =
         ["M1", "S2"].iter().map(|n| ModuleSpec::by_name(n).expect("Table-1 module")).collect();
-    let cfg = FoundationalConfig::builder()
-        .measurements(40)
-        .seed(seed)
-        .row_bytes(512)
-        .scan_rows(3_000)
-        .build();
+    let cfg = FoundationalConfig {
+        measurements: 40,
+        seed,
+        row_bytes: 512,
+        scan_rows: 3_000,
+        ..FoundationalConfig::default()
+    };
     let results = foundational_campaign(&specs, &cfg, &exec(threads, seed, eval))
         .expect("plain campaign run cannot fail");
     // Deliberately NOT stripping `test_time_ns`: the batch engine must
@@ -48,7 +49,7 @@ fn foundational_json(threads: usize, seed: u64, eval: EvalStrategy) -> String {
 fn in_depth_json(threads: usize, seed: u64, eval: EvalStrategy) -> String {
     let specs: Vec<ModuleSpec> =
         ["H3", "M1"].iter().map(|n| ModuleSpec::by_name(n).expect("Table-1 module")).collect();
-    let cfg = InDepthConfig::quick().to_builder().seed(seed).build();
+    let cfg = InDepthConfig { seed, ..InDepthConfig::quick() };
     let results = in_depth_campaign(&specs, &cfg, &exec(threads, seed, eval))
         .expect("plain campaign run cannot fail");
     serde_json::to_string_pretty(&results).expect("serializable results")
@@ -71,7 +72,7 @@ fn foundational_campaign_is_eval_invariant_across_seeds_and_threads() {
 fn discovery_json(threads: usize, seed: u64, eval: EvalStrategy) -> String {
     let specs: Vec<ModuleSpec> =
         ["H3", "M1"].iter().map(|n| ModuleSpec::by_name(n).expect("Table-1 module")).collect();
-    let cfg = DiscoveryConfig::quick().to_builder().seed(seed).build();
+    let cfg = DiscoveryConfig { seed, ..DiscoveryConfig::quick() };
     let results = discovery_campaign(&specs, &cfg, &exec(threads, seed, eval))
         .expect("plain campaign run cannot fail");
     serde_json::to_string_pretty(&results).expect("serializable results")

@@ -44,12 +44,13 @@ fn modules(names: &[&str]) -> Vec<ModuleSpec> {
 }
 
 fn foundational_cfg(seed: u64) -> FoundationalConfig {
-    FoundationalConfig::builder()
-        .measurements(25)
-        .seed(seed)
-        .row_bytes(512)
-        .scan_rows(2_000)
-        .build()
+    FoundationalConfig {
+        measurements: 25,
+        seed,
+        row_bytes: 512,
+        scan_rows: 2_000,
+        ..FoundationalConfig::default()
+    }
 }
 
 fn foundational_manifest(cfg: &FoundationalConfig, specs: &[ModuleSpec]) -> CheckpointManifest {
@@ -91,7 +92,7 @@ fn foundational_killed_and_resumed_is_byte_identical() {
             let first = foundational_campaign(
                 &specs,
                 &cfg,
-                &RunOptions::new(exec_cfg).checkpoint(&ckpt).hooks(&plan),
+                &RunOptions::new(exec_cfg).checkpoint(&ckpt).hooks(&plan).cancel(plan.kill_flag()),
             );
             assert!(plan.fired(), "threads={threads}: kill fault must fire");
             assert!(plan.committed() >= kill_after);
@@ -164,7 +165,7 @@ fn in_depth_killed_and_resumed_is_byte_identical() {
             let first = in_depth_campaign(
                 &specs,
                 &cfg,
-                &RunOptions::new(exec_cfg).checkpoint(&ckpt).hooks(&plan),
+                &RunOptions::new(exec_cfg).checkpoint(&ckpt).hooks(&plan).cancel(plan.kill_flag()),
             );
             assert!(plan.fired());
             if threads == 1 && kill_after > 1 {
@@ -195,7 +196,7 @@ fn discovery_stash_with_torn_tail_resumes_byte_identical() {
     // to the previous stash of the same row, fast-forward the RNG, and
     // still land on the uninterrupted run's bytes.
     let specs = modules(&["M1"]);
-    let cfg = DiscoveryConfig::quick().to_builder().seed(5025).stash_every(4).build();
+    let cfg = DiscoveryConfig { seed: 5025, stash_every: 4, ..DiscoveryConfig::quick() };
     let manifest = || CheckpointManifest {
         format_version: checkpoint::FORMAT_VERSION,
         campaign: DISCOVERY.to_owned(),
@@ -219,8 +220,8 @@ fn discovery_stash_with_torn_tail_resumes_byte_identical() {
     // state on disk.
     let plan = FaultPlan::kill_after(3);
     let ckpt = Checkpoint::open(&dir, manifest()).unwrap();
-    let first =
-        discovery_campaign(&specs, &cfg, &RunOptions::new(exec_cfg).checkpoint(&ckpt).hooks(&plan));
+    let opts = RunOptions::new(exec_cfg).checkpoint(&ckpt).hooks(&plan).cancel(plan.kill_flag());
+    let first = discovery_campaign(&specs, &cfg, &opts);
     assert!(plan.fired(), "kill fault must fire");
     assert!(first.is_err(), "a mid-campaign kill must interrupt the run");
     drop(ckpt);

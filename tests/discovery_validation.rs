@@ -42,7 +42,7 @@ fn modules(names: &[&str]) -> Vec<ModuleSpec> {
 }
 
 fn quick_cfg(seed: u64) -> DiscoveryConfig {
-    DiscoveryConfig::quick().to_builder().seed(seed).build()
+    DiscoveryConfig { seed, ..DiscoveryConfig::quick() }
 }
 
 fn discovery_json(results: &[DiscoveryResult]) -> String {
@@ -73,7 +73,7 @@ fn discovery_bound_is_sound_against_in_depth_minima() {
             // The fixed-budget reference: the in-depth campaign at the
             // discovery ceiling, same seed and selection parameters.
             let indepth_cfg =
-                InDepthConfig::quick().to_builder().seed(seed).measurements(cfg.max_epochs).build();
+                InDepthConfig { seed, measurements: cfg.max_epochs, ..InDepthConfig::quick() };
             let discovery = run_discovery(&specs, &cfg, 1).pop().unwrap();
             let indepth = vrd::core::campaign::in_depth_campaign(
                 &specs,
@@ -175,7 +175,7 @@ fn discovery_manifest(cfg: &DiscoveryConfig, specs: &[ModuleSpec]) -> Checkpoint
 #[test]
 fn discovery_killed_mid_row_and_resumed_is_byte_identical() {
     let specs = modules(&["M1"]);
-    let cfg = quick_cfg(5025).to_builder().stash_every(4).build();
+    let cfg = DiscoveryConfig { stash_every: 4, ..quick_cfg(5025) };
     let golden = discovery_json(&run_discovery(&specs, &cfg, 1));
 
     for threads in [1usize, 2, 8] {
@@ -192,7 +192,7 @@ fn discovery_killed_mid_row_and_resumed_is_byte_identical() {
             let first = discovery_campaign(
                 &specs,
                 &cfg,
-                &RunOptions::new(exec_cfg).checkpoint(&ckpt).hooks(&plan),
+                &RunOptions::new(exec_cfg).checkpoint(&ckpt).hooks(&plan).cancel(plan.kill_flag()),
             );
             assert!(plan.fired(), "threads={threads}, kill_after={kill_after}: kill must fire");
             assert!(first.is_err(), "a mid-campaign kill must interrupt the run");

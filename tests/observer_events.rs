@@ -49,12 +49,13 @@ fn modules(names: &[&str]) -> Vec<ModuleSpec> {
 }
 
 fn foundational_cfg(seed: u64) -> FoundationalConfig {
-    FoundationalConfig::builder()
-        .measurements(25)
-        .seed(seed)
-        .row_bytes(512)
-        .scan_rows(2_000)
-        .build()
+    FoundationalConfig {
+        measurements: 25,
+        seed,
+        row_bytes: 512,
+        scan_rows: 2_000,
+        ..FoundationalConfig::default()
+    }
 }
 
 fn manifest(cfg: &FoundationalConfig, specs: &[ModuleSpec]) -> CheckpointManifest {
@@ -192,7 +193,8 @@ fn crash_and_resume_emit_commit_and_restore_events() {
         &RunOptions::new(ExecConfig::serial(cfg.seed))
             .observer(&sink)
             .checkpoint(&ckpt)
-            .hooks(&plan),
+            .hooks(&plan)
+            .cancel(plan.kill_flag()),
     );
     let commits =
         sink.events().iter().filter(|e| matches!(e, Event::CheckpointCommitted { .. })).count();

@@ -12,11 +12,12 @@ use vrd::ecc::analysis;
 
 fn foundational_series(module: &str, measurements: u32) -> vrd::core::RdtSeries {
     let spec = ModuleSpec::by_name(module).expect("Table-1 module");
-    let cfg = FoundationalConfig::builder()
-        .measurements(measurements)
-        .row_bytes(512)
-        .scan_rows(20_000)
-        .build();
+    let cfg = FoundationalConfig {
+        measurements,
+        row_bytes: 512,
+        scan_rows: 20_000,
+        ..FoundationalConfig::default()
+    };
     run_foundational(&spec, &cfg).expect("module has vulnerable rows").series
 }
 

@@ -29,12 +29,13 @@ use vrd::dram::ModuleSpec;
 fn foundational_json(threads: usize, seed: u64) -> String {
     let specs: Vec<ModuleSpec> =
         ["M1", "S2"].iter().map(|n| ModuleSpec::by_name(n).expect("Table-1 module")).collect();
-    let cfg = FoundationalConfig::builder()
-        .measurements(40)
-        .seed(seed)
-        .row_bytes(512)
-        .scan_rows(3_000)
-        .build();
+    let cfg = FoundationalConfig {
+        measurements: 40,
+        seed,
+        row_bytes: 512,
+        scan_rows: 3_000,
+        ..FoundationalConfig::default()
+    };
     let results =
         foundational_campaign(&specs, &cfg, &RunOptions::new(ExecConfig::new(threads, seed)))
             .expect("plain campaign run cannot fail");
@@ -45,7 +46,7 @@ fn foundational_json(threads: usize, seed: u64) -> String {
 fn in_depth_json(threads: usize, seed: u64) -> String {
     let specs: Vec<ModuleSpec> =
         ["H3", "M1"].iter().map(|n| ModuleSpec::by_name(n).expect("Table-1 module")).collect();
-    let cfg = InDepthConfig::quick().to_builder().seed(seed).build();
+    let cfg = InDepthConfig { seed, ..InDepthConfig::quick() };
     let results = in_depth_campaign(&specs, &cfg, &RunOptions::new(ExecConfig::new(threads, seed)))
         .expect("plain campaign run cannot fail");
     serde_json::to_string_pretty(&results).expect("serializable results")

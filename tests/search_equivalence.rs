@@ -48,12 +48,13 @@ fn foundational_json(threads: usize, seed: u64, search: SearchStrategy) -> Strin
     use serde::Serialize as _;
     let specs: Vec<ModuleSpec> =
         ["M1", "S2"].iter().map(|n| ModuleSpec::by_name(n).expect("Table-1 module")).collect();
-    let cfg = FoundationalConfig::builder()
-        .measurements(40)
-        .seed(seed)
-        .row_bytes(512)
-        .scan_rows(3_000)
-        .build();
+    let cfg = FoundationalConfig {
+        measurements: 40,
+        seed,
+        row_bytes: 512,
+        scan_rows: 3_000,
+        ..FoundationalConfig::default()
+    };
     let results = foundational_campaign(&specs, &cfg, &exec(threads, seed, search))
         .expect("plain campaign run cannot fail");
     serde_json::to_string_pretty(&strip_time(&results.to_value())).expect("serializable results")
@@ -62,7 +63,7 @@ fn foundational_json(threads: usize, seed: u64, search: SearchStrategy) -> Strin
 fn in_depth_json(threads: usize, seed: u64, search: SearchStrategy) -> String {
     let specs: Vec<ModuleSpec> =
         ["H3", "M1"].iter().map(|n| ModuleSpec::by_name(n).expect("Table-1 module")).collect();
-    let cfg = InDepthConfig::quick().to_builder().seed(seed).build();
+    let cfg = InDepthConfig { seed, ..InDepthConfig::quick() };
     let results = in_depth_campaign(&specs, &cfg, &exec(threads, seed, search))
         .expect("plain campaign run cannot fail");
     serde_json::to_string_pretty(&results).expect("serializable results")
