@@ -5,18 +5,16 @@
 //! PID-controlled thermal rig. This crate reproduces that stack in
 //! software against the [`vrd_dram`] device model:
 //!
-//! - [`command`] — the DRAM command set (ACT/PRE/RD/WR/REF).
 //! - [`timing`] — JEDEC timing parameter tables (DDR4, DDR5 per the
 //!   paper's Table 6, HBM2).
-//! - [`program`] — test programs (command sequences with waits and
-//!   hardware-style repeat loops, built in code through
-//!   `Program::new().cmd(..).wait_ns(..).repeat(..)`) and their executor.
 //! - [`routines`] — the building blocks of Algorithm 1: row
-//!   initialization, double-sided hammering/pressing, read-and-compare.
+//!   initialization, double-sided hammering/pressing, read-and-compare,
+//!   each issued as DRAM commands straight to the device.
 //! - [`thermal`] — the heater-pad + PID temperature controller
 //!   (±0.5 °C, like the paper's MaxWell FT200 setup).
-//! - [`platform`] — the assembled test platform with interference
-//!   controls (refresh, TRR, on-die ECC) per the paper's §3.1.
+//! - [`platform`] — the assembled test platform: it charges each session
+//!   step's JEDEC time and energy and owns the interference controls
+//!   (refresh, TRR, on-die ECC) per the paper's §3.1.
 //! - [`estimate`] — the Appendix-A RDT test time and energy estimation
 //!   methodology (Tables 4–6, Figs. 17–24).
 //!
@@ -28,23 +26,19 @@
 //!
 //! let mut platform = TestPlatform::small_test(7);
 //! let conditions = TestConditions::foundational();
-//! vrd_bender::routines::initialize_rows(&mut platform, 0, 100, conditions.pattern, true);
+//! vrd_bender::routines::initialize_rows(&mut platform, 0, 100, conditions.pattern);
 //! vrd_bender::routines::hammer_double_sided(&mut platform, 0, 100, 10_000, &conditions);
 //! let flips = vrd_bender::routines::read_compare(&mut platform, 0, 100, conditions.pattern);
 //! println!("{} flips after 10k hammers", flips.len());
 //! ```
 
-pub mod command;
 pub mod estimate;
 pub mod platform;
-pub mod program;
 pub mod routines;
 pub mod search;
 pub mod thermal;
 pub mod timing;
 
-pub use command::DramCommand;
-pub use platform::{BatchMeasurement, TestPlatform};
-pub use program::{Instr, Program};
+pub use platform::TestPlatform;
 pub use thermal::ThermalController;
 pub use timing::TimingParams;

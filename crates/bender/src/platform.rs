@@ -3,57 +3,29 @@
 //!
 //! A [`TestPlatform`] is the software analogue of the paper's
 //! host-machine + FPGA + heater setup: it owns one device under test,
-//! executes programs with JEDEC timing, regulates temperature, and
-//! implements the §3.1 methodology of disabling interference sources
-//! (periodic refresh → TRR, on-die ECC).
+//! issues Alg. 1's session commands (row initialization, double-sided
+//! hammering) straight to the device with JEDEC timing, regulates
+//! temperature, and implements the §3.1 methodology of disabling
+//! interference sources (periodic refresh → TRR, on-die ECC).
 
 use vrd_dram::device::{DeviceConfig, DramDevice};
 use vrd_dram::spec::ModuleSpec;
 use vrd_dram::{DramError, RowBatchProfile, TestConditions};
 
 use crate::estimate::EnergyModel;
-use crate::program::{execute, ExecStats, Program, ProgramCache, ProgramKey};
 use crate::routines::BURSTS_PER_ROW;
 use crate::thermal::ThermalController;
 use crate::timing::TimingParams;
 
-/// One measurement epoch prepared for batched hammer sessions.
-///
-/// Wraps the device-side [`RowBatchProfile`] together with the
-/// platform-side constants a session charges: the cached program keys the
-/// scalar path would have fetched and the pre-folded per-program
-/// time/energy figures, accumulated in the same `f64` operation order as
-/// [`crate::program::execute`] so batched bookkeeping stays bitwise
-/// identical to running the programs.
-#[derive(Debug, Clone)]
-pub struct BatchMeasurement {
-    profile: RowBatchProfile,
-    /// Init keys in session order: victim, below aggressor, above.
-    init_keys: [ProgramKey; 3],
-    /// Raw (unclamped) `t_AggOn` bits embedded in the hammer keys.
-    hammer_t_on_bits: u64,
-    /// Elapsed time of one init program (Act + 128 write bursts + Pre).
-    init_elapsed_ns: f64,
-    /// Energy of one init program.
-    init_energy_nj: f64,
-    /// Elapsed time per hammer activation (`max(t_AggOn, t_RAS) + t_RP`).
-    hammer_per_act_ns: f64,
-    /// Program-cache generation at which all three init keys were last
-    /// proven cached; `None` (or a stale generation) means the next
-    /// session must replay the init fetches in full.
-    primed_generation: Option<u64>,
-}
-
-impl BatchMeasurement {
-    /// The prepared device-side row profile.
-    pub fn profile(&self) -> &RowBatchProfile {
-        &self.profile
-    }
-
-    /// Measurement epoch the batch was prepared for.
-    pub fn epoch(&self) -> u64 {
-        self.profile.epoch()
-    }
+/// One step of an Alg. 1 hammer session, as [`TestPlatform::charge`]
+/// costs it.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Row initialization: `ACT`, [`BURSTS_PER_ROW`] write bursts, `PRE`.
+    Init,
+    /// Double-sided hammer: `count` activations of each aggressor, each
+    /// held open `t_eff_ns` (`max(t_AggOn, t_RAS)`).
+    Hammer { count: u32, t_eff_ns: f64 },
 }
 
 /// A DRAM module under test, with timing, thermal control, and
@@ -69,7 +41,6 @@ pub struct TestPlatform {
     next_refresh_ns: f64,
     energy: EnergyModel,
     energy_nj: f64,
-    programs: ProgramCache,
     hammer_sessions: u64,
     measurement_epoch: u64,
 }
@@ -88,7 +59,6 @@ impl TestPlatform {
             next_refresh_ns: 0.0,
             energy: EnergyModel::default(),
             energy_nj: 0.0,
-            programs: ProgramCache::new(),
             hammer_sessions: 0,
             measurement_epoch: 0,
         }
@@ -98,7 +68,7 @@ impl TestPlatform {
     pub fn for_module(spec: ModuleSpec, seed: u64) -> Self {
         let module = vrd_dram::Module::new(spec.clone(), seed);
         let timing = TimingParams::for_family(&spec.family());
-        let mut p = Self::new(module_into_device(module), timing);
+        let mut p = Self::new(module.into_device(), timing);
         p.spec = Some(spec);
         p
     }
@@ -108,7 +78,7 @@ impl TestPlatform {
     pub fn for_module_with_row_bytes(spec: ModuleSpec, seed: u64, row_bytes: u32) -> Self {
         let module = vrd_dram::Module::new_with_row_bytes(spec.clone(), seed, row_bytes);
         let timing = TimingParams::for_family(&spec.family());
-        let mut p = Self::new(module_into_device(module), timing);
+        let mut p = Self::new(module.into_device(), timing);
         p.spec = Some(spec);
         p
     }
@@ -191,70 +161,95 @@ impl TestPlatform {
         self.thermal.temperature_c()
     }
 
-    /// Executes a program, charging its time to the platform clock and
-    /// issuing any periodic refreshes that became due (when enabled).
+    /// Initializes one row as DRAM Bender does: `ACT`, [`BURSTS_PER_ROW`]
+    /// write bursts of `fill`, `PRE`. The model's fill write is
+    /// row-wide, so one device write carries the data and the bursts
+    /// only cost time. Returns the step's time (ns), without the
+    /// refreshes it makes due.
     ///
     /// # Errors
     ///
     /// Propagates device command errors.
-    pub fn run(&mut self, program: &Program) -> Result<ExecStats, DramError> {
-        let stats = execute(&mut self.device, &self.timing, program)?;
-        self.elapsed_ns += stats.elapsed_ns;
-        self.energy_nj += stats.activations as f64 * self.energy.act_pre_nj
-            + stats.column_bursts as f64 * self.energy.write_nj;
-        if self.refresh_enabled {
-            // Issue overdue refreshes (coarse: after the program, which
-            // is accurate enough for programs shorter than tREFI and
-            // conservative for longer ones).
-            while self.next_refresh_ns <= self.elapsed_ns {
-                self.device.refresh();
-                self.elapsed_ns += self.timing.t_rfc;
-                self.next_refresh_ns += self.timing.t_refi;
-            }
-        }
-        Ok(stats)
+    pub(crate) fn init_row(&mut self, bank: usize, row: u32, fill: u8) -> Result<f64, DramError> {
+        self.device.activate(bank, row)?;
+        self.device.write_open_row(bank, row, fill)?;
+        self.device.precharge(bank)?;
+        Ok(self.charge(Step::Init))
     }
 
-    /// Runs a row-initialization program through the program cache, so
-    /// repeated measurements with identical parameters reuse the compiled
-    /// command stream instead of rebuilding it.
+    /// Hammers `aggr1`, then `aggr2`, `count` times each, holding every
+    /// activation open `max(t_on_ns, t_RAS)` (an on-time beyond `t_RAS`
+    /// turns RowHammer into RowPress). Each aggressor's activations go to
+    /// the device as one bulk [`DramDevice::activate_n`]. A count of 0
+    /// issues nothing and costs nothing. Returns the step's time (ns),
+    /// without the refreshes it makes due.
     ///
     /// # Errors
     ///
     /// Propagates device command errors.
-    pub fn run_init_row(
-        &mut self,
-        bank: usize,
-        row: u32,
-        fill: u8,
-        bursts: u32,
-    ) -> Result<ExecStats, DramError> {
-        let program = self.programs.get_or_build(ProgramKey::Init { bank, row, fill, bursts });
-        self.run(&program)
-    }
-
-    /// Runs a double-sided hammer program through the program cache (see
-    /// [`run_init_row`](Self::run_init_row)).
-    ///
-    /// # Errors
-    ///
-    /// Propagates device command errors.
-    pub fn run_double_sided_hammer(
+    pub(crate) fn hammer(
         &mut self,
         bank: usize,
         aggr1: u32,
         aggr2: u32,
         count: u32,
         t_on_ns: f64,
-    ) -> Result<ExecStats, DramError> {
-        let key = ProgramKey::Hammer { bank, aggr1, aggr2, count, t_on_bits: t_on_ns.to_bits() };
-        let program = self.programs.get_or_build(key);
-        self.run(&program)
+    ) -> Result<f64, DramError> {
+        if count == 0 {
+            return Ok(0.0);
+        }
+        let t_eff_ns = t_on_ns.max(self.timing.t_ras);
+        for row in [aggr1, aggr2] {
+            self.device.precharge(bank)?;
+            self.device.activate_n(bank, row, count, t_eff_ns)?;
+            self.device.precharge(bank)?;
+        }
+        Ok(self.charge(Step::Hammer { count, t_eff_ns }))
     }
 
-    /// `(hits, builds)` counters of the internal program cache.
+    /// Charges one session step to the platform clock and energy account
+    /// and returns its time (ns), then issues the refreshes that fell due
+    /// when refresh is enabled (coarse: after the step, which is accurate
+    /// for steps shorter than tREFI and conservative for longer ones).
+    ///
+    /// An init costs `ACT` (`t_RCD`), the first write burst, the other
+    /// bursts and `PRE` (`t_RP`), folded in that `f64` order; a hammer
+    /// costs `count · (t_eff + t_RP)` per side. The scalar steps and
+    /// [`run_batched_session`](Self::run_batched_session) both charge
+    /// through here, so their clocks agree bit for bit.
+    fn charge(&mut self, step: Step) -> f64 {
+        let (elapsed_ns, energy_nj) = match step {
+            Step::Init => {
+                let t = &self.timing;
+                (
+                    t.t_rcd + t.t_ccd_l_wr + t.t_ccd_l_wr * f64::from(BURSTS_PER_ROW - 1) + t.t_rp,
+                    self.energy.act_pre_nj + f64::from(BURSTS_PER_ROW) * self.energy.write_nj,
+                )
+            }
+            Step::Hammer { count, t_eff_ns } => {
+                let per_side = f64::from(count) * (t_eff_ns + self.timing.t_rp);
+                (per_side + per_side, (2 * u64::from(count)) as f64 * self.energy.act_pre_nj)
+            }
+        };
+        self.elapsed_ns += elapsed_ns;
+        self.energy_nj += energy_nj;
+        if self.refresh_enabled {
+            while self.next_refresh_ns <= self.elapsed_ns {
+                self.device.refresh();
+                self.elapsed_ns += self.timing.t_rfc;
+                self.next_refresh_ns += self.timing.t_refi;
+            }
+        }
+        elapsed_ns
+    }
+
+    /// Always `(0, 0)`: the platform sends a session's commands straight
+    /// to the device and builds no test programs, so nothing is cached.
+    /// Kept only because the frozen benchmark (`e2ebench/src/replay.rs`)
+    /// still reports a program-cache layer; the next benchmark change
+    /// deletes it.
     pub fn program_cache_stats(&self) -> (u64, u64) {
-        self.programs.stats()
+        (0, 0)
     }
 
     /// Records one completed hammer session (init + hammer + read of a
@@ -299,7 +294,7 @@ impl TestPlatform {
     /// [`DramDevice::prepare_batch_epoch`]).
     ///
     /// On success the platform is left in keyed-dynamics mode for
-    /// `epoch` and the returned [`BatchMeasurement`] drives
+    /// `epoch` and the returned [`RowBatchProfile`] drives
     /// [`run_batched_session`](Self::run_batched_session); callers end
     /// the keyed session when the measurement completes, exactly as on
     /// the scalar path. Returns `None` — leaving keyed mode untouched —
@@ -311,98 +306,34 @@ impl TestPlatform {
         bank: usize,
         victim: u32,
         conditions: &TestConditions,
-    ) -> Option<BatchMeasurement> {
+    ) -> Option<RowBatchProfile> {
         if self.refresh_enabled {
             return None;
         }
         self.begin_keyed_session(epoch, 0);
         let t_eff = conditions.t_agg_on_ns.max(self.timing.t_ras);
-        let Some(profile) =
-            self.device.prepare_batch_epoch(bank, victim, conditions.pattern, t_eff)
-        else {
+        let profile = self.device.prepare_batch_epoch(bank, victim, conditions.pattern, t_eff);
+        if profile.is_none() {
             self.end_keyed_session();
-            return None;
-        };
-        // Fold one init program's stats in execute()'s exact `f64` order:
-        // Act, first write burst, remaining bursts, Pre.
-        let mut init_elapsed_ns = 0.0;
-        init_elapsed_ns += self.timing.t_rcd;
-        init_elapsed_ns += self.timing.t_ccd_l_wr;
-        init_elapsed_ns += self.timing.t_ccd_l_wr * f64::from(BURSTS_PER_ROW - 1);
-        init_elapsed_ns += self.timing.t_rp;
-        let init_energy_nj =
-            1.0 * self.energy.act_pre_nj + f64::from(BURSTS_PER_ROW) * self.energy.write_nj;
-        let init_keys = [
-            ProgramKey::Init {
-                bank,
-                row: profile.victim(),
-                fill: profile.victim_fill(),
-                bursts: BURSTS_PER_ROW,
-            },
-            ProgramKey::Init {
-                bank,
-                row: profile.below(),
-                fill: profile.aggressor_fill(),
-                bursts: BURSTS_PER_ROW,
-            },
-            ProgramKey::Init {
-                bank,
-                row: profile.above(),
-                fill: profile.aggressor_fill(),
-                bursts: BURSTS_PER_ROW,
-            },
-        ];
-        Some(BatchMeasurement {
-            profile,
-            init_keys,
-            hammer_t_on_bits: conditions.t_agg_on_ns.to_bits(),
-            init_elapsed_ns,
-            init_energy_nj,
-            hammer_per_act_ns: t_eff + self.timing.t_rp,
-            primed_generation: None,
-        })
+        }
+        profile
     }
 
     /// Runs one double-sided hammer session of a prepared batch epoch:
-    /// counters, program-cache traffic, time, and energy advance exactly
-    /// as the scalar init/hammer/read sequence would advance them, and
-    /// the device replays the session's end state in one lane-compare
-    /// pass. Returns whether the read observed any (post-ECC) bitflip.
-    pub fn run_batched_session(&mut self, batch: &mut BatchMeasurement, hammer_count: u32) -> bool {
+    /// the session counter, time and energy advance exactly as the
+    /// scalar init/hammer/read sequence advances them, and the device
+    /// replays the session's end state in one lane-compare pass. Returns
+    /// whether the read observed any (post-ECC) bitflip.
+    pub fn run_batched_session(&mut self, profile: &RowBatchProfile, hammer_count: u32) -> bool {
         self.note_hammer_session();
-        // The init programs never change within an epoch; once all three
-        // keys are proven cached (and no wholesale clear has happened
-        // since), the fetches collapse to a hit-counter bump.
-        if batch.primed_generation == Some(self.programs.generation()) {
-            self.programs.note_hits(3);
-        } else {
-            let generation = self.programs.generation();
-            for key in batch.init_keys {
-                self.programs.touch(key);
-            }
-            batch.primed_generation =
-                (self.programs.generation() == generation).then_some(generation);
+        // Victim, below aggressor, above aggressor.
+        for _ in 0..3 {
+            self.charge(Step::Init);
         }
-        for _ in 0..batch.init_keys.len() {
-            self.elapsed_ns += batch.init_elapsed_ns;
-            self.energy_nj += batch.init_energy_nj;
-        }
-        // The scalar path fetches the hammer program even for zero
-        // hammers (the program is an empty loop), so the cache counters
-        // only match if the batch path does too.
-        self.programs.touch(ProgramKey::Hammer {
-            bank: batch.profile.bank(),
-            aggr1: batch.profile.below(),
-            aggr2: batch.profile.above(),
-            count: hammer_count,
-            t_on_bits: batch.hammer_t_on_bits,
-        });
-        if hammer_count > 0 {
-            let per_side = f64::from(hammer_count) * batch.hammer_per_act_ns;
-            self.elapsed_ns += per_side + per_side;
-            self.energy_nj += (2 * u64::from(hammer_count)) as f64 * self.energy.act_pre_nj;
-        }
-        self.device.batch_hammer_session(&batch.profile, hammer_count)
+        // A zero-hammer step charges +0.0, as the scalar path's skipped
+        // hammer does.
+        self.charge(Step::Hammer { count: hammer_count, t_eff_ns: profile.hammer_t_on_ns() });
+        self.device.batch_hammer_session(profile, hammer_count)
     }
 
     /// Leaves keyed-dynamics mode (see [`DramDevice::end_keyed_session`]).
@@ -418,11 +349,6 @@ impl TestPlatform {
     }
 }
 
-fn module_into_device(module: vrd_dram::Module) -> DramDevice {
-    // Module exposes owned access through its parts.
-    module.into_device()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,19 +357,94 @@ mod tests {
     #[test]
     fn small_platform_runs_program() {
         let mut p = TestPlatform::small_test(1);
-        let prog = Program::init_row(0, 10, 0x55, 128);
-        let stats = p.run(&prog).unwrap();
-        assert!(stats.elapsed_ns > 0.0);
-        assert_eq!(p.elapsed_ns(), stats.elapsed_ns);
+        let elapsed_ns = p.init_row(0, 10, 0x55).unwrap();
+        assert!(elapsed_ns > 0.0);
+        assert_eq!(p.elapsed_ns(), elapsed_ns);
         assert!(p.energy_j() > 0.0);
+    }
+
+    #[test]
+    fn init_writes_the_fill() {
+        let mut p = TestPlatform::small_test(1);
+        p.init_row(0, 42, 0xAA).unwrap();
+        assert_eq!(p.device().total_activations(), 1);
+        let dev = p.device_mut();
+        dev.activate(0, 42).unwrap();
+        assert!(dev.read_open_row(0, 42).unwrap().iter().all(|&b| b == 0xAA));
+        dev.precharge(0).unwrap();
+        // The init's own ACT plus the read-back's.
+        assert_eq!(p.device().total_activations(), 2);
+    }
+
+    #[test]
+    fn init_charges_the_exact_burst_loop_cost() {
+        let mut p = TestPlatform::small_test(1);
+        let elapsed_ns = p.init_row(0, 42, 0xAA).unwrap();
+        // ACT, the first burst, the other 127 bursts folded, PRE.
+        let t = TimingParams::ddr4();
+        let want_ns = ((t.t_rcd + t.t_ccd_l_wr) + t.t_ccd_l_wr * 127.0) + t.t_rp;
+        assert_eq!(elapsed_ns.to_bits(), want_ns.to_bits());
+        assert_eq!(p.elapsed_ns().to_bits(), want_ns.to_bits());
+        let e = EnergyModel::default();
+        let want_nj = e.act_pre_nj + 128.0 * e.write_nj;
+        assert_eq!(p.energy_nj.to_bits(), want_nj.to_bits());
+    }
+
+    #[test]
+    fn hammer_adds_2n_activations_and_exact_time() {
+        let t = TimingParams::ddr4();
+        for (n, t_on) in [(1u32, 35.0), (777, 35.0), (50_000, 35.0), (300, 7_800.0)] {
+            let mut p = TestPlatform::small_test(1);
+            let elapsed_ns = p.hammer(0, 99, 101, n, t_on).unwrap();
+            assert_eq!(p.device().total_activations(), 2 * u64::from(n));
+            let per_side = f64::from(n) * (f64::max(t_on, t.t_ras) + t.t_rp);
+            assert_eq!(elapsed_ns.to_bits(), (per_side + per_side).to_bits(), "n={n}");
+            assert_eq!(p.elapsed_ns().to_bits(), elapsed_ns.to_bits());
+            let act_pre_nj = EnergyModel::default().act_pre_nj;
+            assert_eq!(p.energy_nj.to_bits(), (f64::from(2 * n) * act_pre_nj).to_bits());
+        }
+        // 100k activations × (tRAS + tRP) = 100k × 48.75 ns.
+        let mut p = TestPlatform::small_test(1);
+        let elapsed_ns = p.hammer(0, 99, 101, 50_000, 35.0).unwrap();
+        assert!((elapsed_ns - 100_000.0 * (35.0 + 13.75)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn hammer_time_scales_with_on_time() {
+        let mut p = TestPlatform::small_test(1);
+        let short = p.hammer(0, 9, 11, 100, 35.0).unwrap();
+        let long = p.hammer(0, 9, 11, 100, 7_800.0).unwrap();
+        assert!(long > short * 100.0);
+    }
+
+    #[test]
+    fn a_zero_hammer_is_free() {
+        let mut p = TestPlatform::small_test(1);
+        p.init_row(0, 7, 0x55).unwrap();
+        let (acts, elapsed, energy) =
+            (p.device().total_activations(), p.elapsed_ns(), p.energy_j());
+        assert_eq!(p.hammer(0, 6, 8, 0, 35.0).unwrap(), 0.0);
+        assert_eq!(p.device().total_activations(), acts);
+        assert_eq!(p.elapsed_ns().to_bits(), elapsed.to_bits());
+        assert_eq!(p.energy_j().to_bits(), energy.to_bits());
+    }
+
+    #[test]
+    fn an_edge_victim_gets_2n_activations_from_its_one_neighbour() {
+        let mut p = TestPlatform::small_test(1);
+        let cond = vrd_dram::TestConditions::foundational();
+        let elapsed_ns = crate::routines::hammer_double_sided(&mut p, 0, 0, 1_000, &cond);
+        assert_eq!(p.device().total_activations(), 2_000);
+        let per_side: f64 = 1_000.0 * (35.0 + 13.75);
+        assert_eq!(elapsed_ns.to_bits(), (per_side + per_side).to_bits());
     }
 
     #[test]
     fn energy_grows_with_hammering() {
         let mut p = TestPlatform::small_test(1);
-        p.run(&Program::double_sided_hammer(0, 50, 52, 1_000, 35.0)).unwrap();
+        p.hammer(0, 50, 52, 1_000, 35.0).unwrap();
         let after_1k = p.energy_j();
-        p.run(&Program::double_sided_hammer(0, 50, 52, 10_000, 35.0)).unwrap();
+        p.hammer(0, 50, 52, 10_000, 35.0).unwrap();
         assert!(p.energy_j() > after_1k * 5.0);
     }
 
@@ -468,10 +469,29 @@ mod tests {
         let mut p = TestPlatform::small_test(1);
         p.set_refresh_enabled(true);
         // A hammer long enough to cross several tREFI intervals.
-        let prog = Program::double_sided_hammer(0, 50, 52, 2_000, 35.0);
-        p.run(&prog).unwrap();
+        p.hammer(0, 50, 52, 2_000, 35.0).unwrap();
         // 2000 hammers × 2 × ~48.75ns ≈ 195 µs → ~25 refreshes at 7.8 µs.
         assert!(p.elapsed_ns() > 150_000.0);
+    }
+
+    #[test]
+    fn refresh_fires_between_steps() {
+        let t = TimingParams::ddr4();
+        let mut p = TestPlatform::small_test(1);
+        p.set_refresh_enabled(true);
+        // Enough inits to cross one tREFI, then a hammer that crosses
+        // another: each step issues the refresh it made due.
+        let mut steps_ns = 0.0;
+        while p.elapsed_ns() < t.t_refi {
+            steps_ns += p.init_row(0, 5, 0x55).unwrap();
+        }
+        let after_inits = p.elapsed_ns();
+        assert_eq!(after_inits.to_bits(), (steps_ns + t.t_rfc).to_bits());
+        let hammer_ns = p.hammer(0, 4, 6, 100, 35.0).unwrap();
+        assert_eq!(p.elapsed_ns().to_bits(), (after_inits + hammer_ns + t.t_rfc).to_bits());
+        let mut off = TestPlatform::small_test(1);
+        off.init_row(0, 5, 0x55).unwrap();
+        assert!(off.elapsed_ns() < t.t_refi, "nothing refreshes when disabled");
     }
 
     #[test]
@@ -497,8 +517,7 @@ mod tests {
         p.device_mut().write_row(0, victim, pattern.victim_byte());
         // Hammer in small chunks so refresh interleaves.
         for _ in 0..200 {
-            let prog = Program::double_sided_hammer(0, victim - 1, victim + 1, 500, 35.0);
-            p.run(&prog).unwrap();
+            p.hammer(0, victim - 1, victim + 1, 500, 35.0).unwrap();
         }
         let flips = p.device_mut().read_and_compare(0, victim, pattern.victim_byte());
         assert!(flips.is_empty(), "refresh must prevent slow-hammer flips");

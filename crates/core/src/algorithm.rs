@@ -64,14 +64,14 @@ impl SearchStrategy {
 /// How one RDT measurement evaluates the hammer sessions of its sweep.
 ///
 /// Both strategies produce byte-identical results — the same flip
-/// outcomes, counters, simulated time/energy, and program-cache traffic —
-/// because batched evaluation replays exactly the state transitions of
-/// the scalar command sequence (see
-/// [`vrd_dram::batch`] and `tests/batch_equivalence.rs`):
+/// outcomes, counters and simulated time/energy — because batched
+/// evaluation replays exactly the state transitions of the scalar
+/// command sequence and charges its time through the same platform cost
+/// function (see [`vrd_dram::batch`] and `tests/batch_equivalence.rs`):
 ///
-/// - [`Scalar`](EvalStrategy::Scalar) executes every session as DRAM
-///   command programs, re-deriving each cell's per-epoch threshold on
-///   every probe.
+/// - [`Scalar`](EvalStrategy::Scalar) issues every session's DRAM
+///   commands, re-deriving each cell's per-epoch threshold on every
+///   probe.
 /// - [`Batch`](EvalStrategy::Batch) draws all of the epoch's per-bit
 ///   thresholds once into struct-of-arrays lanes
 ///   ([`vrd_dram::LaneThresholds`]) and reduces each probe to one
@@ -186,7 +186,7 @@ pub fn measure_rdt_once(
 /// Under [`EvalStrategy::Batch`] the measurement first tries to capture
 /// the epoch as a [`vrd_dram::RowBatchProfile`] (one struct-of-arrays
 /// threshold draw for the whole row); each probe then costs one
-/// lane-compare pass instead of a full command-program session. When the
+/// lane-compare pass instead of a full command session. When the
 /// row cannot be captured — or the sweep is empty, so no session would
 /// run at all — the measurement falls back to the scalar command path,
 /// byte-identically.
@@ -201,15 +201,15 @@ pub(crate) fn measure_rdt_once_using(
 ) -> Option<u32> {
     let epoch = platform.begin_measurement();
     let session = |hc: u32| u64::from((hc - sweep.min) / sweep.step);
-    let batch = if eval == EvalStrategy::Batch && !sweep.is_empty() {
+    let profile = if eval == EvalStrategy::Batch && !sweep.is_empty() {
         platform.prepare_batch_epoch(epoch, bank, victim, conditions)
     } else {
         None
     };
-    let first = match batch {
-        Some(mut batch) => search.first_flip(sweep, |hc| {
+    let first = match profile {
+        Some(profile) => search.first_flip(sweep, |hc| {
             platform.begin_keyed_session(epoch, session(hc));
-            platform.run_batched_session(&mut batch, hc)
+            platform.run_batched_session(&profile, hc)
         }),
         None => search.first_flip(sweep, |hc| {
             platform.begin_keyed_session(epoch, session(hc));

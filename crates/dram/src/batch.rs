@@ -135,39 +135,10 @@ pub struct RowBatchProfile {
 }
 
 impl RowBatchProfile {
-    /// Measurement epoch the profile was prepared for.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Bank of the victim row.
-    pub fn bank(&self) -> usize {
-        self.bank
-    }
-
-    /// The victim row.
-    pub fn victim(&self) -> u32 {
-        self.victim
-    }
-
-    /// The below aggressor row.
-    pub fn below(&self) -> u32 {
-        self.below
-    }
-
-    /// The above aggressor row.
-    pub fn above(&self) -> u32 {
-        self.above
-    }
-
-    /// Fill byte the session writes to the victim row.
-    pub fn victim_fill(&self) -> u8 {
-        self.victim_fill
-    }
-
-    /// Fill byte the session writes to both aggressor rows.
-    pub fn aggressor_fill(&self) -> u8 {
-        self.aggressor_fill
+    /// Aggressor on-time of hammered probes (ns), already clamped to the
+    /// platform's `t_RAS`: the `t_eff` a hammered session is charged at.
+    pub fn hammer_t_on_ns(&self) -> f64 {
+        self.hammer_t_on_ns
     }
 }
 

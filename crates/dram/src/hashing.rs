@@ -1,11 +1,11 @@
 //! A minimal multiplicative hasher for the simulator's hot maps.
 //!
-//! The per-bank row table and the platform's program cache are probed
-//! several times per hammer session, and the default SipHash keyed setup
-//! dominates those lookups once the batch engine strips the rest of the
-//! per-session work. Neither map is ever iterated for output, so the
-//! hasher only affects membership probing — hit/build counters, campaign
-//! results, and goldens are hash-order independent by construction.
+//! The per-bank row table is probed several times per hammer session,
+//! and the default SipHash keyed setup dominates those lookups once the
+//! batch engine strips the rest of the per-session work. The map is never
+//! iterated for output, so the hasher only affects membership probing —
+//! campaign results and goldens are hash-order independent by
+//! construction.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -16,7 +16,7 @@ const K: u64 = 0x517c_c1b7_2722_0a95;
 /// One-word-at-a-time multiplicative hasher (FxHash-style).
 ///
 /// Not keyed and not DoS-resistant — only for maps whose keys the
-/// simulator itself generates (row indices, program keys).
+/// simulator itself generates (row indices).
 #[derive(Debug, Default, Clone)]
 pub struct FxHasher {
     hash: u64,

@@ -49,11 +49,6 @@ impl DataPattern {
         !self.victim_byte()
     }
 
-    /// The byte written to the surrounding rows (V ± \[2..8\]).
-    pub fn outer_byte(self) -> u8 {
-        self.victim_byte()
-    }
-
     /// Dense index in `0..4`, for parameter tables indexed by pattern.
     #[inline]
     pub fn index(self) -> usize {
@@ -96,13 +91,6 @@ mod tests {
         assert_eq!(DataPattern::Checkered0.aggressor_byte(), 0xAA);
         assert_eq!(DataPattern::Checkered1.victim_byte(), 0xAA);
         assert_eq!(DataPattern::Checkered1.aggressor_byte(), 0x55);
-    }
-
-    #[test]
-    fn outer_matches_victim() {
-        for p in DataPattern::ALL {
-            assert_eq!(p.outer_byte(), p.victim_byte());
-        }
     }
 
     #[test]

@@ -463,13 +463,18 @@ impl Service {
         let dir = self.job_dir(&id);
         fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
         write_json_atomic(&dir.join("job.json"), &record)?;
-        inner.sched.submit(&id, &spec.tenant, spec.priority).map_err(|e| e.to_string())?;
         let op = SchedOp::Submit {
             job: id.clone(),
             tenant: spec.tenant.clone(),
             priority: spec.priority,
         };
+        // Log first: a failed append leaves the scheduler and the id
+        // sequence untouched, so the next submit reuses the id cleanly.
         append_op(&mut inner.sched_log, &op)?;
+        inner
+            .sched
+            .submit(&id, &spec.tenant, spec.priority)
+            .expect("the scheduler has seen exactly the logged ids, and this one is new");
         inner.submitted += 1;
         inner
             .jobs
@@ -498,9 +503,9 @@ impl Service {
         };
         match state {
             JobState::Queued => {
-                inner.sched.cancel(id).map_err(|e| e.to_string())?;
-                let op = SchedOp::Cancel { job: id.to_owned() };
-                append_op(&mut inner.sched_log, &op)?;
+                // Log first: a failed append leaves the job queued.
+                append_op(&mut inner.sched_log, &SchedOp::Cancel { job: id.to_owned() })?;
+                inner.sched.cancel(id).expect("a Queued record is in the scheduler's queue");
                 let entry = inner.jobs.get_mut(id).expect("checked above");
                 entry.record.state = JobState::Cancelled;
                 let record = entry.record.clone();
@@ -574,11 +579,14 @@ impl Service {
     }
 
     /// Takes the next unit of work: a resumed job first, else the
-    /// scheduler's pick (logged + appended to `dispatch.jsonl` before
-    /// the lock drops). Returns `None` once shutdown was requested, so
-    /// queued jobs stay queued for the next boot, and when the pick's
-    /// dispatch could not be written: that job has left the queue, so
-    /// it ends `Failed` with the write error.
+    /// scheduler's pick (its `Poll` logged before the pop, its id
+    /// appended to `dispatch.jsonl` after, both before the lock drops).
+    /// Returns `None` once shutdown was requested, so queued jobs stay
+    /// queued for the next boot. A failed `Poll` append pops nothing:
+    /// it reports the error and shuts the service down, leaving the
+    /// queue to the next boot. A failed `dispatch.jsonl` line comes
+    /// after the logged `Poll`, so that job has left the queue (a
+    /// replay agrees) and ends `Failed` with the write error.
     fn take_task(&self) -> Option<(JobRecord, Arc<AtomicBool>, bool)> {
         let mut inner = self.lock_inner();
         if self.is_shutdown() {
@@ -591,14 +599,22 @@ impl Service {
             let _ = write_json_atomic(&self.job_dir(&id).join("job.json"), &record);
             return Some((record, cancel, true));
         }
-        let queued = inner.sched.next()?;
-        let written = append_op(&mut inner.sched_log, &SchedOp::Poll)
-            .map_err(|e| format!("sched_log.jsonl: {e}"))
-            .and_then(|()| {
-                writeln!(inner.dispatch, "{}", queued.job)
-                    .and_then(|()| inner.dispatch.flush())
-                    .map_err(|e| format!("dispatch.jsonl: {e}"))
+        if inner.sched.pending() == 0 {
+            return None;
+        }
+        if let Err(e) = append_op(&mut inner.sched_log, &SchedOp::Poll) {
+            drop(inner);
+            self.events.publish(&Event::Message {
+                level: Level::Error,
+                body: format!("dispatch stopped: sched_log.jsonl: {e}; shutting down"),
             });
+            self.request_shutdown();
+            return None;
+        }
+        let queued = inner.sched.next().expect("pending jobs were checked above");
+        let written = writeln!(inner.dispatch, "{}", queued.job)
+            .and_then(|()| inner.dispatch.flush())
+            .map_err(|e| format!("dispatch.jsonl: {e}"));
         if let Err(e) = written {
             let error = Some(format!("dispatch failed: {e}"));
             self.settle(inner, &queued.job, JobState::Failed, error, false);
@@ -1076,6 +1092,86 @@ mod tests {
             let needle = format!("job {id} failed: dispatch failed");
             assert!(messages.iter().any(|m| m.contains(&needle)), "{needle} in {messages:?}");
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A read-only handle on `sched_log.jsonl`: every op append fails.
+    fn break_sched_log(svc: &Service, dir: &Path) {
+        svc.lock_inner().sched_log = File::open(dir.join("sched_log.jsonl")).unwrap();
+    }
+
+    fn mend_sched_log(svc: &Service, dir: &Path) {
+        let log = OpenOptions::new().append(true).open(dir.join("sched_log.jsonl")).unwrap();
+        svc.lock_inner().sched_log = log;
+    }
+
+    fn small_family(tenant: &str) -> JobSpec {
+        let mut spec = JobSpec::new(tenant, JobKind::Family);
+        spec.limit = 1;
+        spec
+    }
+
+    #[test]
+    fn a_failed_submit_append_changes_nothing_and_the_next_submit_runs() {
+        let dir = scratch("submit-fail");
+        let mut cfg = tiny_config(&dir);
+        cfg.script = Some(String::new());
+        let svc = Service::boot(cfg).unwrap();
+        break_sched_log(&svc, &dir);
+        assert!(svc.submit(small_family("alice")).is_err());
+        assert_eq!(svc.lock_inner().sched.pending(), 0, "an unlogged job must not queue");
+        mend_sched_log(&svc, &dir);
+        let id = svc.submit(small_family("alice")).expect("the id was never taken");
+        assert_eq!(id, "job-00000");
+        svc.worker_loop();
+        let states: Vec<JobState> = svc.records().iter().map(|r| r.state).collect();
+        assert_eq!(states, vec![JobState::Done]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_cancel_append_keeps_the_job_queued_and_it_runs() {
+        let dir = scratch("cancel-fail");
+        let mut cfg = tiny_config(&dir);
+        cfg.script = Some(String::new());
+        let svc = Service::boot(cfg).unwrap();
+        let id = svc.submit(small_family("alice")).unwrap();
+        break_sched_log(&svc, &dir);
+        assert!(svc.cancel(&id).is_err());
+        assert_eq!(svc.record(&id).unwrap().state, JobState::Queued);
+        mend_sched_log(&svc, &dir);
+        svc.worker_loop();
+        assert_eq!(svc.record(&id).unwrap().state, JobState::Done);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_poll_append_shuts_down_and_a_resume_runs_the_job_once() {
+        let dir = scratch("poll-fail");
+        let mut cfg = tiny_config(&dir);
+        cfg.script = Some(String::new());
+        let svc = Service::boot(cfg.clone()).unwrap();
+        let (events, rx) = std::sync::mpsc::channel();
+        svc.events().subscribe(events);
+        let id = svc.submit(small_family("alice")).unwrap();
+        break_sched_log(&svc, &dir);
+        svc.worker_loop();
+        assert_eq!(svc.record(&id).unwrap().state, JobState::Queued, "nothing was popped");
+        assert!(svc.is_shutdown());
+        assert_eq!(fs::read_to_string(dir.join("dispatch.jsonl")).unwrap(), "");
+        let messages: Vec<String> = rx.try_iter().collect();
+        assert!(
+            messages.iter().any(|m| m.contains("dispatch stopped: sched_log.jsonl")),
+            "{messages:?}"
+        );
+        drop(svc);
+
+        cfg.resume = true;
+        let svc = Service::boot(cfg).unwrap();
+        svc.worker_loop();
+        assert_eq!(svc.record(&id).unwrap().state, JobState::Done);
+        let dispatch = fs::read_to_string(dir.join("dispatch.jsonl")).unwrap();
+        assert_eq!(dispatch.lines().collect::<Vec<_>>(), vec![id.as_str()]);
         let _ = fs::remove_dir_all(&dir);
     }
 

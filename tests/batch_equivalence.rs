@@ -4,8 +4,7 @@
 //! per-bit threshold for a `(epoch, bank, row)` once and evaluates whole
 //! probes as u64 lane masks — is a pure optimization. For every campaign,
 //! seed, module, thread count, condition, and ECC setting it reports
-//! **byte-identical** results to the scalar per-session command-program
-//! path: the same bitflip sets, the same hammer-session and
+//! **byte-identical** results to the scalar per-session command path: the same bitflip sets, the same hammer-session and
 //! measurement-epoch counters, and (unlike the search-strategy
 //! equivalence, which must strip `test_time_ns`) the same simulated test
 //! time and energy, bit for bit.
@@ -125,7 +124,6 @@ struct Fingerprint {
     elapsed_ns_bits: u64,
     energy_j_bits: u64,
     total_activations: u64,
-    cache_hits_and_builds: (u64, u64),
     /// Post-run device state: surviving bitflips around the victim,
     /// read back row by row against the pattern's expected bytes.
     post_state: Vec<(u32, Vec<u32>)>,
@@ -168,7 +166,6 @@ fn fingerprint(
         elapsed_ns_bits: platform.elapsed_ns().to_bits(),
         energy_j_bits: platform.energy_j().to_bits(),
         total_activations: platform.device().total_activations(),
-        cache_hits_and_builds: platform.program_cache_stats(),
         post_state,
     })
 }
