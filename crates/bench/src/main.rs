@@ -45,7 +45,7 @@ use vrd_bender::estimate::{
 use vrd_bender::{TestPlatform, TimingParams};
 use vrd_core::algorithm::{find_victim, test_loop_using, EvalStrategy, SearchStrategy, SweepSpec};
 use vrd_core::campaign::{in_depth_campaign, InDepthConfig};
-use vrd_core::discovery::{run_discovery, DiscoveryConfig};
+use vrd_core::discovery::{discovery_campaign, DiscoveryConfig};
 use vrd_core::exec::{execute, ExecConfig, Unit, UnitKey};
 use vrd_core::obs::metrics::MetricsSink;
 use vrd_core::run::RunOptions;
@@ -493,12 +493,18 @@ fn measure_discovery(module: &'static str) -> DiscoveryRun {
     let spec = ModuleSpec::by_name(module).expect("module exists in Table 1");
     let cfg = DiscoveryConfig { seed: SEED, max_epochs: FIXED_BUDGET, ..DiscoveryConfig::quick() };
     let started = Instant::now();
-    let discovery = run_discovery(&spec, &cfg);
+    let discovery = discovery_campaign(
+        std::slice::from_ref(&spec),
+        &cfg,
+        &RunOptions::new(ExecConfig::new(1, cfg.seed)),
+    )
+    .expect("plain run cannot fail")
+    .remove(0);
     let wall_ms = ms(started.elapsed());
 
     let indepth_cfg =
         InDepthConfig { seed: SEED, measurements: FIXED_BUDGET, ..InDepthConfig::quick() };
-    let opts = RunOptions::new(ExecConfig::serial(indepth_cfg.seed));
+    let opts = RunOptions::new(ExecConfig::new(1, indepth_cfg.seed));
     let reference =
         in_depth_campaign(&[spec], &indepth_cfg, &opts).expect("plain run cannot fail").remove(0);
     let violations = discovery

@@ -64,17 +64,9 @@ impl TestPlatform {
         }
     }
 
-    /// Instantiates the platform for one of the paper's Table-1 modules.
-    pub fn for_module(spec: ModuleSpec, seed: u64) -> Self {
-        let module = vrd_dram::Module::new(spec.clone(), seed);
-        let timing = TimingParams::for_family(&spec.family());
-        let mut p = Self::new(module.into_device(), timing);
-        p.spec = Some(spec);
-        p
-    }
-
-    /// Like [`for_module`](Self::for_module) with a reduced row size for
-    /// fast tests and campaigns.
+    /// Instantiates the platform for one of the paper's Table-1 modules
+    /// with `row_bytes`-byte rows (smaller is faster; the weak-cell
+    /// physics is size-independent).
     pub fn for_module_with_row_bytes(spec: ModuleSpec, seed: u64, row_bytes: u32) -> Self {
         let module = vrd_dram::Module::new_with_row_bytes(spec.clone(), seed, row_bytes);
         let timing = TimingParams::for_family(&spec.family());

@@ -40,7 +40,7 @@ pub const FIND_VICTIM_CUTOFF: u32 = 40_000;
 /// full campaigns. [`Adaptive`](SearchStrategy::Adaptive) is the product
 /// path; [`Linear`](SearchStrategy::Linear) is a test oracle, reachable
 /// only through [`test_loop_using`] and
-/// [`ExecConfigBuilder::search`](crate::exec::ExecConfigBuilder::search).
+/// the [`ExecConfig::search`](crate::exec::ExecConfig::search) field.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SearchStrategy {
     /// Ascending linear scan of the sweep grid.
@@ -82,7 +82,7 @@ impl SearchStrategy {
 /// so `Batch` is safe — and the product path — everywhere.
 /// [`Scalar`](EvalStrategy::Scalar) is a test oracle, reachable only
 /// through [`test_loop_using`] and
-/// [`ExecConfigBuilder::eval`](crate::exec::ExecConfigBuilder::eval).
+/// the [`ExecConfig::eval`](crate::exec::ExecConfig::eval) field.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EvalStrategy {
     /// Per-session DRAM command execution.

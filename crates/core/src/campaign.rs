@@ -14,8 +14,7 @@
 //! unit's derived seed, so the campaign output is bit-identical at any
 //! thread count. A [`RunOptions`] value selects the capabilities —
 //! progress counters, event observers, checkpointing, cancellation.
-//! [`run_foundational`] is the single-module serial form of Alg. 1 on
-//! the device seed alone, without unit reseeding.
+//! A serial run is `RunOptions::new(ExecConfig::new(1, seed))`.
 
 use std::time::Instant;
 
@@ -27,8 +26,7 @@ use vrd_dram::spec::ModuleSpec;
 use vrd_dram::TestConditions;
 
 use crate::algorithm::{
-    find_victim, test_loop, test_loop_using, EvalStrategy, SearchStrategy, SweepSpec,
-    FIND_VICTIM_CUTOFF,
+    find_victim, test_loop_using, EvalStrategy, SearchStrategy, SweepSpec, FIND_VICTIM_CUTOFF,
 };
 use crate::checkpoint::CheckpointError;
 use crate::exec::{ExecConfig, ExecReport, Progress, Unit, UnitCtx, UnitKey};
@@ -87,35 +85,15 @@ pub struct FoundationalResult {
     pub test_time_ns: f64,
 }
 
-/// Runs the foundational campaign (Alg. 1) against one module. Returns
-/// `None` if no sufficiently vulnerable row exists in the scanned range.
-pub fn run_foundational(spec: &ModuleSpec, cfg: &FoundationalConfig) -> Option<FoundationalResult> {
-    let mut platform =
-        TestPlatform::for_module_with_row_bytes(spec.clone(), cfg.seed, cfg.row_bytes);
-    platform.set_temperature_c(cfg.conditions.temperature_c);
-    let (row, guess) =
-        find_victim(&mut platform, 0, &cfg.conditions, FIND_VICTIM_CUTOFF, 2..cfg.scan_rows)?;
-    let sweep = SweepSpec::from_guess(guess);
-    let series = test_loop(&mut platform, 0, row, &cfg.conditions, cfg.measurements, &sweep);
-    Some(FoundationalResult {
-        module: spec.name.clone(),
-        row,
-        rdt_guess: guess,
-        series,
-        test_time_ns: platform.elapsed_ns(),
-    })
-}
-
 /// Runs the foundational campaign across a fleet of modules on the
 /// deterministic executor, under [`RunOptions`]: plain, observed,
 /// checkpointed, and cancellable are all configurations of this one
 /// entry point.
 ///
 /// Each module is one work unit: a fresh platform built from `cfg.seed`
-/// (so the weak-cell layout matches [`run_foundational`]) with its dynamics
-/// RNG reseeded from the unit's derived seed. Output order follows
-/// `specs`; entries are `None` for modules with no vulnerable row in
-/// the scanned range.
+/// (which fixes the weak-cell layout) with its dynamics RNG reseeded
+/// from the unit's derived seed. Output order follows `specs`; entries
+/// are `None` for modules with no vulnerable row in the scanned range.
 ///
 /// Emits [`Event::CampaignStarted`] / [`Event::CampaignFinished`]
 /// around the run's phase and unit events.
@@ -171,6 +149,16 @@ pub(crate) fn run_campaign_phases<T>(
     Ok(result)
 }
 
+/// Reports a unit's platform work: hammer sessions, measurement epochs
+/// (0 for row selection, which opens none), simulated test time and
+/// energy. Bitflips stay with each caller.
+pub(crate) fn record_platform(ctx: &UnitCtx<'_>, platform: &TestPlatform) {
+    ctx.record_hammer_sessions(platform.hammer_sessions());
+    ctx.record_measurement_epochs(platform.measurement_epochs());
+    ctx.record_sim_time_ns(platform.elapsed_ns());
+    ctx.record_sim_energy_j(platform.energy_j());
+}
+
 /// One unit per module, keyed by module name.
 fn foundational_units(specs: &[ModuleSpec]) -> Vec<Unit<ModuleSpec>> {
     specs.iter().map(|s| Unit::new(UnitKey::module(&s.name), s.clone())).collect()
@@ -203,10 +191,7 @@ fn foundational_unit(
         eval,
     );
     ctx.record_flips(series.len() as u64);
-    ctx.record_hammer_sessions(platform.hammer_sessions());
-    ctx.record_measurement_epochs(platform.measurement_epochs());
-    ctx.record_sim_time_ns(platform.elapsed_ns());
-    ctx.record_sim_energy_j(platform.energy_j());
+    record_platform(ctx, &platform);
     Some(FoundationalResult {
         module: spec.name.clone(),
         row,
@@ -426,9 +411,7 @@ pub(crate) fn select_unit_with(
     platform.set_temperature_c(selection_conditions.temperature_c);
     let rows =
         select_rows(&mut platform, 0, &selection_conditions, segment_rows, picks_per_segment, 3);
-    ctx.record_hammer_sessions(platform.hammer_sessions());
-    ctx.record_sim_time_ns(platform.elapsed_ns());
-    ctx.record_sim_energy_j(platform.energy_j());
+    record_platform(ctx, &platform);
     rows
 }
 
@@ -502,10 +485,7 @@ fn measure_cell(
     let series =
         test_loop_using(&mut platform, 0, row, conditions, cfg.measurements, &sweep, search, eval);
     ctx.record_flips(series.len() as u64);
-    ctx.record_hammer_sessions(platform.hammer_sessions());
-    ctx.record_measurement_epochs(platform.measurement_epochs());
-    ctx.record_sim_time_ns(platform.elapsed_ns());
-    ctx.record_sim_energy_j(platform.energy_j());
+    record_platform(ctx, &platform);
     if series.is_empty() {
         return None;
     }
@@ -525,10 +505,20 @@ mod tests {
         }
     }
 
+    /// The foundational campaign against one module on one thread.
+    fn serial_foundational(spec: &ModuleSpec, cfg: &FoundationalConfig) -> FoundationalResult {
+        let opts = RunOptions::new(ExecConfig::new(1, cfg.seed));
+        foundational_campaign(std::slice::from_ref(spec), cfg, &opts)
+            .unwrap()
+            .pop()
+            .unwrap()
+            .expect("the module has weak rows")
+    }
+
     #[test]
     fn foundational_campaign_measures_one_row() {
         let spec = ModuleSpec::by_name("M1").unwrap();
-        let result = run_foundational(&spec, &quick_foundational()).expect("M1 has weak rows");
+        let result = serial_foundational(&spec, &quick_foundational());
         assert_eq!(result.module, "M1");
         assert_eq!(result.series.len() + result.series.censored() as usize, 50);
         assert!(result.rdt_guess < FIND_VICTIM_CUTOFF);
@@ -540,7 +530,7 @@ mod tests {
         let spec = ModuleSpec::by_name("M1").unwrap();
         let mut cfg = quick_foundational();
         cfg.measurements = 120;
-        let result = run_foundational(&spec, &cfg).unwrap();
+        let result = serial_foundational(&spec, &cfg);
         assert!(
             vrd_stats::histogram::unique_count(result.series.values()) > 1,
             "Finding 1: the RDT must change over repeated measurements"
@@ -566,7 +556,7 @@ mod tests {
 
     /// The in-depth campaign against one module on one thread.
     fn serial_in_depth(spec: &ModuleSpec, cfg: &InDepthConfig) -> InDepthResult {
-        let opts = RunOptions::new(ExecConfig::serial(cfg.seed));
+        let opts = RunOptions::new(ExecConfig::new(1, cfg.seed));
         in_depth_campaign(std::slice::from_ref(spec), cfg, &opts).unwrap().pop().unwrap()
     }
 
@@ -605,7 +595,7 @@ mod tests {
             ["M1", "S2", "H3"].iter().map(|n| ModuleSpec::by_name(n).unwrap()).collect();
         let cfg = quick_foundational();
         let serial =
-            foundational_campaign(&specs, &cfg, &RunOptions::new(ExecConfig::serial(cfg.seed)))
+            foundational_campaign(&specs, &cfg, &RunOptions::new(ExecConfig::new(1, cfg.seed)))
                 .unwrap();
         let parallel =
             foundational_campaign(&specs, &cfg, &RunOptions::new(ExecConfig::new(8, cfg.seed)))
@@ -677,7 +667,8 @@ mod tests {
         let specs = vec![ModuleSpec::by_name("M1").unwrap()];
         let cfg = quick_foundational();
         let run = |eval| {
-            let exec_cfg = ExecConfig::serial(cfg.seed).to_builder().eval(eval).build();
+            let mut exec_cfg = ExecConfig::new(1, cfg.seed);
+            exec_cfg.eval = eval;
             let progress = Progress::new();
             let results =
                 foundational_campaign(&specs, &cfg, &RunOptions::new(exec_cfg).progress(&progress))

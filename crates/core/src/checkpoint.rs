@@ -48,6 +48,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize, Value};
+use vrd_dram::fleet::roster_fingerprint;
+use vrd_dram::spec::ModuleSpec;
 
 use crate::exec::UnitKey;
 
@@ -100,11 +102,31 @@ pub struct CheckpointManifest {
     /// Roster shard count (1 when unsharded).
     pub shard_count: u64,
     /// Fingerprint of the (sharded) module roster, from
-    /// `vrd_dram::fleet::roster_fingerprint`.
+    /// [`roster_fingerprint`].
     pub roster_fingerprint: u64,
 }
 
 impl CheckpointManifest {
+    /// The manifest of an unsharded run of `campaign` over `specs`: the
+    /// current [`FORMAT_VERSION`], shard 0 of 1, and the roster's
+    /// fingerprint. A sharded run overrides the two shard fields.
+    pub fn for_campaign(
+        campaign: &str,
+        config_hash: u64,
+        campaign_seed: u64,
+        specs: &[ModuleSpec],
+    ) -> Self {
+        CheckpointManifest {
+            format_version: FORMAT_VERSION,
+            campaign: campaign.to_owned(),
+            config_hash,
+            campaign_seed,
+            shard_index: 0,
+            shard_count: 1,
+            roster_fingerprint: roster_fingerprint(specs),
+        }
+    }
+
     /// Compares against a manifest found on disk, naming the first
     /// mismatching field.
     fn verify_against(&self, found: &CheckpointManifest) -> Result<(), CheckpointError> {

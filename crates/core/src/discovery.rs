@@ -50,7 +50,7 @@ use vrd_stats::{
 use crate::algorithm::{
     measure_rdt_once_using, EvalStrategy, SearchStrategy, SweepSpec, FIND_VICTIM_CUTOFF,
 };
-use crate::campaign::{run_campaign_phases, select_unit_with};
+use crate::campaign::{record_platform, run_campaign_phases, select_unit_with};
 use crate::checkpoint::CheckpointError;
 use crate::exec::{ExecConfig, Unit, UnitCtx, UnitKey};
 use crate::obs::Event;
@@ -261,18 +261,6 @@ pub fn discovery_campaign(
     })
 }
 
-/// Runs the discovery campaign against one module, serially.
-pub fn run_discovery(spec: &ModuleSpec, cfg: &DiscoveryConfig) -> DiscoveryResult {
-    discovery_campaign(
-        std::slice::from_ref(spec),
-        cfg,
-        &RunOptions::new(ExecConfig::serial(cfg.seed)),
-    )
-    .expect("plain campaign run cannot fail")
-    .pop()
-    .expect("one module in, one result out")
-}
-
 /// Phase-2 units: one per (module × selected row), keyed exactly like
 /// the in-depth campaign's condition-0 cell so the derived unit seed —
 /// and with it every measurement epoch — matches.
@@ -386,10 +374,7 @@ fn discover_row(
         }
     }
 
-    ctx.record_hammer_sessions(platform.hammer_sessions());
-    ctx.record_measurement_epochs(platform.measurement_epochs());
-    ctx.record_sim_time_ns(platform.elapsed_ns());
-    ctx.record_sim_energy_j(platform.energy_j());
+    record_platform(ctx, &platform);
 
     let values: Vec<u32> = observations.iter().flatten().copied().collect();
     let censored = (observations.len() - values.len()) as u32;
@@ -436,11 +421,17 @@ mod tests {
     use super::*;
     use crate::obs::MemorySink;
 
+    /// The discovery campaign against one module on one thread.
+    fn serial_discovery(spec: &ModuleSpec, cfg: &DiscoveryConfig) -> DiscoveryResult {
+        let opts = RunOptions::new(ExecConfig::new(1, cfg.seed));
+        discovery_campaign(std::slice::from_ref(spec), cfg, &opts).unwrap().pop().unwrap()
+    }
+
     #[test]
     fn quick_discovery_bounds_every_row() {
         let spec = ModuleSpec::by_name("M1").unwrap();
         let cfg = DiscoveryConfig::quick();
-        let result = run_discovery(&spec, &cfg);
+        let result = serial_discovery(&spec, &cfg);
         assert_eq!(result.module, "M1");
         assert!(!result.rows.is_empty(), "selection must find vulnerable rows");
         for row in &result.rows {
@@ -456,7 +447,7 @@ mod tests {
     fn discovery_is_thread_invariant() {
         let spec = ModuleSpec::by_name("H3").unwrap();
         let cfg = DiscoveryConfig::quick();
-        let serial = run_discovery(&spec, &cfg);
+        let serial = serial_discovery(&spec, &cfg);
         let parallel = discovery_campaign(
             std::slice::from_ref(&spec),
             &cfg,
@@ -475,7 +466,7 @@ mod tests {
         let results = discovery_campaign(
             std::slice::from_ref(&spec),
             &cfg,
-            &RunOptions::new(ExecConfig::serial(cfg.seed)).observer(&sink),
+            &RunOptions::new(ExecConfig::new(1, cfg.seed)).observer(&sink),
         )
         .unwrap();
         let stops: Vec<(u32, u32, f64)> = sink
@@ -500,7 +491,7 @@ mod tests {
     fn discovery_saves_epochs_vs_ceiling() {
         let spec = ModuleSpec::by_name("M1").unwrap();
         let cfg = DiscoveryConfig::quick();
-        let result = run_discovery(&spec, &cfg);
+        let result = serial_discovery(&spec, &cfg);
         assert!(
             result.rows.iter().any(|r| r.stopped_early),
             "the quiet-streak rule must fire before the ceiling on typical rows"
@@ -511,13 +502,13 @@ mod tests {
     #[should_panic(expected = "stopping-rule")]
     fn builder_rejects_invalid_confidence() {
         let spec = ModuleSpec::by_name("M1").unwrap();
-        run_discovery(&spec, &DiscoveryConfig { confidence: 1.5, ..DiscoveryConfig::quick() });
+        serial_discovery(&spec, &DiscoveryConfig { confidence: 1.5, ..DiscoveryConfig::quick() });
     }
 
     #[test]
     #[should_panic(expected = "guardband")]
     fn builder_rejects_invalid_guardband() {
         let spec = ModuleSpec::by_name("M1").unwrap();
-        run_discovery(&spec, &DiscoveryConfig { guardband: 1.0, ..DiscoveryConfig::quick() });
+        serial_discovery(&spec, &DiscoveryConfig { guardband: 1.0, ..DiscoveryConfig::quick() });
     }
 }

@@ -66,9 +66,9 @@ pub mod faults;
 /// Executor configuration: worker-thread count and the campaign seed all
 /// unit seeds derive from.
 ///
-/// `#[non_exhaustive]`: construct through [`ExecConfig::new`],
-/// [`ExecConfig::serial`], or [`ExecConfig::builder`], so future fields
-/// are not breaking changes.
+/// `#[non_exhaustive]`: construct through [`ExecConfig::new`] (one
+/// thread is the reference ordering that parallel runs must match byte
+/// for byte), so future fields are not breaking changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ExecConfig {
@@ -90,7 +90,10 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// A parallel configuration with the given thread count.
+    /// A configuration with the given thread count (0 = all available
+    /// cores) and campaign seed, on the product search and evaluation
+    /// strategies. The equivalence suites set [`search`](Self::search)
+    /// or [`eval`](Self::eval) afterwards to pick an oracle.
     pub fn new(threads: usize, campaign_seed: u64) -> Self {
         ExecConfig {
             threads,
@@ -98,22 +101,6 @@ impl ExecConfig {
             search: SearchStrategy::default(),
             eval: EvalStrategy::default(),
         }
-    }
-
-    /// A single-threaded configuration (the reference ordering; parallel
-    /// runs must match it byte for byte).
-    pub fn serial(campaign_seed: u64) -> Self {
-        ExecConfig {
-            threads: 1,
-            campaign_seed,
-            search: SearchStrategy::default(),
-            eval: EvalStrategy::default(),
-        }
-    }
-
-    /// A builder seeded with the defaults (all cores, campaign seed 0).
-    pub fn builder() -> ExecConfigBuilder {
-        ExecConfigBuilder { cfg: ExecConfig::new(0, 0) }
     }
 
     /// A builder seeded with this configuration's values.
@@ -132,7 +119,7 @@ impl ExecConfig {
     }
 }
 
-/// Builder for [`ExecConfig`]; obtained from [`ExecConfig::builder`].
+/// Builder for [`ExecConfig`]; obtained from [`ExecConfig::to_builder`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfigBuilder {
     cfg: ExecConfig,
@@ -148,20 +135,6 @@ impl ExecConfigBuilder {
     /// Sets the campaign seed.
     pub fn campaign_seed(mut self, campaign_seed: u64) -> Self {
         self.cfg.campaign_seed = campaign_seed;
-        self
-    }
-
-    /// Sets the RDT search strategy (the campaign-level oracle
-    /// selector of the equivalence suites).
-    pub fn search(mut self, search: SearchStrategy) -> Self {
-        self.cfg.search = search;
-        self
-    }
-
-    /// Sets the hammer-session evaluation strategy (the campaign-level
-    /// oracle selector of the equivalence suites).
-    pub fn eval(mut self, eval: EvalStrategy) -> Self {
-        self.cfg.eval = eval;
         self
     }
 
@@ -628,7 +601,7 @@ mod tests {
 
     #[test]
     fn unit_seeds_are_thread_invariant_and_key_derived() {
-        let cfg1 = ExecConfig::serial(9);
+        let cfg1 = ExecConfig::new(1, 9);
         let cfg8 = ExecConfig::new(8, 9);
         let seeds = |cfg: &ExecConfig| execute(cfg, keys(20), |ctx, _| ctx.seed).into_results();
         let serial = seeds(&cfg1);
@@ -727,7 +700,7 @@ mod tests {
 
     #[test]
     fn cancelled_run_skips_unstarted_units() {
-        let cfg = ExecConfig::serial(0);
+        let cfg = ExecConfig::new(1, 0);
         let cancel = AtomicBool::new(false);
         let progress = Progress::new();
         let report =
@@ -757,7 +730,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "campaign unit skipped")]
     fn into_results_reraises_skips() {
-        let cfg = ExecConfig::serial(0);
+        let cfg = ExecConfig::new(1, 0);
         let cancel = AtomicBool::new(true);
         let progress = Progress::new();
         let report = execute_run(&cfg, keys(2), &progress, Some(&cancel), &NullObserver, |_, &i| i);
@@ -767,7 +740,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "campaign unit panicked")]
     fn into_results_reraises_unit_panics() {
-        let cfg = ExecConfig::serial(0);
+        let cfg = ExecConfig::new(1, 0);
         let report = execute(&cfg, keys(2), |_, &i| {
             assert!(i != 1, "boom");
             i

@@ -25,7 +25,7 @@
 //!     ..FoundationalConfig::default()
 //! };
 //! let sink = MemorySink::new();
-//! let opts = RunOptions::new(ExecConfig::serial(7)).observer(&sink);
+//! let opts = RunOptions::new(ExecConfig::new(1, 7)).observer(&sink);
 //! let results = foundational_campaign(&specs, &cfg, &opts).unwrap();
 //! assert_eq!(results.len(), 1);
 //! assert!(!sink.events().is_empty());
@@ -261,7 +261,7 @@ mod tests {
     #[test]
     fn plain_run_completes_and_reports_phase() {
         let sink = MemorySink::new();
-        let opts = RunOptions::new(ExecConfig::serial(1)).observer(&sink);
+        let opts = RunOptions::new(ExecConfig::new(1, 1)).observer(&sink);
         let report = run_units(&opts, "c", "p", units(4), |_, &i| i * 2).unwrap();
         assert_eq!(report.into_results(), vec![0, 2, 4, 6]);
         let events = sink.events();
@@ -277,7 +277,7 @@ mod tests {
     #[test]
     fn explicit_cancel_interrupts_a_plain_run() {
         let cancel = AtomicBool::new(false);
-        let opts = RunOptions::new(ExecConfig::serial(1)).cancel(&cancel);
+        let opts = RunOptions::new(ExecConfig::new(1, 1)).cancel(&cancel);
         let err = run_units(&opts, "c", "p", units(5), |_, &i| {
             if i == 1 {
                 cancel.store(true, Ordering::SeqCst);
@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn shared_progress_spans_phases() {
         let progress = Progress::new();
-        let opts = RunOptions::new(ExecConfig::serial(1)).progress(&progress);
+        let opts = RunOptions::new(ExecConfig::new(1, 1)).progress(&progress);
         run_units(&opts, "c", "a", units(3), |_, &i| i).unwrap();
         run_units(&opts, "c", "b", units(2), |_, &i| i).unwrap();
         let snap = progress.snapshot();

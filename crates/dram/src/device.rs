@@ -353,17 +353,7 @@ impl DramDevice {
     /// Returns an error for out-of-range addresses or if another row is
     /// already open in the bank (a real controller must precharge first).
     pub fn activate(&mut self, bank: usize, row: u32) -> Result<(), DramError> {
-        self.activate_for(bank, row, T_AGG_ON_MIN_TRAS_NS)
-    }
-
-    /// Activates `row` in `bank`, keeping it open for `t_on_ns` before the
-    /// eventual precharge (the RowPress axis).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`activate`](Self::activate).
-    pub fn activate_for(&mut self, bank: usize, row: u32, t_on_ns: f64) -> Result<(), DramError> {
-        self.activate_n(bank, row, 1, t_on_ns)
+        self.activate_n(bank, row, 1, T_AGG_ON_MIN_TRAS_NS)
     }
 
     /// Applies `n` consecutive activate/precharge cycles of `row`
@@ -514,35 +504,6 @@ impl DramDevice {
         flips.sort_unstable_by_key(|f| f.bit);
         flips.dedup();
         flips
-    }
-
-    /// Performs the paper's double-sided hammer: `hammer_count`
-    /// activations of *each* of the two physical neighbors of `victim`,
-    /// alternating, each held open `t_on_ns`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid addresses.
-    pub fn hammer_double_sided(
-        &mut self,
-        bank: usize,
-        victim: u32,
-        hammer_count: u32,
-        t_on_ns: f64,
-    ) {
-        let (below, above) = self.config.mapping.neighbors_of(victim, self.config.rows_per_bank());
-        self.precharge(bank).expect("valid bank");
-        // Alternating ACT/PRE pairs are semantically equal to bulk
-        // activation of each side because disturbance accumulates
-        // additively between victim restores.
-        if let Some(b) = below {
-            self.activate_n(bank, b, hammer_count, t_on_ns).expect("valid address");
-            self.precharge(bank).expect("valid bank");
-        }
-        if let Some(a) = above {
-            self.activate_n(bank, a, hammer_count, t_on_ns).expect("valid address");
-            self.precharge(bank).expect("valid bank");
-        }
     }
 
     /// Issues one refresh command: restores the next
@@ -1142,6 +1103,16 @@ mod tests {
         cfg
     }
 
+    /// Hammers both neighbours of a non-edge `victim` in bank 0 (direct
+    /// mapping), `count` activations each, as Alg. 1's session does.
+    fn hammer_both_sides(dev: &mut DramDevice, victim: u32, count: u32) {
+        for aggressor in [victim - 1, victim + 1] {
+            dev.precharge(0).unwrap();
+            dev.activate_n(0, aggressor, count, 35.0).unwrap();
+            dev.precharge(0).unwrap();
+        }
+    }
+
     /// Finds a row whose weak-cell threshold is low enough to flip fast.
     fn find_vulnerable_row(dev: &mut DramDevice) -> u32 {
         let cond = TestConditions::foundational();
@@ -1207,7 +1178,7 @@ mod tests {
         dev.write_row(0, victim, p.victim_byte());
         dev.write_row(0, victim - 1, p.aggressor_byte());
         dev.write_row(0, victim + 1, p.aggressor_byte());
-        dev.hammer_double_sided(0, victim, 500_000, 35.0);
+        hammer_both_sides(&mut dev, victim, 500_000);
         let flips = dev.read_and_compare(0, victim, p.victim_byte());
         assert!(!flips.is_empty(), "500k hammers must flip a vulnerable row");
     }
@@ -1220,7 +1191,7 @@ mod tests {
         dev.write_row(0, victim, p.victim_byte());
         dev.write_row(0, victim - 1, p.aggressor_byte());
         dev.write_row(0, victim + 1, p.aggressor_byte());
-        dev.hammer_double_sided(0, victim, 5, 35.0);
+        hammer_both_sides(&mut dev, victim, 5);
         let flips = dev.read_and_compare(0, victim, p.victim_byte());
         assert!(flips.is_empty(), "5 hammers must not flip anything");
     }
@@ -1233,7 +1204,7 @@ mod tests {
         dev.write_row(0, victim, p.victim_byte());
         dev.write_row(0, victim - 1, p.aggressor_byte());
         dev.write_row(0, victim + 1, p.aggressor_byte());
-        dev.hammer_double_sided(0, victim, 500_000, 35.0);
+        hammer_both_sides(&mut dev, victim, 500_000);
         assert!(!dev.read_and_compare(0, victim, p.victim_byte()).is_empty());
         // Re-initialize and read without hammering: clean.
         dev.write_row(0, victim, p.victim_byte());
@@ -1281,7 +1252,7 @@ mod tests {
         // row, but flips already "occurred" during hammering, so restore
         // materializes them — hammering must flip regardless of whether
         // the read or the refresh performs the restore.
-        dev.hammer_double_sided(0, victim, 500_000, 35.0);
+        hammer_both_sides(&mut dev, victim, 500_000);
         dev.refresh();
         let flips = dev.read_and_compare(0, victim, p.victim_byte());
         assert!(!flips.is_empty());
@@ -1290,7 +1261,7 @@ mod tests {
         // the threshold: each refresh resets accumulation.
         dev.write_row(0, victim, p.victim_byte());
         for _ in 0..50 {
-            dev.hammer_double_sided(0, victim, 100, 35.0);
+            hammer_both_sides(&mut dev, victim, 100);
             dev.refresh();
         }
         let flips = dev.read_and_compare(0, victim, p.victim_byte());
@@ -1305,7 +1276,7 @@ mod tests {
         dev.write_row(0, victim, p.victim_byte());
         dev.write_row(0, victim - 1, p.aggressor_byte());
         dev.write_row(0, victim + 1, p.aggressor_byte());
-        dev.hammer_double_sided(0, victim, 500_000, 35.0);
+        hammer_both_sides(&mut dev, victim, 500_000);
         dev.set_on_die_ecc_enabled(true);
         let with_ecc = dev.read_and_compare(0, victim, p.victim_byte());
         dev.set_on_die_ecc_enabled(false);

@@ -30,15 +30,11 @@ fn module_seed(spec: &ModuleSpec, seed: u64) -> u64 {
 }
 
 impl Module {
-    /// Instantiates the device model for `spec`, deterministic in `seed`
-    /// (internally combined with the module name, so the same campaign
-    /// seed yields distinct per-module devices).
-    pub fn new(spec: ModuleSpec, seed: u64) -> Self {
-        // 64 Kibit rows, as in the paper's Fig. 16.
-        Self::new_with_row_bytes(spec, seed, 8192)
-    }
-
-    /// Like [`new`](Self::new) but with a reduced row size, for fast tests.
+    /// Instantiates the device model for `spec` with `row_bytes`-byte
+    /// rows (the paper's Fig. 16 uses 8 KiB; smaller is faster),
+    /// deterministic in `seed` (internally combined with the module
+    /// name, so the same campaign seed yields distinct per-module
+    /// devices).
     pub fn new_with_row_bytes(spec: ModuleSpec, seed: u64, row_bytes: u32) -> Self {
         let family = spec.family();
         let config = DeviceConfig {
@@ -95,8 +91,8 @@ pub fn shard_specs(specs: &[ModuleSpec], index: usize, count: usize) -> Vec<Modu
 /// Generates a synthetic fleet of `count` module specs by cycling the
 /// Table-1 roster and renaming each clone `{base}-f{index:04}`. Because
 /// per-module device seeds derive from the module *name* (see
-/// [`Module::new`]), every synthetic module gets its own weak-cell
-/// layout even when it shares a base spec; and because
+/// [`Module::new_with_row_bytes`]), every synthetic module gets its own
+/// weak-cell layout even when it shares a base spec; and because
 /// [`ModuleSpec::family`]/[`ModuleSpec::vrd_params`] derive from the
 /// spec's fields rather than its name, renamed clones behave in
 /// campaigns exactly like their Table-1 ancestors. The Table-7 anchors
@@ -172,7 +168,7 @@ mod tests {
     use super::*;
 
     fn module(name: &str) -> Module {
-        Module::new(ModuleSpec::by_name(name).expect("Table-1 name"), 1)
+        Module::new_with_row_bytes(ModuleSpec::by_name(name).expect("Table-1 name"), 1, 8192)
     }
 
     #[test]

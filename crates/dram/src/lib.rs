@@ -39,7 +39,12 @@
 //! dev.write_row(0, victim, DataPattern::Checkered0.victim_byte());
 //! dev.write_row(0, victim - 1, DataPattern::Checkered0.aggressor_byte());
 //! dev.write_row(0, victim + 1, DataPattern::Checkered0.aggressor_byte());
-//! dev.hammer_double_sided(0, victim, 200_000, 35.0);
+//! // Double-sided hammer: 200k activations of each neighbour, 35 ns open.
+//! for aggressor in [victim - 1, victim + 1] {
+//!     dev.precharge(0).unwrap();
+//!     dev.activate_n(0, aggressor, 200_000, 35.0).unwrap();
+//!     dev.precharge(0).unwrap();
+//! }
 //! let flips = dev.read_and_compare(0, victim, DataPattern::Checkered0.victim_byte());
 //! // A heavy enough hammer count flips at least the row's weakest cell,
 //! // if the row has any weak cell at all.

@@ -327,6 +327,13 @@ fn parse(args: &[String]) -> Result<(Vec<String>, Options), String> {
     if opts.resume && opts.checkpoint_dir.is_none() {
         return Err("--resume needs --checkpoint-dir".into());
     }
+    if opts.scope().is_empty() {
+        return Err(format!(
+            "--modules {} and --family {} select no Table-1 module",
+            opts.modules.join(","),
+            format!("{:?}", opts.family).to_ascii_lowercase()
+        ));
+    }
     Ok((ids, opts))
 }
 

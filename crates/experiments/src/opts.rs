@@ -167,13 +167,17 @@ impl Options {
     /// restricted to the `--family` scope, reduced to this process's
     /// shard.
     pub fn specs(&self) -> Vec<vrd_dram::ModuleSpec> {
-        let all = vrd_dram::ModuleSpec::table1();
-        let scoped: Vec<vrd_dram::ModuleSpec> = all
+        vrd_dram::fleet::shard_specs(&self.scope(), self.shard_index, self.shard_count)
+    }
+
+    /// The roster (or `--modules` subset) restricted to the `--family`
+    /// scope, before sharding.
+    pub fn scope(&self) -> Vec<vrd_dram::ModuleSpec> {
+        vrd_dram::ModuleSpec::table1()
             .into_iter()
             .filter(|s| self.modules.is_empty() || self.modules.iter().any(|m| m == &s.name))
             .filter(|s| self.family.includes(s))
-            .collect();
-        vrd_dram::fleet::shard_specs(&scoped, self.shard_index, self.shard_count)
+            .collect()
     }
 
     /// The executor configuration for campaign parallelism.

@@ -125,13 +125,14 @@ pub fn campaign_checkpoint<C: Serialize>(
 ) -> Option<Checkpoint> {
     let root = opts.checkpoint_dir.as_deref()?;
     let manifest = CheckpointManifest {
-        format_version: checkpoint::FORMAT_VERSION,
-        campaign: campaign.to_owned(),
-        config_hash: checkpoint::config_hash(cfg),
-        campaign_seed: opts.seed,
         shard_index: opts.shard_index as u64,
         shard_count: opts.shard_count as u64,
-        roster_fingerprint: vrd_dram::fleet::roster_fingerprint(&opts.specs()),
+        ..CheckpointManifest::for_campaign(
+            campaign,
+            checkpoint::config_hash(cfg),
+            opts.seed,
+            &opts.specs(),
+        )
     };
     let dir = Path::new(root).join(campaign);
     if dir.join("manifest.json").exists() && !opts.resume {

@@ -219,7 +219,8 @@ struct FleetInfo {
 }
 
 /// Streams the live event feed as server-sent events until the client
-/// hangs up or the service shuts down. History is not replayed —
+/// hangs up or the service shuts down (shutdown closes the hub, which
+/// drops this stream's sender). History is not replayed —
 /// `/events.jsonl` serves that.
 fn stream_events(mut stream: TcpStream, service: &Service) {
     let header = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\
@@ -230,21 +231,11 @@ fn stream_events(mut stream: TcpStream, service: &Service) {
     let _ = stream.flush();
     let (tx, rx) = mpsc::channel::<String>();
     service.events().subscribe(tx);
-    loop {
-        match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(line) => {
-                if stream.write_all(format!("data: {line}\n\n").as_bytes()).is_err() {
-                    return;
-                }
-                let _ = stream.flush();
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if service.is_shutdown() {
-                    return;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
+    for line in rx {
+        if stream.write_all(format!("data: {line}\n\n").as_bytes()).is_err() {
+            return;
         }
+        let _ = stream.flush();
     }
 }
 

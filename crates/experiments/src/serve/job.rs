@@ -52,17 +52,6 @@ impl JobKind {
             JobKind::Family => "family",
         }
     }
-
-    /// The campaign label the job's checkpoint manifest is bound to,
-    /// or `None` for pure-computation kinds that keep no checkpoint.
-    pub fn campaign_label(self) -> Option<&'static str> {
-        match self {
-            JobKind::Foundational => Some(vrd_core::campaign::FOUNDATIONAL),
-            JobKind::InDepth | JobKind::MemsimSweep => Some(vrd_core::campaign::IN_DEPTH),
-            JobKind::Discovery => Some(vrd_core::discovery::DISCOVERY),
-            JobKind::Family => None,
-        }
-    }
 }
 
 impl std::str::FromStr for JobKind {

@@ -52,7 +52,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
+use vrd_core::campaign::{FOUNDATIONAL, IN_DEPTH};
 use vrd_core::checkpoint::{self, Checkpoint, CheckpointError, CheckpointManifest};
+use vrd_core::discovery::DISCOVERY;
 use vrd_core::exec::faults::FaultPlan;
 use vrd_core::obs::trace::JsonlSink;
 use vrd_core::obs::{Event, Level, MultiObserver, Observer};
@@ -183,25 +185,38 @@ struct Inner {
     resume: Vec<String>,
     sched_log: File,
     dispatch: File,
-    submitted: u64,
 }
 
 /// Fan-out hub for the multiplexed event stream: the `events.jsonl`
 /// file plus live SSE subscribers.
 pub struct EventHub {
     file: Mutex<File>,
-    subscribers: Mutex<Vec<Sender<String>>>,
+    /// Live subscribers; `None` once closed.
+    subscribers: Mutex<Option<Vec<Sender<String>>>>,
 }
 
 impl EventHub {
     fn new(file: File) -> Self {
-        EventHub { file: Mutex::new(file), subscribers: Mutex::new(Vec::new()) }
+        EventHub { file: Mutex::new(file), subscribers: Mutex::new(Some(Vec::new())) }
     }
 
     /// Registers a live subscriber; every subsequent event line is sent
     /// to it (history is served by `events.jsonl`, not replayed here).
+    /// Once [`Service::request_shutdown`] has closed the hub, the sender
+    /// is dropped at once, so the subscriber's receiver reports the
+    /// stream ended.
     pub fn subscribe(&self, tx: Sender<String>) {
-        self.subscribers.lock().unwrap_or_else(PoisonError::into_inner).push(tx);
+        if let Some(subscribers) =
+            self.subscribers.lock().unwrap_or_else(PoisonError::into_inner).as_mut()
+        {
+            subscribers.push(tx);
+        }
+    }
+
+    /// Ends every live subscription by dropping its sender; later
+    /// events still reach `events.jsonl`.
+    fn close(&self) {
+        *self.subscribers.lock().unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// Serializes and publishes one event: appended (and flushed) to
@@ -214,10 +229,11 @@ impl EventHub {
             let _ = writeln!(f, "{line}");
             let _ = f.flush();
         }
-        self.subscribers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .retain(|tx| tx.send(line.clone()).is_ok());
+        if let Some(subscribers) =
+            self.subscribers.lock().unwrap_or_else(PoisonError::into_inner).as_mut()
+        {
+            subscribers.retain(|tx| tx.send(line.clone()).is_ok());
+        }
     }
 }
 
@@ -314,7 +330,6 @@ impl Service {
             fs::write(&tmp, recovered).map_err(|e| e.to_string())?;
             fs::rename(&tmp, root.join("sched_log.jsonl")).map_err(|e| e.to_string())?;
         }
-        let submitted = ops.iter().filter(|op| matches!(op, SchedOp::Submit { .. })).count() as u64;
         let sched = vrd_core::scheduler::replay(cfg.service_seed, &ops)
             .map_err(|e| format!("sched_log.jsonl replay: {e}"))?;
 
@@ -388,7 +403,7 @@ impl Service {
         let service = Service {
             cfg,
             specs,
-            inner: Mutex::new(Inner { sched, jobs, resume, sched_log, dispatch, submitted }),
+            inner: Mutex::new(Inner { sched, jobs, resume, sched_log, dispatch }),
             work: Condvar::new(),
             events,
             fault,
@@ -420,11 +435,14 @@ impl Service {
     }
 
     /// Requests a graceful shutdown: running jobs finish, queued jobs
-    /// stay queued (they resume on the next boot).
+    /// stay queued (they resume on the next boot), and the event hub
+    /// closes every live subscription.
     pub fn request_shutdown(&self) {
-        let _inner = self.lock_inner();
+        let inner = self.lock_inner();
         self.shutdown.store(true, Ordering::SeqCst);
         self.work.notify_all();
+        drop(inner);
+        self.events.close();
     }
 
     /// Locks the service state. Like every lock in the service it
@@ -447,17 +465,26 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Returns a message on validation failure or after shutdown.
+    /// Returns a message on validation failure, when the spec names a
+    /// module the family-scoped fleet lacks or its scope matches no
+    /// module, or after shutdown.
     pub fn submit(&self, spec: JobSpec) -> Result<String, String> {
         spec.validate()?;
         if self.is_shutdown() {
             return Err("service is shutting down".into());
         }
-        if spec.select_specs(&self.specs).is_empty() {
+        let selected = spec.select_specs(&self.specs);
+        let missing: Vec<&String> =
+            spec.modules.iter().filter(|m| !selected.iter().any(|s| &s.name == *m)).collect();
+        if !missing.is_empty() {
+            return Err(format!("job names modules the family-scoped fleet lacks: {missing:?}"));
+        }
+        if selected.is_empty() {
             return Err("job scope matches no fleet module".into());
         }
         let mut inner = self.lock_inner();
-        let id = format!("job-{:05}", inner.submitted);
+        // Every submission adds one record, so the count is the next id.
+        let id = format!("job-{:05}", inner.jobs.len());
         let record =
             JobRecord { id: id.clone(), spec: spec.clone(), state: JobState::Queued, error: None };
         let dir = self.job_dir(&id);
@@ -475,7 +502,6 @@ impl Service {
             .sched
             .submit(&id, &spec.tenant, spec.priority)
             .expect("the scheduler has seen exactly the logged ids, and this one is new");
-        inner.submitted += 1;
         inner
             .jobs
             .insert(id.clone(), JobEntry { record, cancel: Arc::new(AtomicBool::new(false)) });
@@ -536,7 +562,8 @@ impl Service {
     /// The aggregated dashboard, computed fresh.
     pub fn fleet_metrics(&self) -> FleetMetrics {
         let inner = self.lock_inner();
-        let mut totals = FleetTotals { submitted: inner.submitted, ..FleetTotals::default() };
+        let mut totals =
+            FleetTotals { submitted: inner.jobs.len() as u64, ..FleetTotals::default() };
         let jobs: Vec<JobMetrics> = inner
             .jobs
             .values()
@@ -729,29 +756,27 @@ impl Service {
         let scoped = JobObserver { job: record.id.clone(), hub: &self.events };
         let fanout = MultiObserver::new(vec![&trace as &dyn Observer, &scoped]);
         let mut run_opts = RunOptions::new(opts.exec_config()).observer(&fanout).cancel(cancel);
-        let ckpt = match record.spec.kind.campaign_label() {
-            Some(label) => {
-                let config_hash = match record.spec.kind {
-                    JobKind::Foundational => checkpoint::config_hash(&foundational::config(&opts)),
-                    JobKind::InDepth | JobKind::MemsimSweep => {
-                        checkpoint::config_hash(&indepth::config(&opts))
-                    }
-                    JobKind::Discovery => checkpoint::config_hash(&opts.discovery_config()),
-                    JobKind::Family => unreachable!("family has no campaign label"),
-                };
-                let manifest = CheckpointManifest {
-                    format_version: checkpoint::FORMAT_VERSION,
-                    campaign: label.to_owned(),
-                    config_hash,
-                    campaign_seed: opts.seed,
-                    shard_index: 0,
-                    shard_count: 1,
-                    roster_fingerprint: roster_fingerprint(&specs),
-                };
-                Some(Checkpoint::open(dir.join("checkpoint"), manifest)?)
+        // The campaign label and config hash the job's checkpoint is
+        // bound to; the family study is pure computation and keeps none.
+        let campaign = match record.spec.kind {
+            JobKind::Foundational => {
+                Some((FOUNDATIONAL, checkpoint::config_hash(&foundational::config(&opts))))
             }
-            None => None,
+            JobKind::InDepth | JobKind::MemsimSweep => {
+                Some((IN_DEPTH, checkpoint::config_hash(&indepth::config(&opts))))
+            }
+            JobKind::Discovery => {
+                Some((DISCOVERY, checkpoint::config_hash(&opts.discovery_config())))
+            }
+            JobKind::Family => None,
         };
+        let ckpt = campaign
+            .map(|(label, config_hash)| {
+                let manifest =
+                    CheckpointManifest::for_campaign(label, config_hash, opts.seed, &specs);
+                Checkpoint::open(dir.join("checkpoint"), manifest)
+            })
+            .transpose()?;
         if let Some(ckpt) = &ckpt {
             run_opts = run_opts.checkpoint(ckpt);
         }
@@ -794,7 +819,7 @@ impl Service {
     /// Returns a message on unreadable or unparseable script lines.
     pub fn submit_script(&self, path: &str) -> Result<usize, String> {
         let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let already = self.lock_inner().submitted as usize;
+        let already = self.lock_inner().jobs.len();
         let mut submitted = 0usize;
         for (i, line) in text.lines().filter(|l| !l.trim().is_empty()).enumerate() {
             if i < already {
@@ -853,6 +878,7 @@ fn write_json_atomic<T: Serialize>(path: &Path, value: &T) -> Result<(), String>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vrd_dram::fleet::FleetScope;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("vrd-serve-{}-{tag}", std::process::id()));
@@ -969,6 +995,51 @@ mod tests {
         let a = svc.submit(JobSpec::new("alice", JobKind::Family)).unwrap();
         let b = svc.submit(JobSpec::new("alice", JobKind::Family)).unwrap();
         assert_ne!(a, b);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn submit_rejects_every_named_module_the_scoped_fleet_lacks() {
+        let dir = scratch("narrow");
+        let svc = Service::boot(tiny_config(&dir)).unwrap();
+        let fleet = svc.fleet();
+        let ddr4 = fleet.iter().find(|s| FleetScope::Ddr4.includes(s)).unwrap().name.clone();
+        let hbm2 = fleet.iter().find(|s| FleetScope::Hbm2.includes(s)).unwrap().name.clone();
+        let mut spec = JobSpec::new("alice", JobKind::Family);
+        spec.family = Some("ddr4".into());
+        spec.modules = vec![ddr4.clone(), "typo".into(), hbm2.clone()];
+        let err = svc.submit(spec.clone()).expect_err("a narrowed submission must be refused");
+        assert!(err.contains("\"typo\"") && err.contains(&format!("{hbm2:?}")), "{err}");
+        assert!(!err.contains(&format!("{ddr4:?}")), "{err}");
+        assert!(svc.records().is_empty(), "a refused submission leaves no job");
+        spec.modules = vec![ddr4];
+        assert_eq!(svc.submit(spec).unwrap(), "job-00000");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shutdown_ends_every_event_subscription() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let dir = scratch("hub-close");
+        let svc = Service::boot(tiny_config(&dir)).unwrap();
+        let (tx, before) = channel();
+        svc.events().subscribe(tx);
+        svc.request_shutdown();
+        let (tx, after) = channel();
+        svc.events().subscribe(tx);
+        for rx in [before, after] {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+            loop {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                match rx.recv_timeout(left) {
+                    Ok(_) => continue,
+                    Err(e) => {
+                        assert_eq!(e, RecvTimeoutError::Disconnected, "the hub kept the sender");
+                        break;
+                    }
+                }
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

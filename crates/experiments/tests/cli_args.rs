@@ -24,6 +24,18 @@ fn unknown_module_names_are_rejected() {
 }
 
 #[test]
+fn a_module_scope_that_selects_nothing_is_rejected() {
+    let fig3 = ["fig3", "--modules", "M1", "--family", "hbm2", "--measurements", "50"];
+    assert_rejected(&fig3, "--modules M1 and --family hbm2 select no Table-1 module");
+    // An empty shard of a non-empty scope is still a valid run.
+    let out = std::env::temp_dir().join(format!("vrd-cli-args-{}", std::process::id()));
+    let out = out.to_str().expect("utf-8 temp path");
+    let run = vrd_exp(&["fig3", "--modules", "M1", "--shard", "1/2", "--out", out]);
+    assert!(run.status.success(), "an empty shard must run: {run:?}");
+    let _ = std::fs::remove_dir_all(out);
+}
+
+#[test]
 fn retired_strategy_flags_are_unknown_arguments() {
     assert_rejected(&["fig1", "--search", "adaptive"], "unknown argument \"--search\"");
     assert_rejected(&["fig1", "--eval", "batch"], "unknown argument \"--eval\"");

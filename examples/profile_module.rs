@@ -42,7 +42,7 @@ fn main() {
         seed: 99,
         row_bytes: 1024,
     };
-    let opts = RunOptions::new(ExecConfig::serial(cfg.seed));
+    let opts = RunOptions::new(ExecConfig::new(1, cfg.seed));
     let result = in_depth_campaign(&[spec], &cfg, &opts).expect("plain run cannot fail").remove(0);
 
     println!("\nrow      pattern      min RDT  max/min   P(min|N=1)  E[min|N=1]/min");

@@ -24,7 +24,9 @@ use vrd::dram::conditions::{T_AGG_ON_9TREFI_NS, T_AGG_ON_TREFI_NS};
 use vrd::dram::{DataPattern, ModuleSpec, TestConditions};
 
 fn exec(threads: usize, seed: u64, eval: EvalStrategy) -> RunOptions<'static> {
-    RunOptions::new(ExecConfig::new(threads, seed).to_builder().eval(eval).build())
+    let mut cfg = ExecConfig::new(threads, seed);
+    cfg.eval = eval;
+    RunOptions::new(cfg)
 }
 
 fn foundational_json(threads: usize, seed: u64, eval: EvalStrategy) -> String {

@@ -17,14 +17,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use vrd::core::campaign::{
-    foundational_campaign, in_depth_campaign, FoundationalConfig, FoundationalResult, InDepthConfig,
+    foundational_campaign, in_depth_campaign, FoundationalConfig, FoundationalResult,
+    InDepthConfig, FOUNDATIONAL, IN_DEPTH,
 };
 use vrd::core::checkpoint::{self, Checkpoint, CheckpointError, CheckpointManifest, UnitHooks};
 use vrd::core::discovery::{discovery_campaign, DiscoveryConfig, DISCOVERY};
 use vrd::core::exec::faults::{self, FaultPlan};
 use vrd::core::exec::{ExecConfig, Progress, Unit, UnitKey};
 use vrd::core::run::{run_units, RunOptions};
-use vrd::dram::fleet::{roster_fingerprint, shard_specs};
+use vrd::dram::fleet::shard_specs;
 use vrd::dram::ModuleSpec;
 
 // ----- fixtures ------------------------------------------------------
@@ -54,15 +55,7 @@ fn foundational_cfg(seed: u64) -> FoundationalConfig {
 }
 
 fn foundational_manifest(cfg: &FoundationalConfig, specs: &[ModuleSpec]) -> CheckpointManifest {
-    CheckpointManifest {
-        format_version: checkpoint::FORMAT_VERSION,
-        campaign: "foundational".to_owned(),
-        config_hash: checkpoint::config_hash(cfg),
-        campaign_seed: cfg.seed,
-        shard_index: 0,
-        shard_count: 1,
-        roster_fingerprint: roster_fingerprint(specs),
-    }
+    CheckpointManifest::for_campaign(FOUNDATIONAL, checkpoint::config_hash(cfg), cfg.seed, specs)
 }
 
 fn foundational_json(results: &[Option<FoundationalResult>]) -> String {
@@ -76,7 +69,7 @@ fn foundational_killed_and_resumed_is_byte_identical() {
     let specs = modules(&["M1", "S2", "H3"]);
     let cfg = foundational_cfg(2025);
     let golden = foundational_json(
-        &foundational_campaign(&specs, &cfg, &RunOptions::new(ExecConfig::serial(cfg.seed)))
+        &foundational_campaign(&specs, &cfg, &RunOptions::new(ExecConfig::new(1, cfg.seed)))
             .expect("plain campaign run cannot fail"),
     );
 
@@ -139,18 +132,12 @@ fn in_depth_killed_and_resumed_is_byte_identical() {
     let specs = modules(&["H3"]);
     let cfg = InDepthConfig::quick();
     let golden = serde_json::to_string_pretty(
-        &in_depth_campaign(&specs, &cfg, &RunOptions::new(ExecConfig::serial(cfg.seed)))
+        &in_depth_campaign(&specs, &cfg, &RunOptions::new(ExecConfig::new(1, cfg.seed)))
             .expect("plain campaign run cannot fail"),
     )
     .unwrap();
-    let manifest = || CheckpointManifest {
-        format_version: checkpoint::FORMAT_VERSION,
-        campaign: "in_depth".to_owned(),
-        config_hash: checkpoint::config_hash(&cfg),
-        campaign_seed: cfg.seed,
-        shard_index: 0,
-        shard_count: 1,
-        roster_fingerprint: roster_fingerprint(&specs),
+    let manifest = || {
+        CheckpointManifest::for_campaign(IN_DEPTH, checkpoint::config_hash(&cfg), cfg.seed, &specs)
     };
 
     // kill_after=1 dies inside phase 1 (selection); kill_after=4 dies
@@ -197,16 +184,10 @@ fn discovery_stash_with_torn_tail_resumes_byte_identical() {
     // still land on the uninterrupted run's bytes.
     let specs = modules(&["M1"]);
     let cfg = DiscoveryConfig { seed: 5025, stash_every: 4, ..DiscoveryConfig::quick() };
-    let manifest = || CheckpointManifest {
-        format_version: checkpoint::FORMAT_VERSION,
-        campaign: DISCOVERY.to_owned(),
-        config_hash: checkpoint::config_hash(&cfg),
-        campaign_seed: cfg.seed,
-        shard_index: 0,
-        shard_count: 1,
-        roster_fingerprint: roster_fingerprint(&specs),
+    let manifest = || {
+        CheckpointManifest::for_campaign(DISCOVERY, checkpoint::config_hash(&cfg), cfg.seed, &specs)
     };
-    let exec_cfg = ExecConfig::serial(cfg.seed);
+    let exec_cfg = ExecConfig::new(1, cfg.seed);
     let golden = serde_json::to_string_pretty(
         &discovery_campaign(&specs, &cfg, &RunOptions::new(exec_cfg))
             .expect("plain campaign run cannot fail"),
@@ -267,7 +248,7 @@ fn run_synth(
     ran: &AtomicU64,
 ) -> Result<Vec<u64>, CheckpointError> {
     let ckpt = Checkpoint::open(dir, synth_manifest())?;
-    let mut opts = RunOptions::new(ExecConfig::serial(7)).checkpoint(&ckpt);
+    let mut opts = RunOptions::new(ExecConfig::new(1, 7)).checkpoint(&ckpt);
     if let Some(hooks) = hooks {
         opts = opts.hooks(hooks);
     }
@@ -361,7 +342,7 @@ fn panicked_units_are_not_journaled_and_recompute_on_resume() {
     // are per-unit outcomes, not fatal), journaling the other five.
     let plan = FaultPlan::none().panic_on(UnitKey::cell("CKPT", 3, 0));
     let ckpt = Checkpoint::open(&dir, synth_manifest()).unwrap();
-    let opts = RunOptions::new(ExecConfig::serial(7)).checkpoint(&ckpt).hooks(&plan);
+    let opts = RunOptions::new(ExecConfig::new(1, 7)).checkpoint(&ckpt).hooks(&plan);
     let report = run_units(&opts, "synthetic", "units", synth_units(6), |ctx, &i| {
         ran.fetch_add(1, Ordering::SeqCst);
         ctx.seed ^ u64::from(i)

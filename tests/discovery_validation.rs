@@ -30,7 +30,6 @@ use vrd::core::discovery::{discovery_campaign, DiscoveryConfig, DiscoveryResult,
 use vrd::core::exec::faults::FaultPlan;
 use vrd::core::exec::ExecConfig;
 use vrd::core::run::RunOptions;
-use vrd::dram::fleet::roster_fingerprint;
 use vrd::dram::ModuleSpec;
 use vrd::stats::normal::{normal_cdf, sample_normal};
 use vrd::stats::{SequentialMin, StoppingRule};
@@ -78,7 +77,7 @@ fn discovery_bound_is_sound_against_in_depth_minima() {
             let indepth = vrd::core::campaign::in_depth_campaign(
                 &specs,
                 &indepth_cfg,
-                &RunOptions::new(ExecConfig::serial(seed)),
+                &RunOptions::new(ExecConfig::new(1, seed)),
             )
             .unwrap()
             .pop()
@@ -156,15 +155,7 @@ fn discovery_is_byte_identical_across_thread_counts() {
 }
 
 fn discovery_manifest(cfg: &DiscoveryConfig, specs: &[ModuleSpec]) -> CheckpointManifest {
-    CheckpointManifest {
-        format_version: checkpoint::FORMAT_VERSION,
-        campaign: DISCOVERY.to_owned(),
-        config_hash: checkpoint::config_hash(cfg),
-        campaign_seed: cfg.seed,
-        shard_index: 0,
-        shard_count: 1,
-        roster_fingerprint: roster_fingerprint(specs),
-    }
+    CheckpointManifest::for_campaign(DISCOVERY, checkpoint::config_hash(cfg), cfg.seed, specs)
 }
 
 /// Kill the campaign *mid-row* — the fault plan counts every stash

@@ -108,7 +108,11 @@ fn arbitrary_fill_bytes_measure_like_the_nearest_pattern() {
     device.write_row(0, victim, 0x53); // near Checkered0 but not exact
     device.write_row(0, victim - 1, 0xAC);
     device.write_row(0, victim + 1, 0xAC);
-    device.hammer_double_sided(0, victim, 500_000, 35.0);
+    for aggressor in [victim - 1, victim + 1] {
+        device.precharge(0).unwrap();
+        device.activate_n(0, aggressor, 500_000, 35.0).unwrap();
+        device.precharge(0).unwrap();
+    }
     let flips = device.read_and_compare(0, victim, 0x53);
     assert!(!flips.is_empty(), "non-Table-2 fills must still disturb");
 }

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::Serialize;
 use vrd::core::campaign::{
-    foundational_campaign, in_depth_campaign, FoundationalConfig, InDepthConfig,
+    foundational_campaign, in_depth_campaign, FoundationalConfig, InDepthConfig, FOUNDATIONAL,
 };
 use vrd::core::checkpoint::{self, Checkpoint, CheckpointManifest};
 use vrd::core::exec::faults::FaultPlan;
@@ -32,7 +32,6 @@ use vrd::core::exec::ExecConfig;
 use vrd::core::obs::metrics::MetricsSink;
 use vrd::core::obs::{canonical_jsonl, Event, MemorySink};
 use vrd::core::run::RunOptions;
-use vrd::dram::fleet::roster_fingerprint;
 use vrd::dram::ModuleSpec;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -59,15 +58,7 @@ fn foundational_cfg(seed: u64) -> FoundationalConfig {
 }
 
 fn manifest(cfg: &FoundationalConfig, specs: &[ModuleSpec]) -> CheckpointManifest {
-    CheckpointManifest {
-        format_version: checkpoint::FORMAT_VERSION,
-        campaign: "foundational".to_owned(),
-        config_hash: checkpoint::config_hash(cfg),
-        campaign_seed: cfg.seed,
-        shard_index: 0,
-        shard_count: 1,
-        roster_fingerprint: roster_fingerprint(specs),
-    }
+    CheckpointManifest::for_campaign(FOUNDATIONAL, checkpoint::config_hash(cfg), cfg.seed, specs)
 }
 
 fn foundational_events(threads: usize) -> Vec<Event> {
@@ -190,7 +181,7 @@ fn crash_and_resume_emit_commit_and_restore_events() {
     let _ = foundational_campaign(
         &specs,
         &cfg,
-        &RunOptions::new(ExecConfig::serial(cfg.seed))
+        &RunOptions::new(ExecConfig::new(1, cfg.seed))
             .observer(&sink)
             .checkpoint(&ckpt)
             .hooks(&plan)
@@ -209,7 +200,7 @@ fn crash_and_resume_emit_commit_and_restore_events() {
     foundational_campaign(
         &specs,
         &cfg,
-        &RunOptions::new(ExecConfig::serial(cfg.seed)).observer(&sink).checkpoint(&ckpt),
+        &RunOptions::new(ExecConfig::new(1, cfg.seed)).observer(&sink).checkpoint(&ckpt),
     )
     .expect("resume completes");
     let events = sink.events();

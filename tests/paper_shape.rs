@@ -4,9 +4,11 @@
 //! shape, this suite catches it.
 
 use vrd::bender::estimate::single_row_test_time_s;
-use vrd::core::campaign::{run_foundational, FoundationalConfig};
+use vrd::core::campaign::{foundational_campaign, FoundationalConfig};
+use vrd::core::exec::ExecConfig;
 use vrd::core::metrics::SeriesMetrics;
 use vrd::core::montecarlo::exact_stats;
+use vrd::core::run::RunOptions;
 use vrd::dram::ModuleSpec;
 use vrd::ecc::analysis;
 
@@ -18,7 +20,12 @@ fn foundational_series(module: &str, measurements: u32) -> vrd::core::RdtSeries 
         scan_rows: 20_000,
         ..FoundationalConfig::default()
     };
-    run_foundational(&spec, &cfg).expect("module has vulnerable rows").series
+    let opts = RunOptions::new(ExecConfig::new(1, cfg.seed));
+    foundational_campaign(&[spec], &cfg, &opts)
+        .expect("plain run cannot fail")
+        .remove(0)
+        .expect("module has vulnerable rows")
+        .series
 }
 
 #[test]

@@ -224,7 +224,12 @@ mod device_fuzz {
                     }
                     Cmd::Hammer(b, r, n) => {
                         if b < banks && r + 1 < rows && r >= 1 {
-                            dev.hammer_double_sided(b, r, n, 35.0);
+                            // Both neighbours of the (direct-mapped) victim.
+                            for aggressor in [r - 1, r + 1] {
+                                dev.precharge(b).unwrap();
+                                dev.activate_n(b, aggressor, n, 35.0).unwrap();
+                                dev.precharge(b).unwrap();
+                            }
                         }
                     }
                     Cmd::Refresh => dev.refresh(),
@@ -280,7 +285,7 @@ mod executor {
             count in 1usize..32,
             seed in any::<u64>(),
         ) {
-            let serial = execute(&ExecConfig::serial(seed), units(count), |ctx, &i| {
+            let serial = execute(&ExecConfig::new(1, seed), units(count), |ctx, &i| {
                 (i * 3, ctx.seed)
             })
             .into_results();

@@ -24,7 +24,9 @@ use vrd::core::{EvalStrategy, SearchStrategy, SweepSpec};
 use vrd::dram::{ModuleSpec, TestConditions};
 
 fn exec(threads: usize, seed: u64, search: SearchStrategy) -> RunOptions<'static> {
-    RunOptions::new(ExecConfig::new(threads, seed).to_builder().search(search).build())
+    let mut cfg = ExecConfig::new(threads, seed);
+    cfg.search = search;
+    RunOptions::new(cfg)
 }
 
 /// Serializes campaign results with every `test_time_ns` field removed:
