@@ -1,6 +1,6 @@
 //! `vrd-bench`: the repository's one gate binary.
 //!
-//! One run executes five suites and a few ungated timings and writes one
+//! One run executes six suites and a few ungated timings and writes one
 //! record list:
 //!
 //! - `rdt_search`: the linear vs adaptive RDT search on identically
@@ -12,6 +12,11 @@
 //! - `discovery`: the early-stopping discovery campaign against the
 //!   fixed in-depth epoch budget it must stay sound against.
 //! - `memsim_sweep`: the spatial-aware defenses crossover (F18/F19).
+//! - `memsim_security`: one 4M-activation single-victim attack per
+//!   Graphene, PRAC and PARA, as the security sweep runs them. Graphene
+//!   and PRAC absorb each quiet stretch in one run-length hook call, so
+//!   they may make at most one call per 50 activations; PARA's calls
+//!   and every attack's ns per activation are recorded ungated.
 //! - `fleet`: fair-share scheduler replay, dispatch-once, bounded wait
 //!   and overhead at 1k/4k/10k jobs, plus an in-process service drain on
 //!   one and two workers.
@@ -56,6 +61,9 @@ use vrd_dram::{ModuleSpec, TestConditions};
 use vrd_experiments::serve::{JobKind, JobSpec, JobState, ServeConfig, Service};
 use vrd_experiments::sweep_exp::{covered_actions, covered_points};
 use vrd_experiments::{findings, indepth, sweep_exp, Options};
+use vrd_memsim::mitigation::{Mitigation, MitigationAction, MitigationKind};
+use vrd_memsim::security::{simulate_attack, AttackConfig, SpatialVictim};
+use vrd_memsim::MitigationProfile;
 
 /// Seed of every suite.
 const SEED: u64 = 2025;
@@ -69,6 +77,13 @@ const FIXED_BUDGET: u32 = 300;
 const SWEEP_INDEPTH: u32 = 80;
 /// Attack activations per defenses-sweep cell.
 const SWEEP_ACTIVATIONS: u64 = 120_000;
+/// Activations of each memsim_security attack (the security sweep's).
+const SECURITY_ACTIVATIONS: u64 = 4_000_000;
+/// The mechanisms the security sweep attacks.
+const SECURITY_KINDS: [MitigationKind; 3] =
+    [MitigationKind::Graphene, MitigationKind::Prac, MitigationKind::Para];
+/// Timed repetitions of each memsim_security attack.
+const SECURITY_REPS: usize = 3;
 /// Scheduler queue depths (one job per fleet module).
 const FLEET_SIZES: [usize; 3] = [1_000, 4_000, 10_000];
 const TENANTS: [&str; 8] = ["alice", "bob", "carol", "dave", "erin", "frank", "grace", "heidi"];
@@ -97,6 +112,9 @@ const MIN_ACTION_RATIO: f64 = 1.2;
 const MAX_INTERLEAVE: f64 = 2.0;
 /// Mean scheduler overhead per op; catches only quadratic blowups.
 const MAX_NS_PER_OP: f64 = 1_000_000.0;
+/// Attack activations per run-length hook call, at least, for the
+/// mechanisms whose quiet stretches have a closed form.
+const MIN_ACTS_PER_CALL: f64 = 50.0;
 
 /// One bound on a record's value.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -164,6 +182,7 @@ struct Runs {
     batch: Vec<Comparison>,
     discovery: Vec<DiscoveryRun>,
     sweep: SweepRun,
+    security: Vec<SecurityRun>,
     scheduler: Vec<SchedulerRun>,
     service: ServiceRun,
     timings: Timings,
@@ -203,6 +222,16 @@ struct SweepRun {
     profiled_actions: u64,
     covered_cells: usize,
     wall_ms: f64,
+}
+
+struct SecurityRun {
+    kind: MitigationKind,
+    /// Activations the mechanism performed, summed over its hook calls.
+    activations: u64,
+    /// `on_activate` calls the attack made.
+    calls: u64,
+    /// Wall-time samples of the attack, in ms.
+    wall_ms: Vec<f64>,
 }
 
 struct SchedulerRun {
@@ -306,6 +335,7 @@ fn measure() -> Runs {
         batch: MODULES.map(measure_batch).into(),
         discovery: MODULES.map(measure_discovery).into(),
         sweep: measure_sweep(),
+        security: measure_security(),
         scheduler: FLEET_SIZES.map(measure_scheduler).into(),
         service: measure_service(),
         timings: measure_timings(),
@@ -317,6 +347,7 @@ fn records(runs: &Runs) -> Vec<Record> {
     records.extend(batch_records(&runs.batch));
     records.extend(discovery_records(&runs.discovery));
     records.extend(sweep_records(&runs.sweep));
+    records.extend(security_records(&runs.security));
     records.extend(fleet_records(&runs.scheduler, &runs.service));
     records.extend(timing_records(&runs.timings));
     records
@@ -627,6 +658,87 @@ fn sweep_records(s: &SweepRun) -> Vec<Record> {
     ]
 }
 
+// ----- memsim_security -------------------------------------------------
+
+/// Forwards every hook call and counts the calls and the activations
+/// they performed.
+#[derive(Debug)]
+struct Counting {
+    inner: Box<dyn Mitigation>,
+    calls: u64,
+    activations: u64,
+}
+
+impl Mitigation for Counting {
+    fn on_activate(
+        &mut self,
+        bank: usize,
+        row: u32,
+        max: u64,
+        out: &mut Vec<MitigationAction>,
+    ) -> u64 {
+        let performed = self.inner.on_activate(bank, row, max, out);
+        self.calls += 1;
+        self.activations += performed;
+        performed
+    }
+
+    fn on_refresh(&mut self, out: &mut Vec<MitigationAction>) {
+        self.inner.on_refresh(out);
+    }
+}
+
+/// Attacks one victim whose epoch RDTs follow M1's measured series,
+/// with each mechanism configured flat at the series' minimum.
+fn measure_security() -> Vec<SecurityRun> {
+    let series = run_loop("M1", SearchStrategy::Adaptive, EvalStrategy::Batch).series;
+    let threshold = series.values().iter().copied().min().expect("non-empty series");
+    let config = AttackConfig {
+        activations: SECURITY_ACTIVATIONS,
+        rdt_distribution: series.values().to_vec(),
+        victims: vec![SpatialVictim { row: 7, factor: 1.0 }],
+        seed: SEED,
+    };
+    SECURITY_KINDS
+        .iter()
+        .map(|&kind| {
+            let mut run = SecurityRun { kind, activations: 0, calls: 0, wall_ms: Vec::new() };
+            for _ in 0..SECURITY_REPS {
+                let inner = kind.build(&MitigationProfile::flat(threshold), 1, SEED);
+                let mut counting = Counting { inner, calls: 0, activations: 0 };
+                let started = Instant::now();
+                black_box(simulate_attack(&mut counting, &config));
+                run.wall_ms.push(ms(started.elapsed()));
+                (run.calls, run.activations) = (counting.calls, counting.activations);
+            }
+            run
+        })
+        .collect()
+}
+
+fn security_records(runs: &[SecurityRun]) -> Vec<Record> {
+    const LAYER: &str = "memsim.security";
+    let mut records = Vec::new();
+    for r in runs {
+        let name = |what: &str| format!("memsim_security.{}.{what}", r.kind.name());
+        // The per-activation loop's figure: one call per activation.
+        let calls = Record::new(name("calls"), LAYER, "count", r.calls as f64)
+            .baseline(r.activations as f64);
+        records.push(if r.kind == MitigationKind::Para {
+            calls
+        } else {
+            calls.gate(Gate::AtMost(r.activations as f64 / MIN_ACTS_PER_CALL))
+        });
+        records.push(Record::new(
+            name("ns_per_act"),
+            LAYER,
+            "ns",
+            best(&r.wall_ms) * 1e6 / (r.activations as f64).max(1.0),
+        ));
+    }
+    records
+}
+
 // ----- fleet ------------------------------------------------------------
 
 /// Submits one job per fleet module across the tenant roster, drains
@@ -896,6 +1008,15 @@ mod tests {
                 covered_cells: 28,
                 wall_ms: 400.0,
             },
+            security: SECURITY_KINDS
+                .iter()
+                .map(|&kind| SecurityRun {
+                    kind,
+                    activations: SECURITY_ACTIVATIONS,
+                    calls: 48_000,
+                    wall_ms: vec![3.0, 2.5, 2.6],
+                })
+                .collect(),
             scheduler: FLEET_SIZES
                 .iter()
                 .map(|&fleet_size| SchedulerRun {
@@ -1028,6 +1149,23 @@ mod tests {
             (s.f18, s.f19) = (f18, f19);
             assert!(!failures(&sweep_records(&s)).is_empty());
         }
+    }
+
+    #[test]
+    fn security_calls_are_gated_at_one_per_fifty_activations_except_para() {
+        let calls_pass = |kind: MitigationKind, calls: u64| {
+            let mut r = passing().security.remove(0);
+            (r.kind, r.calls) = (kind, calls);
+            passes(&security_records(&[r]), &format!("memsim_security.{}.calls", kind.name()))
+        };
+        for kind in [MitigationKind::Graphene, MitigationKind::Prac] {
+            assert!(calls_pass(kind, SECURITY_ACTIVATIONS / 50), "exactly 1/50 passes");
+            assert!(!calls_pass(kind, SECURITY_ACTIVATIONS / 50 + 1));
+        }
+        assert!(calls_pass(MitigationKind::Para, SECURITY_ACTIVATIONS), "PARA is ungated");
+        let records = security_records(&passing().security);
+        let value = |name: &str| records.iter().find(|r| r.name == name).unwrap().value;
+        assert_eq!(value("memsim_security.PRAC.ns_per_act"), 2.5e6 / 4e6);
     }
 
     #[test]

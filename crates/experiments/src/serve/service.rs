@@ -834,36 +834,40 @@ impl Service {
     }
 }
 
-/// Parses the submission log, dropping a torn trailing line (the same
-/// crash-tolerance contract as the checkpoint journal); a malformed
-/// line *before* the tail is corruption and rejected. The second
-/// return is whether a torn tail was dropped (the caller rewrites the
-/// file so future appends never land behind the garbage).
+/// Parses the submission log, dropping a torn tail (the same
+/// crash-tolerance contract as the checkpoint journal): trailing bytes
+/// without their newline are torn even when they parse, and so is an
+/// unparseable final line. A malformed line *before* the tail is
+/// corruption and rejected. The second return is whether a torn tail
+/// was dropped (the caller rewrites the file so future appends never
+/// land behind it).
 fn read_sched_log(path: &Path) -> Result<(Vec<SchedOp>, bool), String> {
     let text = match fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), false)),
         Err(e) => return Err(format!("{}: {e}", path.display())),
     };
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+    let whole = text.rfind('\n').map_or("", |nl| &text[..=nl]);
+    let torn = whole.len() < text.len();
+    let lines: Vec<&str> = whole.lines().filter(|l| !l.trim().is_empty()).collect();
     let mut ops = Vec::with_capacity(lines.len());
     for (i, line) in lines.iter().enumerate() {
         match serde_json::from_str::<SchedOp>(line) {
             Ok(op) => ops.push(op),
-            Err(_) if i + 1 == lines.len() => return Ok((ops, true)), // torn tail
+            Err(_) if i + 1 == lines.len() && !torn => return Ok((ops, true)), // torn tail
             Err(e) => {
                 return Err(format!("{} line {}: {e}", path.display(), i + 1));
             }
         }
     }
-    Ok((ops, false))
+    Ok((ops, torn))
 }
 
-/// Appends one op as a JSON line, flushed before returning — the ack
-/// ordering the determinism contract needs.
+/// Appends one op as a JSON line in a single write, flushed before
+/// returning — the ack ordering the determinism contract needs.
 fn append_op(log: &mut File, op: &SchedOp) -> Result<(), String> {
-    let line = serde_json::to_string(op).expect("op serializes");
-    writeln!(log, "{line}").map_err(|e| e.to_string())?;
+    let line = serde_json::to_string(op).expect("op serializes") + "\n";
+    log.write_all(line.as_bytes()).map_err(|e| e.to_string())?;
     log.flush().map_err(|e| e.to_string())
 }
 
@@ -981,6 +985,39 @@ mod tests {
         assert!(
             log.lines().all(|l| serde_json::from_str::<SchedOp>(l).is_ok()),
             "every surviving line must parse after recovery: {log:?}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn whole_op_without_its_newline_is_torn_and_later_submits_survive() {
+        let dir = scratch("unterminated");
+        {
+            let svc = Service::boot(tiny_config(&dir)).unwrap();
+            svc.submit(JobSpec::new("alice", JobKind::Family)).unwrap();
+        }
+        // A crash between an op's bytes and its newline: the line parses
+        // but was never acknowledged.
+        let op = SchedOp::Cancel { job: "job-00000".into() };
+        let mut log = OpenOptions::new().append(true).open(dir.join("sched_log.jsonl")).unwrap();
+        write!(log, "{}", serde_json::to_string(&op).unwrap()).unwrap();
+        drop(log);
+        let resumed = || {
+            let mut cfg = tiny_config(&dir);
+            cfg.resume = true;
+            Service::boot(cfg).unwrap()
+        };
+        let id = resumed().submit(JobSpec::new("bob", JobKind::Family)).unwrap();
+        let svc = resumed();
+        let records = svc.records();
+        assert_eq!(records.len(), 2, "the acknowledged submit of {id} must survive");
+        assert_eq!(records[1].id, id);
+        assert!(records.iter().all(|r| r.state == JobState::Queued), "{records:?}");
+        let log = fs::read_to_string(dir.join("sched_log.jsonl")).unwrap();
+        assert!(log.ends_with('\n'), "{log:?}");
+        assert!(
+            log.lines().all(|l| serde_json::from_str::<SchedOp>(l).is_ok()),
+            "every line must parse: {log:?}"
         );
         let _ = fs::remove_dir_all(&dir);
     }

@@ -27,6 +27,15 @@
 //! Mechanisms report their preventive actions by appending to a
 //! caller-owned buffer, so a simulator reuses one allocation for every
 //! activation and refresh.
+//!
+//! The activation hook is run-length: [`Mitigation::on_activate`] takes
+//! up to `max` back-to-back activations of one row, stops right after
+//! the first activation that acts, and returns how many it took. A
+//! mechanism whose quiet stretch is known in closed form (the baseline,
+//! a Graphene row already in its table, PRAC) absorbs it in one call;
+//! PARA steps internally, one RNG draw per activation as before; MINT
+//! and BlockHammer keep global state and take one activation per call.
+//! Passing `max = 1` is the plain per-activation hook.
 
 use crate::profile::MitigationProfile;
 use rand::Rng;
@@ -67,8 +76,19 @@ pub enum MitigationAction {
 /// Both hooks append the actions they request to `out` and never clear
 /// it; the caller owns the buffer and empties it after applying them.
 pub trait Mitigation: std::fmt::Debug {
-    /// Called on every row activation.
-    fn on_activate(&mut self, bank: usize, row: u32, out: &mut Vec<MitigationAction>);
+    /// Performs between 1 and `max` (`max >= 1`) consecutive activations
+    /// of `(bank, row)` and returns how many it performed. It stops right
+    /// after the first activation that appends an action, so any action
+    /// belongs to the last activation performed, and the mechanism ends
+    /// in the state the same activations would leave one call at a time
+    /// with `max = 1`.
+    fn on_activate(
+        &mut self,
+        bank: usize,
+        row: u32,
+        max: u64,
+        out: &mut Vec<MitigationAction>,
+    ) -> u64;
 
     /// Called on every periodic refresh (counters may also be
     /// maintained here).
@@ -158,7 +178,15 @@ impl MitigationKind {
 pub struct NoMitigation;
 
 impl Mitigation for NoMitigation {
-    fn on_activate(&mut self, _bank: usize, _row: u32, _out: &mut Vec<MitigationAction>) {}
+    fn on_activate(
+        &mut self,
+        _bank: usize,
+        _row: u32,
+        max: u64,
+        _out: &mut Vec<MitigationAction>,
+    ) -> u64 {
+        max
+    }
 }
 
 /// Graphene: per-bank Misra–Gries tables.
@@ -197,27 +225,44 @@ impl Graphene {
 }
 
 impl Mitigation for Graphene {
-    fn on_activate(&mut self, bank: usize, row: u32, out: &mut Vec<MitigationAction>) {
+    fn on_activate(
+        &mut self,
+        bank: usize,
+        row: u32,
+        max: u64,
+        out: &mut Vec<MitigationAction>,
+    ) -> u64 {
         let trigger = self.trigger_for(row);
         let table = &mut self.tables[bank];
-        let count = if let Some(c) = table.get_mut(&row) {
-            *c += 1;
-            *c
-        } else if table.len() < self.capacity {
-            table.insert(row, self.spill[bank] + 1);
-            self.spill[bank] + 1
+        if let Some(c) = table.get_mut(&row) {
+            // A tracked row's counter stays below its trigger and moves
+            // only on its own activations, so the stretch to the trigger
+            // is known exactly.
+            let left = u64::from(trigger.saturating_sub(*c)).max(1);
+            if left > max {
+                *c += max as u32; // max < left <= u32::MAX
+                return max;
+            }
+            *c = 0;
+            out.push(MitigationAction::RefreshNeighbors { bank, row });
+            return left;
+        }
+        if table.len() < self.capacity {
+            let count = self.spill[bank] + 1;
+            if count >= trigger {
+                table.insert(row, 0);
+                out.push(MitigationAction::RefreshNeighbors { bank, row });
+            } else {
+                table.insert(row, count);
+            }
         } else {
             // Misra–Gries: increment the spillover and evict entries that
             // fall to it.
             self.spill[bank] += 1;
             let spill = self.spill[bank];
             table.retain(|_, c| *c > spill);
-            return;
-        };
-        if count >= trigger {
-            table.insert(row, 0);
-            out.push(MitigationAction::RefreshNeighbors { bank, row });
         }
+        1
     }
 }
 
@@ -250,11 +295,21 @@ impl Para {
 }
 
 impl Mitigation for Para {
-    fn on_activate(&mut self, bank: usize, row: u32, out: &mut Vec<MitigationAction>) {
+    fn on_activate(
+        &mut self,
+        bank: usize,
+        row: u32,
+        max: u64,
+        out: &mut Vec<MitigationAction>,
+    ) -> u64 {
         let p = Self::p_of(self.thresholds.threshold_for(row));
-        if self.rng.gen_bool(p) {
-            out.push(MitigationAction::RefreshNeighbors { bank, row });
+        for performed in 1..=max {
+            if self.rng.gen_bool(p) {
+                out.push(MitigationAction::RefreshNeighbors { bank, row });
+                return performed;
+            }
         }
+        max
     }
 }
 
@@ -282,18 +337,28 @@ impl Prac {
 }
 
 impl Mitigation for Prac {
-    fn on_activate(&mut self, bank: usize, row: u32, out: &mut Vec<MitigationAction>) {
+    fn on_activate(
+        &mut self,
+        bank: usize,
+        row: u32,
+        max: u64,
+        out: &mut Vec<MitigationAction>,
+    ) -> u64 {
         let alert = self.alert_for(row);
         let c = self.counters.entry((bank, row)).or_insert(0);
-        *c += 1;
-        if *c >= alert {
-            *c = 0;
-            // The alerted DRAM refreshes the aggressor's neighbors during
-            // the RFM the controller issues, and the ABO handshake stalls
-            // the channel briefly.
-            out.push(MitigationAction::RefreshNeighbors { bank, row });
-            out.push(MitigationAction::BlockChannel { duration: self.backoff_ns });
+        // The counter stays below the alert threshold between alerts.
+        let left = u64::from(alert.saturating_sub(*c)).max(1);
+        if left > max {
+            *c += max as u32; // max < left <= u32::MAX
+            return max;
         }
+        *c = 0;
+        // The alerted DRAM refreshes the aggressor's neighbors during
+        // the RFM the controller issues, and the ABO handshake stalls
+        // the channel briefly.
+        out.push(MitigationAction::RefreshNeighbors { bank, row });
+        out.push(MitigationAction::BlockChannel { duration: self.backoff_ns });
+        left
     }
 }
 
@@ -337,7 +402,15 @@ impl Mint {
 }
 
 impl Mitigation for Mint {
-    fn on_activate(&mut self, bank: usize, row: u32, out: &mut Vec<MitigationAction>) {
+    /// MINT's RFM cadence counts activations of every row, so it takes
+    /// one activation per call.
+    fn on_activate(
+        &mut self,
+        bank: usize,
+        row: u32,
+        _max: u64,
+        out: &mut Vec<MitigationAction>,
+    ) -> u64 {
         // Reservoir-style selection: remember the most recent activation
         // (a 1-deep uniform sampler is enough for the overhead study).
         self.selected = Some((bank, row));
@@ -353,6 +426,7 @@ impl Mitigation for Mint {
                 out.push(MitigationAction::BlockChannel { duration: self.rfm_ns });
             }
         }
+        1
     }
 
     fn on_refresh(&mut self, out: &mut Vec<MitigationAction>) {
@@ -401,7 +475,15 @@ impl BlockHammer {
 }
 
 impl Mitigation for BlockHammer {
-    fn on_activate(&mut self, bank: usize, row: u32, out: &mut Vec<MitigationAction>) {
+    /// The blacklisting window counts activations of every row, so
+    /// BlockHammer takes one activation per call.
+    fn on_activate(
+        &mut self,
+        bank: usize,
+        row: u32,
+        _max: u64,
+        out: &mut Vec<MitigationAction>,
+    ) -> u64 {
         self.window_acts += 1;
         if self.window_acts >= self.window_len {
             self.window_acts = 0;
@@ -414,6 +496,7 @@ impl Mitigation for BlockHammer {
         if *c > quota {
             out.push(MitigationAction::BlockBank { bank, duration: throttle_ns });
         }
+        1
     }
 }
 
@@ -433,7 +516,7 @@ mod tests {
     /// One activation's actions.
     fn act(m: &mut dyn Mitigation, bank: usize, row: u32) -> Vec<MitigationAction> {
         let mut out = Vec::new();
-        m.on_activate(bank, row, &mut out);
+        assert_eq!(m.on_activate(bank, row, 1, &mut out), 1);
         out
     }
 
@@ -474,8 +557,13 @@ mod tests {
                     fresh.on_refresh(&mut expected);
                     prefilled.on_refresh(&mut out);
                 } else {
-                    fresh.on_activate(i as usize % 2, i % 5, &mut expected);
-                    prefilled.on_activate(i as usize % 2, i % 5, &mut out);
+                    let (bank, row, max) = (i as usize % 2, i % 5, u64::from(i % 7) + 1);
+                    assert_eq!(
+                        fresh.on_activate(bank, row, max, &mut expected),
+                        prefilled.on_activate(bank, row, max, &mut out),
+                        "{} performed differently at call {i}",
+                        kind.name()
+                    );
                 }
                 assert_eq!(out[0], sentinel, "{} cleared the buffer at call {i}", kind.name());
                 assert_eq!(out[1..], expected[..], "{} diverged at call {i}", kind.name());
@@ -599,11 +687,11 @@ mod tests {
         // rows; the hot row's counter must clear.
         let mut out = Vec::new();
         for _ in 0..40 {
-            bh.on_activate(0, 1, &mut out);
+            bh.on_activate(0, 1, 1, &mut out);
         }
         let window = 32_000_000 / 46;
         for i in 0..window as u32 {
-            bh.on_activate(0, 1000 + i, &mut out);
+            bh.on_activate(0, 1000 + i, 1, &mut out);
         }
         assert!(act(&mut bh, 0, 1).is_empty(), "window reset must clear counters");
     }

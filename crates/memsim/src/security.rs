@@ -16,6 +16,14 @@
 //! refreshes a victim, resetting its accumulated hammer count. An
 //! **escape** occurs whenever the accumulated count reaches the epoch's
 //! true RDT before a preventive refresh lands.
+//!
+//! A single-victim attack advances in chunks: one run-length
+//! [`Mitigation::on_activate`] call takes every activation up to the
+//! first that can change anything outside the mechanism's counters —
+//! the mechanism's next action, the victim's epoch RDT, the next tREFI
+//! or tREFW, or the attack's end. A multi-victim attack switches row on
+//! every activation and so steps one activation at a time. Both produce
+//! exactly what stepping every activation would.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -100,6 +108,15 @@ impl AttackResult {
 /// once per tREFW), modelling VRD's unpredictable epoch-to-epoch
 /// threshold changes. The mitigation's `on_refresh` hook runs once per
 /// tREFI, which models MINT's REF-time mitigation at its real cadence.
+///
+/// With one victim, each [`Mitigation::on_activate`] call may take a
+/// whole chunk of activations: the chunk ends at the mechanism's next
+/// action, at the activation that reaches the victim's epoch RDT, at the
+/// first activation at or past the next tREFI or tREFW, or at the end of
+/// the attack, whichever comes first, so every event lands on the
+/// activation it would land on one step at a time. With several victims
+/// the attacker changes row on every activation, and the loop steps one
+/// activation per call.
 pub fn simulate_attack(mitigation: &mut dyn Mitigation, config: &AttackConfig) -> AttackResult {
     const T_RC_NS: u64 = 46;
     const T_REFI_NS: u64 = 3_900;
@@ -137,16 +154,28 @@ pub fn simulate_attack(mitigation: &mut dyn Mitigation, config: &AttackConfig) -
     let mut actions = Vec::new();
     let bank = 0usize;
     let mut v = 0usize;
-    for _ in 0..config.activations {
-        time_ns += T_RC_NS;
-        accumulated[v] += 1;
+    let mut done = 0u64;
+    while done < config.activations {
+        // Every bound is at least 1: the victim is below its epoch RDT
+        // and `time_ns` below both refresh deadlines between chunks.
+        let max = if n == 1 {
+            (true_rdt[0] - accumulated[0])
+                .min((next_refi - time_ns).div_ceil(T_RC_NS))
+                .min((next_periodic - time_ns).div_ceil(T_RC_NS))
+                .min(config.activations - done)
+        } else {
+            1
+        };
+        let performed = mitigation.on_activate(bank, victims[v].row, max, &mut actions);
+        done += performed;
+        time_ns += performed * T_RC_NS;
+        accumulated[v] += performed;
         if accumulated[v] >= true_rdt[v] {
             result.escapes += 1;
             result.per_victim_escapes[v] += 1;
             restore[v] = true;
             any_restore = true;
         }
-        mitigation.on_activate(bank, victims[v].row, &mut actions);
         for action in actions.drain(..) {
             result.actions += 1;
             match action {

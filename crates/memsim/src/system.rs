@@ -179,7 +179,7 @@ impl System {
                 self.completions.push((done_at, req.core));
             } else if !was_hit && self.channel.is_row_hit(bank, row) {
                 // An activation just happened: inform the mitigation.
-                self.mitigation.on_activate(bank, row, &mut self.actions);
+                self.mitigation.on_activate(bank, row, 1, &mut self.actions);
                 self.apply_actions(now);
             }
         }

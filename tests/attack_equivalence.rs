@@ -1,0 +1,433 @@
+//! The run-length activation hook against its one-activation-per-call
+//! reading.
+//!
+//! [`Mitigation::on_activate`] may take up to `max` activations of one
+//! row in a call, and `simulate_attack` hands a single-victim attack's
+//! quiet stretches to it whole. Two layers of evidence that this changes
+//! nothing:
+//!
+//! 1. **Mechanism level.** For the baseline and every `EXTENDED` kind,
+//!    under flat and multi-region profiles, a random stream of row runs
+//!    and refreshes driven through chunked calls of random `max` yields
+//!    the same actions at the same activation index as the same stream
+//!    unrolled into `max = 1` calls. A shared `max = 1` tail afterwards
+//!    then also matches, so the mechanisms' internal state matches too.
+//!    Both sides run the same closed forms, so Graphene's and PRAC's are
+//!    also checked against a model that needs none: a row acts on every
+//!    `trigger`-th activation of its own.
+//! 2. **Attack level.** `simulate_attack` on a mechanism returns the same
+//!    [`AttackResult`] as on [`PerActivation`], an adapter that forwards
+//!    every call with `max = 1` (the per-activation loop, kept here as
+//!    the oracle). The configurations include escapes (over-configured
+//!    thresholds and no mitigation), PRAC's blocked time, attacks that
+//!    cross tREFW, and multi-victim attacks.
+
+use rand::Rng;
+use rand::SeedableRng;
+use rand_chacha::ChaCha12Rng;
+
+use vrd::memsim::mitigation::{Graphene, Mitigation, MitigationAction, MitigationKind, Prac};
+use vrd::memsim::security::{simulate_attack, AttackConfig, AttackResult, SpatialVictim};
+use vrd::memsim::MitigationProfile;
+
+/// The baseline and every extended mechanism.
+fn kinds() -> impl Iterator<Item = MitigationKind> {
+    [MitigationKind::None].into_iter().chain(MitigationKind::EXTENDED)
+}
+
+// ----- mechanism level ---------------------------------------------------
+
+/// One element of a driven stream.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// `len` consecutive activations of `(bank, row)`.
+    Run { bank: usize, row: u32, len: u64 },
+    /// One periodic refresh.
+    Refresh,
+}
+
+/// An action and where it landed: the 0-based index of the activation
+/// it belongs to, or, for a refresh's action, the number of activations
+/// before that refresh.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Event {
+    Activation(u64, MitigationAction),
+    Refresh(u64, MitigationAction),
+}
+
+/// A random stream: long runs of a few hot rows spread over several
+/// regions and both banks, one-off noise rows (enough distinct ones to
+/// saturate and evict Graphene's smaller tables), and refreshes.
+fn random_stream(rng: &mut ChaCha12Rng) -> Vec<Step> {
+    let mut noise = 10_000u32;
+    (0..rng.gen_range(40..120))
+        .map(|_| match rng.gen_range(0..10) {
+            0 => Step::Refresh,
+            1..=3 => {
+                noise += 1;
+                Step::Run { bank: rng.gen_range(0..2), row: noise, len: 1 }
+            }
+            _ => Step::Run {
+                bank: rng.gen_range(0..2),
+                row: rng.gen_range(0..12),
+                len: rng.gen_range(1..1_500),
+            },
+        })
+        .collect()
+}
+
+/// A flat profile, or four regions of 3 rows at independent thresholds
+/// (rows 12 and up, the noise rows, take the fallback).
+fn random_profile(rng: &mut ChaCha12Rng, flat: bool) -> MitigationProfile {
+    let mut threshold = || rng.gen_range(8u32..6_000);
+    if flat {
+        return MitigationProfile::flat(threshold());
+    }
+    MitigationProfile {
+        region_rows: 3,
+        regions: (0..4).map(|_| threshold()).collect(),
+        fallback_threshold: threshold(),
+        ..MitigationProfile::flat(1)
+    }
+}
+
+/// Drives `stream` with a random `max` per call (often the whole rest
+/// of the run) and records every action by activation index.
+fn drive_chunked(m: &mut dyn Mitigation, stream: &[Step], rng: &mut ChaCha12Rng) -> Vec<Event> {
+    let (mut events, mut out, mut done) = (Vec::new(), Vec::new(), 0u64);
+    for &step in stream {
+        match step {
+            Step::Run { bank, row, len } => {
+                let mut left = len;
+                while left > 0 {
+                    let max = if rng.gen_bool(0.5) { left } else { rng.gen_range(1..=left) };
+                    let performed = m.on_activate(bank, row, max, &mut out);
+                    assert!((1..=max).contains(&performed), "{m:?} performed {performed} of {max}");
+                    done += performed;
+                    left -= performed;
+                    events.extend(out.drain(..).map(|a| Event::Activation(done - 1, a)));
+                }
+            }
+            Step::Refresh => {
+                m.on_refresh(&mut out);
+                events.extend(out.drain(..).map(|a| Event::Refresh(done, a)));
+            }
+        }
+    }
+    events
+}
+
+/// The same stream, one activation per call.
+fn drive_unrolled(m: &mut dyn Mitigation, stream: &[Step]) -> Vec<Event> {
+    let (mut events, mut out, mut done) = (Vec::new(), Vec::new(), 0u64);
+    for &step in stream {
+        match step {
+            Step::Run { bank, row, len } => {
+                for _ in 0..len {
+                    assert_eq!(m.on_activate(bank, row, 1, &mut out), 1, "{m:?}");
+                    done += 1;
+                    events.extend(out.drain(..).map(|a| Event::Activation(done - 1, a)));
+                }
+            }
+            Step::Refresh => {
+                m.on_refresh(&mut out);
+                events.extend(out.drain(..).map(|a| Event::Refresh(done, a)));
+            }
+        }
+    }
+    events
+}
+
+#[test]
+fn chunked_calls_match_the_unrolled_stream_action_for_action() {
+    let mut acted = [0usize; 6];
+    for seed in 0..8u64 {
+        for flat in [true, false] {
+            for (k, kind) in kinds().enumerate() {
+                let mut rng = ChaCha12Rng::seed_from_u64(seed);
+                let profile = random_profile(&mut rng, flat);
+                let stream = random_stream(&mut rng);
+                let mut chunked = kind.build(&profile, 2, seed);
+                let mut unrolled = kind.build(&profile, 2, seed);
+                let got = drive_chunked(chunked.as_mut(), &stream, &mut rng);
+                let want = drive_unrolled(unrolled.as_mut(), &stream);
+                assert_eq!(got, want, "{} seed {seed} flat {flat}", kind.name());
+                acted[k] += want.len();
+
+                // A shared per-activation tail: any state the chunked calls
+                // left behind differently would show here.
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                for i in 0..3_000u32 {
+                    let (bank, row) = (i as usize % 2, [0, 4, 7, 11][i as usize % 4]);
+                    assert_eq!(chunked.on_activate(bank, row, 1, &mut a), 1);
+                    assert_eq!(unrolled.on_activate(bank, row, 1, &mut b), 1);
+                    if i % 97 == 96 {
+                        chunked.on_refresh(&mut a);
+                        unrolled.on_refresh(&mut b);
+                    }
+                    assert_eq!(a, b, "{} seed {seed} flat {flat}: tail call {i}", kind.name());
+                    a.clear();
+                    b.clear();
+                }
+            }
+        }
+    }
+    for (kind, acted) in kinds().zip(acted) {
+        assert_eq!(acted > 0, kind != MitigationKind::None, "{} acted {acted} times", kind.name());
+    }
+}
+
+/// The activations (0-based stream indices) on which a row that acts on
+/// every `trigger(row)`-th activation of its own acts.
+fn trigger_model(stream: &[Step], trigger: impl Fn(u32) -> u32) -> Vec<u64> {
+    let (mut acts, mut per_row, mut done) = (Vec::new(), [[0u64; 12]; 2], 0u64);
+    for &step in stream {
+        let Step::Run { bank, row, len } = step else { continue };
+        for _ in 0..len {
+            per_row[bank][row as usize] += 1;
+            if per_row[bank][row as usize] % u64::from(trigger(row)) == 0 {
+                acts.push(done);
+            }
+            done += 1;
+        }
+    }
+    acts
+}
+
+/// The activation indices of the neighbor refreshes in `events`.
+fn refresh_indices(events: &[Event]) -> Vec<u64> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Activation(i, MitigationAction::RefreshNeighbors { .. }) => Some(*i),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn graphene_and_prac_act_on_every_trigger_th_activation_of_a_row() {
+    for seed in 0..8u64 {
+        for flat in [true, false] {
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            let profile = random_profile(&mut rng, flat);
+            // Hot rows only: at most 12 rows per bank stay within
+            // Graphene's smallest table, so no row is ever evicted.
+            let stream: Vec<Step> = random_stream(&mut rng)
+                .into_iter()
+                .filter(|s| matches!(s, Step::Run { row, .. } if *row < 12))
+                .collect();
+
+            let mut graphene = Graphene::new(profile.clone(), 2);
+            let want = trigger_model(&stream, |row| graphene.trigger_for(row));
+            assert!(!want.is_empty(), "seed {seed}: the stream must reach a trigger");
+            let got = refresh_indices(&drive_chunked(&mut graphene, &stream, &mut rng));
+            assert_eq!(got, want, "Graphene seed {seed} flat {flat}");
+
+            let mut prac = Prac::new(profile.clone());
+            let want = trigger_model(&stream, |row| prac.alert_for(row));
+            let got = refresh_indices(&drive_chunked(&mut prac, &stream, &mut rng));
+            assert_eq!(got, want, "PRAC seed {seed} flat {flat}");
+        }
+    }
+}
+
+// ----- attack level ------------------------------------------------------
+
+/// Forwards every call with `max = 1`: `simulate_attack` then steps one
+/// activation at a time, as the loop did before the run-length hook.
+#[derive(Debug)]
+struct PerActivation(Box<dyn Mitigation>);
+
+impl Mitigation for PerActivation {
+    fn on_activate(
+        &mut self,
+        bank: usize,
+        row: u32,
+        _max: u64,
+        out: &mut Vec<MitigationAction>,
+    ) -> u64 {
+        self.0.on_activate(bank, row, 1, out)
+    }
+
+    fn on_refresh(&mut self, out: &mut Vec<MitigationAction>) {
+        self.0.on_refresh(out);
+    }
+}
+
+/// Forwards every call unchanged, counts the activations performed and
+/// notes how many had been performed at each periodic refresh.
+#[derive(Debug)]
+struct Counting {
+    inner: Box<dyn Mitigation>,
+    activations: u64,
+    refreshed_at: Vec<u64>,
+}
+
+impl Counting {
+    fn new(inner: Box<dyn Mitigation>) -> Self {
+        Counting { inner, activations: 0, refreshed_at: Vec::new() }
+    }
+}
+
+impl Mitigation for Counting {
+    fn on_activate(
+        &mut self,
+        bank: usize,
+        row: u32,
+        max: u64,
+        out: &mut Vec<MitigationAction>,
+    ) -> u64 {
+        let performed = self.inner.on_activate(bank, row, max, out);
+        self.activations += performed;
+        performed
+    }
+
+    fn on_refresh(&mut self, out: &mut Vec<MitigationAction>) {
+        self.refreshed_at.push(self.activations);
+        self.inner.on_refresh(out);
+    }
+}
+
+/// A VRD-like distribution: bulk near 5000, rare dips to 3500.
+fn vrd_distribution() -> Vec<u32> {
+    let mut d: Vec<u32> = (0..990).map(|i| 4_800 + (i % 17) * 25).collect();
+    d.extend([3_500, 3_520, 3_540, 3_560, 3_580, 3_600, 3_650, 3_700, 3_750, 3_800]);
+    d
+}
+
+/// Four victims of doubling spatial strength, one per 100-row region.
+fn spatial_victims() -> Vec<SpatialVictim> {
+    [(0, 1.0), (100, 2.0), (200, 4.0), (300, 8.0)]
+        .map(|(row, factor)| SpatialVictim { row, factor })
+        .to_vec()
+}
+
+/// The region profile matching `spatial_victims`, scaled so `base` is
+/// the weakest region's threshold.
+fn spatial_profile(base: u32) -> MitigationProfile {
+    MitigationProfile {
+        region_rows: 100,
+        regions: vec![base, base * 2, base * 4, base * 8],
+        fallback_threshold: base,
+        ..MitigationProfile::flat(base)
+    }
+}
+
+/// Runs `config` against `kind` built from `profile`, chunked and per
+/// activation, and returns the (equal) result. The periodic refreshes
+/// must also land after the same activations on both sides.
+fn both_ways(
+    kind: MitigationKind,
+    profile: &MitigationProfile,
+    config: &AttackConfig,
+) -> AttackResult {
+    let mut chunked = Counting::new(kind.build(profile, 1, config.seed));
+    let mut oracle = Counting::new(Box::new(PerActivation(kind.build(profile, 1, config.seed))));
+    let got = simulate_attack(&mut chunked, config);
+    let want = simulate_attack(&mut oracle, config);
+    let what = format!(
+        "{} with {} victims, {} activations, seed {}",
+        kind.name(),
+        config.victims.len(),
+        config.activations,
+        config.seed
+    );
+    assert_eq!(chunked.activations, config.activations, "{what}: overran or fell short");
+    assert_eq!(got, want, "{what}");
+    assert_eq!(chunked.refreshed_at, oracle.refreshed_at, "{what}: refresh cadence");
+    want
+}
+
+#[test]
+fn single_victim_attacks_match_the_per_activation_loop() {
+    let mut escapes = 0;
+    for seed in [1u64, 31337] {
+        let mut config = AttackConfig::new(
+            vrd_distribution(),
+            vec![SpatialVictim { row: 7, factor: 1.0 }],
+            seed,
+        );
+        config.activations = 100_000;
+        // At the true minimum, at the bulk, and 5x over it: the last two
+        // let low-RDT epochs escape.
+        for threshold in [3_500, 5_000, 17_500] {
+            for kind in kinds() {
+                let result = both_ways(kind, &MitigationProfile::flat(threshold), &config);
+                escapes += result.escapes;
+                if kind == MitigationKind::Prac {
+                    assert!(result.blocked_ns > 0, "PRAC's back-off must block");
+                }
+            }
+        }
+    }
+    assert!(escapes > 0, "the suite must exercise escapes");
+}
+
+#[test]
+fn attacks_across_the_refresh_window_match_the_per_activation_loop() {
+    // 800k activations at 46 ns span more than one 32 ms tREFW.
+    let mut config =
+        AttackConfig::new(vrd_distribution(), vec![SpatialVictim { row: 3, factor: 1.0 }], 31337);
+    config.activations = 800_000;
+    for (kind, threshold) in [
+        (MitigationKind::None, 3_500),
+        (MitigationKind::Graphene, 3_500),
+        (MitigationKind::Graphene, 17_500),
+        (MitigationKind::Prac, 5_000),
+        (MitigationKind::Para, 12_000),
+        (MitigationKind::BlockHammer, 3_500),
+    ] {
+        let result = both_ways(kind, &MitigationProfile::flat(threshold), &config);
+        if kind == MitigationKind::None {
+            assert!(result.escapes > 0);
+        }
+    }
+}
+
+#[test]
+fn multi_victim_attacks_match_the_per_activation_loop() {
+    let mut escapes = 0;
+    for seed in [11u64, 31337] {
+        let mut config = AttackConfig::new(vrd_distribution(), spatial_victims(), seed);
+        config.activations = 120_000;
+        for kind in kinds() {
+            for profile in [spatial_profile(3_500), MitigationProfile::flat(28_000)] {
+                escapes += both_ways(kind, &profile, &config).escapes;
+            }
+        }
+    }
+    assert!(escapes > 0, "the suite must exercise multi-victim escapes");
+}
+
+#[test]
+fn escape_bound_attacks_across_the_refresh_window_match_the_per_activation_loop() {
+    // Epoch RDTs below the ~84 activations per tREFI make the victim's
+    // RDT the binding chunk end, and the tREFW restore lands mid-epoch.
+    let mut escapes = 0;
+    for rdts in [vec![2], vec![3], vec![5, 7], vec![40, 83, 84, 85]] {
+        let config = AttackConfig {
+            activations: 700_000,
+            ..AttackConfig::new(rdts, vec![SpatialVictim { row: 1, factor: 1.0 }], 31337)
+        };
+        escapes += both_ways(MitigationKind::None, &MitigationProfile::flat(64), &config).escapes;
+        both_ways(MitigationKind::Prac, &MitigationProfile::flat(64), &config);
+    }
+    assert!(escapes > 0);
+}
+
+#[test]
+fn short_attacks_stop_exactly_at_the_activation_budget() {
+    // Budgets that end on either side of the first tREFI (the 85th
+    // activation) and of Graphene's and PRAC's first triggers (the 875th
+    // and the 2625th).
+    for activations in [1, 2, 83, 84, 85, 875, 876, 877, 2_625] {
+        for kind in kinds() {
+            let config = AttackConfig {
+                activations,
+                ..AttackConfig::new(vec![3_500], vec![SpatialVictim { row: 1, factor: 1.0 }], 5)
+            };
+            both_ways(kind, &MitigationProfile::flat(3_500), &config);
+        }
+    }
+}
