@@ -27,23 +27,22 @@
 //!   ```
 //!
 //!   The checksum covers the JSON payload bytes. Records are appended
-//!   and flushed as each unit commits, so a crash can lose at most the
-//!   record being written.
+//!   and flushed as each unit commits through [`journal::append`], so a
+//!   process crash (`kill -9`, OOM kill, exit) can lose at most the
+//!   record being written. Nothing calls `fsync`, so power loss is
+//!   outside the contract.
 //!
 //! # Recovery semantics
 //!
-//! On open, the journal is scanned front to back. A record that fails
-//! to parse or checksum in the **tail position** (the last line, or
-//! trailing bytes with no newline) is a torn write: it is dropped, the
-//! file is truncated back to the last valid record, and the unit simply
-//! reruns. A bad record anywhere *before* the tail means the file was
-//! tampered with or the disk is lying — that is
+//! On open, the journal is read under [`journal::open`]'s tail rule: a
+//! torn tail record (trailing bytes with no newline, or a bad last line)
+//! is cut off and its unit simply reruns; a bad record *before* the tail
+//! means the file was tampered with or the disk is lying — that is
 //! [`CheckpointError::Corrupted`], a hard error.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::fs::{self, File};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
@@ -52,6 +51,7 @@ use vrd_dram::fleet::roster_fingerprint;
 use vrd_dram::spec::ModuleSpec;
 
 use crate::exec::UnitKey;
+use crate::journal::{self, JournalError};
 
 /// Version tag of the journal/manifest format; bump on incompatible
 /// layout changes so old checkpoints are rejected instead of misread.
@@ -287,26 +287,22 @@ impl Checkpoint {
             })?;
             manifest.verify_against(&found)?;
         } else {
-            // Write-then-rename so a crash mid-write never leaves a
-            // half-written manifest behind.
-            let tmp = dir.join("manifest.json.tmp");
             let text = serde_json::to_string_pretty(&manifest).expect("manifest serializes");
-            fs::write(&tmp, format!("{text}\n"))?;
-            fs::rename(&tmp, &manifest_path)?;
+            journal::write_atomic(&manifest_path, format!("{text}\n"))?;
         }
 
-        let journal_path = dir.join(JOURNAL_FILE);
-        let (completed, valid_len, recovered_torn_tail) = load_journal(&journal_path)?;
-        // truncate(false): the valid journal prefix must survive the open; any
-        // torn tail is cut explicitly by the set_len below.
-        let mut file =
-            OpenOptions::new().create(true).write(true).truncate(false).open(&journal_path)?;
-        // Drop any torn tail and position at the end of the valid prefix;
-        // subsequent appends extend the intact journal.
-        file.set_len(valid_len)?;
-        file.seek(SeekFrom::Start(valid_len))?;
-
-        Ok(Checkpoint { dir, manifest, completed, recovered_torn_tail, writer: Mutex::new(file) })
+        let log = journal::open(dir.join(JOURNAL_FILE), parse_record).map_err(|e| match e {
+            JournalError::Io(e) => CheckpointError::Io(e),
+            JournalError::Corrupted { line, reason } => CheckpointError::Corrupted { line, reason },
+        })?;
+        Ok(Checkpoint {
+            dir,
+            manifest,
+            // Records under one key supersede each other: last one wins.
+            completed: log.records.into_iter().collect(),
+            recovered_torn_tail: log.torn,
+            writer: Mutex::new(log.file),
+        })
     }
 
     /// The manifest this checkpoint was opened with.
@@ -353,56 +349,13 @@ impl Checkpoint {
             serde_json::to_string(key).expect("key serializes"),
             serde_json::to_string(value).expect("value serializes"),
         );
-        let line = format!("{RECORD_MAGIC} {:016x} {body}\n", fnv1a64(body.as_bytes()));
-        let mut file = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        file.write_all(line.as_bytes())?;
-        file.flush()
+        let line = format!("{RECORD_MAGIC} {:016x} {body}", fnv1a64(body.as_bytes()));
+        journal::append(&mut *self.writer.lock().unwrap_or_else(PoisonError::into_inner), &line)
     }
-}
-
-/// Scans the journal, returning the completed-unit map, the byte length
-/// of the valid prefix, and whether a torn tail record was dropped.
-fn load_journal(path: &Path) -> Result<(HashMap<UnitKey, String>, u64, bool), CheckpointError> {
-    if !path.exists() {
-        return Ok((HashMap::new(), 0, false));
-    }
-    let bytes = fs::read(path)?;
-
-    // Split into newline-terminated lines, remembering each line's end
-    // offset; trailing bytes without a newline are a torn write.
-    let mut lines: Vec<(usize, &[u8])> = Vec::new(); // (end offset incl. \n, line)
-    let mut start = 0;
-    while let Some(nl) = bytes[start..].iter().position(|&b| b == b'\n') {
-        lines.push((start + nl + 1, &bytes[start..start + nl]));
-        start += nl + 1;
-    }
-    let mut torn = start < bytes.len();
-
-    let mut completed = HashMap::new();
-    let mut valid_len = 0u64;
-    for (i, &(end, line)) in lines.iter().enumerate() {
-        match parse_record(line) {
-            Ok((key, value_json)) => {
-                completed.insert(key, value_json);
-                valid_len = end as u64;
-            }
-            Err(reason) => {
-                // Only the final record may be bad (torn write at the
-                // crash point); anything earlier is real corruption.
-                if i + 1 == lines.len() && !torn {
-                    torn = true;
-                    break;
-                }
-                return Err(CheckpointError::Corrupted { line: i + 1, reason });
-            }
-        }
-    }
-    Ok((completed, valid_len, torn))
 }
 
 /// Parses and verifies one journal record line.
-fn parse_record(line: &[u8]) -> Result<(UnitKey, String), String> {
-    let line = std::str::from_utf8(line).map_err(|e| format!("not UTF-8: {e}"))?;
+fn parse_record(line: &str) -> Result<(UnitKey, String), String> {
     let rest = line
         .strip_prefix(RECORD_MAGIC)
         .and_then(|r| r.strip_prefix(' '))

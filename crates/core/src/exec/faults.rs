@@ -130,8 +130,8 @@ impl UnitHooks for FaultPlan {
         if let Some(kill_at) = self.kill_after_units {
             if done >= kill_at {
                 if let Some(code) = self.exit_code {
-                    // The record is already flushed; this is the "power
-                    // cord at the unit boundary" crash.
+                    // The record is already flushed; this is a process
+                    // killed at the unit boundary.
                     if let Some(announce) = &self.announce {
                         announce(done);
                     }
@@ -144,7 +144,7 @@ impl UnitHooks for FaultPlan {
 }
 
 /// Truncates the last `bytes` bytes off a journal file, simulating a
-/// torn write (power loss mid-record).
+/// torn write (a process killed mid-record).
 pub fn truncate_tail_bytes(journal: &Path, bytes: u64) -> std::io::Result<()> {
     let len = std::fs::metadata(journal)?.len();
     let file = std::fs::OpenOptions::new().write(true).open(journal)?;
@@ -152,7 +152,7 @@ pub fn truncate_tail_bytes(journal: &Path, bytes: u64) -> std::io::Result<()> {
 }
 
 /// Flips one byte in the middle of the journal's last record,
-/// simulating bit rot / a partially synced sector. The record keeps its
+/// simulating bit rot or a tampered file. The record keeps its
 /// shape but fails its checksum.
 pub fn corrupt_tail_record(journal: &Path) -> std::io::Result<()> {
     corrupt_record(journal, usize::MAX)

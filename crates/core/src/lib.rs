@@ -30,6 +30,9 @@
 //!   checksummed journal of finished units plus a manifest binding it to
 //!   one campaign config/seed/shard, so a killed campaign resumes to
 //!   byte-identical output.
+//! - [`journal`] — durable state on disk: one record append, one
+//!   torn-tail rule and one atomic whole-file write, shared by the
+//!   checkpoint journal, trace sinks and the campaign service's logs.
 //! - [`obs`] — structured observability: typed campaign events
 //!   (unit/phase/checkpoint lifecycle with wall time, simulated test
 //!   time/energy, and bitflips) flowing to pluggable sinks — JSONL
@@ -69,6 +72,7 @@ pub mod checkpoint;
 pub mod discovery;
 pub mod exec;
 pub mod guardband;
+pub mod journal;
 pub mod metrics;
 pub mod montecarlo;
 pub mod obs;

@@ -9,10 +9,12 @@ use std::io::Write;
 use std::sync::{Mutex, PoisonError};
 
 use super::{Event, Observer};
+use crate::journal;
 
-/// Writes every event as one JSON line to the wrapped writer, flushing
-/// per line so a crash loses at most the event in flight (the same
-/// contract as the checkpoint journal).
+/// Writes every event as one JSON line to the wrapped writer through
+/// [`journal::append`]: one `write_all` and a flush per line, so a crash
+/// loses at most the event in flight (the same contract as the
+/// checkpoint journal).
 pub struct JsonlSink<W: Write + Send> {
     writer: Mutex<W>,
 }
@@ -36,8 +38,7 @@ impl<W: Write + Send> Observer for JsonlSink<W> {
         let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         // Trace output is best-effort telemetry: a full disk must not
         // abort a week-long campaign, so IO errors are swallowed.
-        let _ = writeln!(w, "{line}");
-        let _ = w.flush();
+        let _ = journal::append(&mut *w, &line);
     }
 }
 

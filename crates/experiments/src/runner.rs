@@ -171,7 +171,9 @@ pub fn fault_plan(opts: &Options) -> Option<FaultPlan> {
     })
 }
 
-/// Writes `value` as pretty JSON to `<out_dir>/<name>.json`.
+/// Writes `value` as pretty JSON to `<out_dir>/<name>.json` through
+/// [`vrd_core::journal::write_atomic`], so a crash never leaves a
+/// half-written artifact.
 ///
 /// # Errors
 ///
@@ -181,7 +183,7 @@ pub fn save_json<T: Serialize>(opts: &Options, name: &str, value: &T) -> std::io
     fs::create_dir_all(&opts.out_dir)?;
     let path = Path::new(&opts.out_dir).join(format!("{name}.json"));
     let json = serde_json::to_string_pretty(value).expect("serializable result");
-    fs::write(path, json)
+    vrd_core::journal::write_atomic(path, json)
 }
 
 #[cfg(test)]

@@ -52,7 +52,8 @@ pub fn serve(service: Arc<Service>, addr: &str) -> Result<SocketAddr, String> {
     let bound = listener.local_addr().map_err(|e| e.to_string())?;
     listener.set_nonblocking(true).map_err(|e| e.to_string())?;
     let endpoint = std::path::PathBuf::from(&service.config().state_dir).join("endpoint.txt");
-    std::fs::write(&endpoint, format!("{bound}\n")).map_err(|e| e.to_string())?;
+    // Atomic, so a client polling for the file never reads half an address.
+    vrd_core::journal::write_atomic(&endpoint, format!("{bound}\n")).map_err(|e| e.to_string())?;
     std::thread::spawn(move || accept_loop(&listener, &service));
     Ok(bound)
 }

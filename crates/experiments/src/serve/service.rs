@@ -8,7 +8,7 @@
 //!   service.json        identity (seeds, fleet size) verified on restart
 //!   sched_log.jsonl     the submission log: one SchedOp per line,
 //!                       appended+flushed before any submission is acked
-//!   dispatch.jsonl      job ids in dispatch order (determinism artifact)
+//!   dispatch.jsonl      job ids in dispatch order, derived from the log
 //!   events.jsonl        the multiplexed obs stream (JobScoped-wrapped)
 //!   fleet_metrics.json  aggregated dashboard over all jobs
 //!   endpoint.txt        bound HTTP address (when serving HTTP)
@@ -35,15 +35,17 @@
 //! On boot with `--resume`, the service replays the submission log,
 //! reloads every `job.json`, and sorts jobs into: terminal (left
 //! alone), dispatched-but-unfinished (resumed from their own checkpoint
-//! journals — **not** re-dispatched, so `dispatch.jsonl` keeps the
-//! uninterrupted sequence), and queued (still in the replayed
-//! scheduler). Torn tails — in the submission log or in a job's
-//! checkpoint journal — are dropped, exactly like the single-campaign
-//! checkpoint contract.
+//! journals — **not** re-dispatched), and queued (still in the replayed
+//! scheduler). `dispatch.jsonl` is derived: boot rewrites it from the
+//! replayed dispatch trace, so a line lost or torn by a crash is healed
+//! and the file keeps the uninterrupted sequence. Every log —
+//! `sched_log.jsonl`, `events.jsonl` and each job's checkpoint journal —
+//! is read back under the one tail rule of [`vrd_core::journal::open`]:
+//! a torn tail is cut in place, a bad record before it is refused. The
+//! contract is a process crash; nothing calls `fsync`.
 
 use std::collections::BTreeMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::fs::{self, File};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,6 +58,7 @@ use vrd_core::campaign::{FOUNDATIONAL, IN_DEPTH};
 use vrd_core::checkpoint::{self, Checkpoint, CheckpointError, CheckpointManifest};
 use vrd_core::discovery::DISCOVERY;
 use vrd_core::exec::faults::FaultPlan;
+use vrd_core::journal::{self, Log};
 use vrd_core::obs::trace::JsonlSink;
 use vrd_core::obs::{Event, Level, MultiObserver, Observer};
 use vrd_core::run::RunOptions;
@@ -181,7 +184,7 @@ struct Inner {
     jobs: BTreeMap<String, JobEntry>,
     /// Dispatched-before-crash, unfinished jobs to resume first (in
     /// original dispatch order). Popped front before polling the
-    /// scheduler so `dispatch.jsonl` is never re-appended for them.
+    /// scheduler, so they are never dispatched twice.
     resume: Vec<String>,
     sched_log: File,
     dispatch: File,
@@ -224,11 +227,8 @@ impl EventHub {
     /// subscribers are dropped.
     pub fn publish(&self, event: &Event) {
         let line = serde_json::to_string(event).expect("event serializes");
-        {
-            let mut f = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-            let _ = writeln!(f, "{line}");
-            let _ = f.flush();
-        }
+        let _ =
+            journal::append(&mut *self.file.lock().unwrap_or_else(PoisonError::into_inner), &line);
         if let Some(subscribers) =
             self.subscribers.lock().unwrap_or_else(PoisonError::into_inner).as_mut()
         {
@@ -314,22 +314,12 @@ impl Service {
                 ));
             }
         } else {
-            let json = serde_json::to_string_pretty(&manifest).expect("manifest serializes");
-            fs::write(&manifest_path, json).map_err(|e| e.to_string())?;
+            write_json_atomic(&manifest_path, &manifest)?;
         }
 
-        let (ops, torn_tail) = read_sched_log(&root.join("sched_log.jsonl"))?;
-        if torn_tail {
-            // Same contract as the checkpoint journal: drop the torn
-            // line for good, so later appends never land behind it.
-            let recovered: String = ops
-                .iter()
-                .map(|op| serde_json::to_string(op).expect("op serializes") + "\n")
-                .collect();
-            let tmp = root.join("sched_log.jsonl.tmp");
-            fs::write(&tmp, recovered).map_err(|e| e.to_string())?;
-            fs::rename(&tmp, root.join("sched_log.jsonl")).map_err(|e| e.to_string())?;
-        }
+        let Log { records: ops, file: sched_log, .. } = open_log(&root, "sched_log.jsonl", |l| {
+            serde_json::from_str::<SchedOp>(l).map_err(|e| e.to_string())
+        })?;
         let sched = vrd_core::scheduler::replay(cfg.service_seed, &ops)
             .map_err(|e| format!("sched_log.jsonl replay: {e}"))?;
 
@@ -383,16 +373,17 @@ impl Service {
             }
         }
 
-        let append = |name: &str| -> Result<File, String> {
-            OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(root.join(name))
-                .map_err(|e| format!("{name}: {e}"))
-        };
-        let sched_log = append("sched_log.jsonl")?;
-        let dispatch = append("dispatch.jsonl")?;
-        let events = EventHub::new(append("events.jsonl")?);
+        // dispatch.jsonl is derived from the log: rewriting it heals a
+        // line a crash lost or tore. A fresh log has nothing to write.
+        if !sched.dispatch_trace().is_empty() {
+            let trace: String = sched.dispatch_trace().iter().map(|id| format!("{id}\n")).collect();
+            journal::write_atomic(root.join("dispatch.jsonl"), trace)
+                .map_err(|e| format!("dispatch.jsonl: {e}"))?;
+        }
+        // Any line is a record of these two; the open only cuts a torn
+        // tail, so the next line never joins a half-written one.
+        let dispatch = open_log(&root, "dispatch.jsonl", |_| Ok(()))?.file;
+        let events = EventHub::new(open_log(&root, "events.jsonl", |_| Ok(()))?.file);
 
         let fault = cfg.fail_after_units.map(|n| {
             FaultPlan::exit_after(n, 3).announce_with(|done| {
@@ -495,9 +486,11 @@ impl Service {
             tenant: spec.tenant.clone(),
             priority: spec.priority,
         };
-        // Log first: a failed append leaves the scheduler and the id
-        // sequence untouched, so the next submit reuses the id cleanly.
-        append_op(&mut inner.sched_log, &op)?;
+        // Log first, flushed before the ack: a failed append leaves the
+        // scheduler and the id sequence untouched, so the next submit
+        // reuses the id cleanly.
+        let line = serde_json::to_string(&op).expect("op serializes");
+        journal::append(&mut inner.sched_log, &line).map_err(|e| e.to_string())?;
         inner
             .sched
             .submit(&id, &spec.tenant, spec.priority)
@@ -530,7 +523,9 @@ impl Service {
         match state {
             JobState::Queued => {
                 // Log first: a failed append leaves the job queued.
-                append_op(&mut inner.sched_log, &SchedOp::Cancel { job: id.to_owned() })?;
+                let op = SchedOp::Cancel { job: id.to_owned() };
+                let line = serde_json::to_string(&op).expect("op serializes");
+                journal::append(&mut inner.sched_log, &line).map_err(|e| e.to_string())?;
                 inner.sched.cancel(id).expect("a Queued record is in the scheduler's queue");
                 let entry = inner.jobs.get_mut(id).expect("checked above");
                 entry.record.state = JobState::Cancelled;
@@ -611,9 +606,9 @@ impl Service {
     /// Returns `None` once shutdown was requested, so queued jobs stay
     /// queued for the next boot. A failed `Poll` append pops nothing:
     /// it reports the error and shuts the service down, leaving the
-    /// queue to the next boot. A failed `dispatch.jsonl` line comes
-    /// after the logged `Poll`, so that job has left the queue (a
-    /// replay agrees) and ends `Failed` with the write error.
+    /// queue to the next boot. A failed `dispatch.jsonl` line is only
+    /// reported: the logged `Poll` already holds the dispatch, the job
+    /// runs, and the next boot rewrites the file from the log.
     fn take_task(&self) -> Option<(JobRecord, Arc<AtomicBool>, bool)> {
         let mut inner = self.lock_inner();
         if self.is_shutdown() {
@@ -629,7 +624,8 @@ impl Service {
         if inner.sched.pending() == 0 {
             return None;
         }
-        if let Err(e) = append_op(&mut inner.sched_log, &SchedOp::Poll) {
+        let poll = serde_json::to_string(&SchedOp::Poll).expect("op serializes");
+        if let Err(e) = journal::append(&mut inner.sched_log, &poll) {
             drop(inner);
             self.events.publish(&Event::Message {
                 level: Level::Error,
@@ -639,18 +635,18 @@ impl Service {
             return None;
         }
         let queued = inner.sched.next().expect("pending jobs were checked above");
-        let written = writeln!(inner.dispatch, "{}", queued.job)
-            .and_then(|()| inner.dispatch.flush())
-            .map_err(|e| format!("dispatch.jsonl: {e}"));
-        if let Err(e) = written {
-            let error = Some(format!("dispatch failed: {e}"));
-            self.settle(inner, &queued.job, JobState::Failed, error, false);
-            return None;
-        }
+        let written = journal::append(&mut inner.dispatch, &queued.job);
         let entry = inner.jobs.get_mut(&queued.job).expect("queued job has a record");
         entry.record.state = JobState::Running;
         let (record, cancel) = (entry.record.clone(), Arc::clone(&entry.cancel));
         let _ = write_json_atomic(&self.job_dir(&queued.job).join("job.json"), &record);
+        drop(inner);
+        if let Err(e) = written {
+            self.events.publish(&Event::Message {
+                level: Level::Error,
+                body: format!("dispatch.jsonl: {e}; the next boot rewrites it from the log"),
+            });
+        }
         Some((record, cancel, false))
     }
 
@@ -696,7 +692,7 @@ impl Service {
             Ok(Ok(json)) => {
                 let artifacts = dir.join("artifacts");
                 let write = fs::create_dir_all(&artifacts)
-                    .and_then(|()| fs::write(artifacts.join("result.json"), json));
+                    .and_then(|()| journal::write_atomic(artifacts.join("result.json"), json));
                 match write {
                     Ok(()) => (JobState::Done, None),
                     Err(e) => (JobState::Failed, Some(format!("write result: {e}"))),
@@ -707,25 +703,14 @@ impl Service {
             }
             Ok(Err(e)) => (JobState::Failed, Some(e.to_string())),
         };
-        self.settle(self.lock_inner(), &record.id, state, error, resumed);
-    }
-
-    /// Ends job `id` in a terminal `state`: records it (and `error`)
-    /// under the held `inner` lock and in `job.json`, then wakes idle
-    /// workers, publishes a `Message` event and rewrites the dashboard.
-    fn settle(
-        &self,
-        mut inner: MutexGuard<'_, Inner>,
-        id: &str,
-        state: JobState,
-        error: Option<String>,
-        resumed: bool,
-    ) {
+        // Record the terminal state, then wake idle workers, publish a
+        // `Message` event and rewrite the dashboard.
+        let id = &record.id;
+        let mut inner = self.lock_inner();
         let entry = inner.jobs.get_mut(id).expect("settled job has a record");
         entry.record.state = state;
         entry.record.error = error.clone();
-        let record = entry.record.clone();
-        let _ = write_json_atomic(&self.job_dir(id).join("job.json"), &record);
+        let _ = write_json_atomic(&dir.join("job.json"), &entry.record);
         drop(inner);
         self.work.notify_all();
         self.events.publish(&Event::Message {
@@ -834,53 +819,28 @@ impl Service {
     }
 }
 
-/// Parses the submission log, dropping a torn tail (the same
-/// crash-tolerance contract as the checkpoint journal): trailing bytes
-/// without their newline are torn even when they parse, and so is an
-/// unparseable final line. A malformed line *before* the tail is
-/// corruption and rejected. The second return is whether a torn tail
-/// was dropped (the caller rewrites the file so future appends never
-/// land behind it).
-fn read_sched_log(path: &Path) -> Result<(Vec<SchedOp>, bool), String> {
-    let text = match fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), false)),
-        Err(e) => return Err(format!("{}: {e}", path.display())),
-    };
-    let whole = text.rfind('\n').map_or("", |nl| &text[..=nl]);
-    let torn = whole.len() < text.len();
-    let lines: Vec<&str> = whole.lines().filter(|l| !l.trim().is_empty()).collect();
-    let mut ops = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        match serde_json::from_str::<SchedOp>(line) {
-            Ok(op) => ops.push(op),
-            Err(_) if i + 1 == lines.len() && !torn => return Ok((ops, true)), // torn tail
-            Err(e) => {
-                return Err(format!("{} line {}: {e}", path.display(), i + 1));
-            }
-        }
-    }
-    Ok((ops, torn))
+/// Opens the state-dir log `name` under [`journal::open`], naming the
+/// file (and a corrupt record's line) in the error.
+fn open_log<T>(
+    root: &Path,
+    name: &str,
+    parse: impl FnMut(&str) -> Result<T, String>,
+) -> Result<Log<T>, String> {
+    let path = root.join(name);
+    journal::open(&path, parse).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Appends one op as a JSON line in a single write, flushed before
-/// returning — the ack ordering the determinism contract needs.
-fn append_op(log: &mut File, op: &SchedOp) -> Result<(), String> {
-    let line = serde_json::to_string(op).expect("op serializes") + "\n";
-    log.write_all(line.as_bytes()).map_err(|e| e.to_string())?;
-    log.flush().map_err(|e| e.to_string())
-}
-
-/// Atomic JSON rewrite: write `<path>.tmp`, then rename over `path`.
+/// Pretty-printed JSON through [`journal::write_atomic`].
 fn write_json_atomic<T: Serialize>(path: &Path, value: &T) -> Result<(), String> {
     let json = serde_json::to_string_pretty(value).expect("value serializes");
-    let tmp = path.with_extension("json.tmp");
-    fs::write(&tmp, json).map_err(|e| e.to_string())?;
-    fs::rename(&tmp, path).map_err(|e| e.to_string())
+    journal::write_atomic(path, json).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
 mod tests {
+    use std::fs::OpenOptions;
+    use std::io::Write;
+
     use super::*;
     use vrd_dram::fleet::FleetScope;
 
@@ -1169,8 +1129,15 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    fn resume(dir: &Path) -> Service {
+        let mut cfg = tiny_config(dir);
+        cfg.resume = true;
+        cfg.script = Some(String::new());
+        Service::boot(cfg).unwrap()
+    }
+
     #[test]
-    fn a_failed_dispatch_write_fails_the_job_instead_of_stranding_it() {
+    fn a_failed_dispatch_write_runs_the_job_and_boot_rederives_the_file() {
         let dir = scratch("dispatch-fail");
         let mut cfg = tiny_config(&dir);
         cfg.script = Some(String::new());
@@ -1178,27 +1145,122 @@ mod tests {
         let (events, rx) = std::sync::mpsc::channel();
         svc.events().subscribe(events);
         for tenant in ["alice", "bob"] {
-            svc.submit(JobSpec::new(tenant, JobKind::Family)).unwrap();
+            svc.submit(small_family(tenant)).unwrap();
         }
         // A read-only handle: every dispatch line fails to write.
-        svc.lock_inner().dispatch = File::open(dir.join("dispatch.jsonl")).unwrap();
+        let path = dir.join("dispatch.jsonl");
+        svc.lock_inner().dispatch = File::open(&path).unwrap();
         svc.worker_loop();
-        for id in ["job-00000", "job-00001"] {
-            let record = svc.record(id).unwrap();
-            assert_eq!(record.state, JobState::Failed, "{id} left the queue, so it must fail");
-            let error = record.error.unwrap_or_default();
-            assert!(error.starts_with("dispatch failed: dispatch.jsonl: "), "{error}");
-            let text = fs::read_to_string(dir.join("jobs").join(id).join("job.json")).unwrap();
-            let on_disk: JobRecord = serde_json::from_str(&text).unwrap();
-            assert_eq!((on_disk.state, on_disk.error), (JobState::Failed, Some(error)));
-        }
-        let text = fs::read_to_string(dir.join("fleet_metrics.json")).unwrap();
-        let dashboard: FleetMetrics = serde_json::from_str(&text).unwrap();
-        assert_eq!((dashboard.totals.failed, dashboard.totals.queued), (2, 0));
+        let states: Vec<JobState> = svc.records().iter().map(|r| r.state).collect();
+        assert_eq!(states, vec![JobState::Done; 2], "the log holds the dispatch; the jobs run");
         let messages: Vec<String> = rx.try_iter().collect();
-        for id in ["job-00000", "job-00001"] {
-            let needle = format!("job {id} failed: dispatch failed");
-            assert!(messages.iter().any(|m| m.contains(&needle)), "{needle} in {messages:?}");
+        assert!(
+            messages.iter().any(|m| m.contains("\"Error\"") && m.contains("dispatch.jsonl: ")),
+            "{messages:?}"
+        );
+        assert_eq!(fs::read_to_string(&path).unwrap(), "");
+        let trace = svc.lock_inner().sched.dispatch_trace().join("\n") + "\n";
+        drop(svc);
+
+        // Boot rewrites the file from the replayed log ...
+        drop(resume(&dir));
+        assert_eq!(fs::read_to_string(&path).unwrap(), trace);
+        // ... and heals one a crash left short: a line missing, and the
+        // last id without its newline.
+        fs::write(&path, "job-00000").unwrap();
+        drop(resume(&dir));
+        assert_eq!(fs::read_to_string(&path).unwrap(), trace);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_multi_byte_tail_is_dropped_on_resume() {
+        let dir = scratch("torn-utf8");
+        Service::boot(tiny_config(&dir)).unwrap().submit(small_family("ålice")).unwrap();
+        // A crash mid-append, inside the two bytes of `å` (0xC3 0xA5).
+        let op = SchedOp::Submit {
+            job: "job-00001".into(),
+            tenant: "ålice".into(),
+            priority: vrd_core::scheduler::Priority::Normal,
+        };
+        let line = serde_json::to_string(&op).unwrap().into_bytes();
+        let cut = line.iter().position(|&b| b == 0xC3).expect("the tenant is written raw");
+        let mut log = OpenOptions::new().append(true).open(dir.join("sched_log.jsonl")).unwrap();
+        log.write_all(&line[..=cut]).unwrap();
+        drop(log);
+        let svc = resume(&dir);
+        assert_eq!(svc.records().len(), 1);
+        let log = fs::read_to_string(dir.join("sched_log.jsonl")).unwrap();
+        assert!(log.ends_with('\n'), "{log:?}");
+        assert!(log.lines().all(|l| serde_json::from_str::<SchedOp>(l).is_ok()), "{log:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_event_line_never_joins_the_next_boots_first_event() {
+        let dir = scratch("torn-event");
+        Service::boot(tiny_config(&dir)).unwrap().submit(small_family("alice")).unwrap();
+        let path = dir.join("events.jsonl");
+        let mut events = OpenOptions::new().append(true).open(&path).unwrap();
+        events.write_all(br#"{"Message":{"level":"Info","body":"half a"#).unwrap();
+        drop(events);
+        let svc = resume(&dir);
+        svc.events().publish(&Event::Message { level: Level::Info, body: "after".into() });
+        let text = fs::read_to_string(&path).unwrap();
+        let events = vrd_core::obs::trace::parse_jsonl(&text).unwrap();
+        assert_eq!(events.len(), 2, "{text:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn copy_tree(from: &Path, to: &Path) {
+        fs::create_dir_all(to).unwrap();
+        for entry in fs::read_dir(from).unwrap().map(Result::unwrap) {
+            let target = to.join(entry.file_name());
+            if entry.file_type().unwrap().is_dir() {
+                copy_tree(&entry.path(), &target);
+            } else {
+                fs::copy(entry.path(), target).unwrap();
+            }
+        }
+    }
+
+    /// Every file under `root`, as paths relative to it.
+    fn files_under(root: &Path) -> Vec<PathBuf> {
+        let mut files = Vec::new();
+        for entry in fs::read_dir(root).unwrap().map(Result::unwrap) {
+            if entry.file_type().unwrap().is_dir() {
+                let nested = files_under(&entry.path());
+                files.extend(nested.into_iter().map(|f| Path::new(&entry.file_name()).join(f)));
+            } else {
+                files.push(entry.file_name().into());
+            }
+        }
+        files
+    }
+
+    /// `tests/fixtures/parent-state` holds bytes written before the
+    /// journal layer: `crashed/` is the state dir of `vrd-exp serve
+    /// --addr none --fleet-size 30 --workers 1 --fail-after-units 1` on
+    /// three jobs (foundational for `ålice`, family for `bob`,
+    /// foundational for `ålice`), and `resumed/` the deterministic files
+    /// that a `--resume` of it left.
+    #[test]
+    fn a_state_dir_written_before_the_journal_layer_resumes_to_the_same_bytes() {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent-state");
+        let dir = scratch("parent-state");
+        copy_tree(&fixture.join("crashed"), &dir);
+        let svc = resume(&dir);
+        let states: Vec<JobState> = svc.records().iter().map(|r| r.state).collect();
+        assert_eq!(states, vec![JobState::Running, JobState::Done, JobState::Queued]);
+        for log in ["sched_log.jsonl", "dispatch.jsonl", "events.jsonl"] {
+            let read = |root: &Path| fs::read(root.join(log)).unwrap();
+            assert_eq!(read(&dir), read(&fixture.join("crashed")), "boot changed {log}");
+        }
+        svc.worker_loop();
+        let resumed = fixture.join("resumed");
+        for file in files_under(&resumed) {
+            let (got, want) = (fs::read(dir.join(&file)), fs::read(resumed.join(&file)));
+            assert_eq!(got.unwrap(), want.unwrap(), "{} diverged", file.display());
         }
         let _ = fs::remove_dir_all(&dir);
     }

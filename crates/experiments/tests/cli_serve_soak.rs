@@ -6,7 +6,7 @@
 //!
 //! - a **reference** run, uninterrupted, on two workers;
 //! - a **crash** run on one worker under `--fail-after-units 3`, which
-//!   dies by simulated power loss mid-way through its second
+//!   dies by a simulated crash mid-way through its second
 //!   checkpointed job — leaving jobs in every live state (done,
 //!   running, queued);
 //! - a **restart** of the crash state dir with `--resume`, after the
@@ -95,7 +95,7 @@ fn killed_service_restarts_to_byte_identical_artifacts() {
     assert_eq!(ref_records.len(), 5);
     assert!(ref_records.values().all(|r| r.state == JobState::Done), "{ref_records:?}");
 
-    // Crash run: one worker, simulated power loss after the third
+    // Crash run: one worker, simulated crash after the third
     // committed unit — inside the second checkpointed job.
     let crash = scratch_dir("crash");
     let out = serve(&crash, &script_path, "1", &["--fail-after-units", "3"]);
@@ -116,10 +116,10 @@ fn killed_service_restarts_to_byte_identical_artifacts() {
     let interrupted =
         wrecked.values().find(|r| r.state == JobState::Running).expect("one running job");
 
-    // Make the wreckage worse, the way real power loss does: tear the
-    // tail off the interrupted job's checkpoint journal (its one
-    // committed record becomes a torn half-record) and leave a torn
-    // half-line at the end of the scheduler log.
+    // Make the wreckage worse, the way a process killed mid-write
+    // does: tear the tail off the interrupted job's checkpoint journal
+    // (its one committed record becomes a torn half-record) and leave a
+    // torn half-line at the end of the scheduler log.
     let journal = crash.join("jobs").join(&interrupted.id).join("checkpoint/journal.jsonl");
     assert!(journal.exists(), "interrupted job must have started its journal");
     truncate_tail_bytes(&journal, 7).expect("truncate journal tail");

@@ -207,7 +207,7 @@ fn discovery_stash_with_torn_tail_resumes_byte_identical() {
     assert!(first.is_err(), "a mid-campaign kill must interrupt the run");
     drop(ckpt);
 
-    // Tear the tail stash record mid-write, as a power cut would.
+    // Tear the tail stash record mid-write, as a process killed mid-write would.
     faults::truncate_tail_bytes(&journal_of(&dir), 5).unwrap();
     let ckpt = Checkpoint::open(&dir, manifest()).unwrap();
     assert!(ckpt.recovered_torn_tail(), "torn stash tail must be detected");
@@ -282,7 +282,7 @@ fn truncated_tail_is_dropped_and_recomputed() {
     let ran = AtomicU64::new(0);
     let golden = run_synth(&dir, None, &ran).unwrap();
 
-    // Tear the last record mid-write, as a power cut would.
+    // Tear the last record mid-write, as a process killed mid-write would.
     faults::truncate_tail_bytes(&journal_of(&dir), 5).unwrap();
     let ckpt = Checkpoint::open(&dir, synth_manifest()).unwrap();
     assert!(ckpt.recovered_torn_tail(), "torn tail must be detected");

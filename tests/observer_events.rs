@@ -30,7 +30,8 @@ use vrd::core::checkpoint::{self, Checkpoint, CheckpointManifest};
 use vrd::core::exec::faults::FaultPlan;
 use vrd::core::exec::ExecConfig;
 use vrd::core::obs::metrics::MetricsSink;
-use vrd::core::obs::{canonical_jsonl, Event, MemorySink};
+use vrd::core::obs::trace::{parse_jsonl, JsonlSink};
+use vrd::core::obs::{canonical_jsonl, Event, Level, MemorySink, Observer};
 use vrd::core::run::RunOptions;
 use vrd::dram::ModuleSpec;
 
@@ -219,6 +220,41 @@ fn crash_and_resume_emit_commit_and_restore_events() {
 
 /// Collects every key path (`a.b.c`, arrays as `a[]`) of a serialized
 /// value tree.
+/// A writer that takes every byte it is given and counts its calls.
+#[derive(Default)]
+struct CountingWriter {
+    writes: usize,
+    bytes: Vec<u8>,
+}
+
+impl std::io::Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A crash between two writes of one event would leave it without its
+/// newline, and the next event would land on the same line.
+#[test]
+fn jsonl_sink_writes_each_event_line_in_one_call() {
+    let events = foundational_events(1);
+    let sink = JsonlSink::new(CountingWriter::default());
+    for event in &events {
+        sink.on_event(event);
+    }
+    sink.on_event(&Event::Message { level: Level::Info, body: "tenant ålice".into() });
+    let writer = sink.into_inner();
+    assert_eq!(writer.writes, events.len() + 1);
+    let parsed = parse_jsonl(&String::from_utf8(writer.bytes).unwrap()).unwrap();
+    assert_eq!(parsed[..events.len()], events[..]);
+}
+
 fn collect_paths(value: &serde::Value, prefix: &str, out: &mut Vec<String>) {
     match value {
         serde::Value::Map(entries) => {
