@@ -1,5 +1,6 @@
 //! Fixed-seed golden snapshots for the extension experiments (ablation,
-//! security sweep, online profiling) and the ECC Table-3 path.
+//! security sweep, online profiling), the ECC Table-3 path and the
+//! Fig.-14 memory-system grid.
 //!
 //! The parallel-determinism suite pins the two core campaigns; these
 //! goldens extend the same byte-level regression net over the
@@ -15,7 +16,9 @@
 #[path = "util/golden.rs"]
 mod golden;
 
-use vrd_experiments::{ecc_exp, extensions, foundational, Options};
+use vrd_experiments::{ecc_exp, extensions, foundational, memsim_exp, Options};
+use vrd_memsim::workload::WorkloadParams;
+use vrd_memsim::{MitigationKind, SimConfig, SimStats, System};
 
 /// Compares `actual` against `tests/golden/<name>`, or rewrites the
 /// file when `UPDATE_GOLDEN` names this suite (see `tests/util/golden.rs`).
@@ -61,6 +64,39 @@ fn golden_online_seed_2025() {
 #[test]
 fn golden_ecc_table3_seed_2025() {
     assert_golden("ecc_table3_seed_2025.json", &pretty(&ecc_exp::run_paper(5_000, 2025)));
+}
+
+/// One `System::run_mix` of the Fig.-14 golden.
+#[derive(serde::Serialize)]
+struct SystemRun {
+    kind: MitigationKind,
+    threshold: u32,
+    stats: SimStats,
+}
+
+/// The Fig.-14 grid plus one mix's memory-system statistics under no
+/// mitigation and every extended mechanism, at a high and a low
+/// threshold.
+#[derive(serde::Serialize)]
+struct Fig14Golden {
+    fig14: memsim_exp::Fig14Result,
+    runs: Vec<SystemRun>,
+}
+
+#[test]
+fn golden_fig14_seed_2025() {
+    let opts = Options { mixes: 2, ..golden_opts() };
+    let cfg =
+        SimConfig { cycles: opts.sim_cycles, banks: 16, mix: WorkloadParams::paper_mixes()[0] };
+    let mut runs = Vec::new();
+    for threshold in [1024, 64] {
+        for kind in std::iter::once(MitigationKind::None).chain(MitigationKind::EXTENDED) {
+            let stats = System::run_mix(&cfg, kind, threshold, opts.seed);
+            runs.push(SystemRun { kind, threshold, stats });
+        }
+    }
+    let golden = Fig14Golden { fig14: memsim_exp::run(&opts), runs };
+    assert_golden("fig14_seed_2025.json", &pretty(&golden));
 }
 
 #[test]
