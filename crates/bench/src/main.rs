@@ -1,7 +1,7 @@
 //! `vrd-bench`: the repository's one gate binary.
 //!
-//! One run executes six suites and a few ungated timings and writes one
-//! record list:
+//! One run executes seven suites and a few ungated timings and writes
+//! one record list:
 //!
 //! - `rdt_search`: the linear vs adaptive RDT search on identically
 //!   seeded platforms. Both must measure the same series, and adaptive
@@ -17,6 +17,12 @@
 //!   and PRAC absorb each quiet stretch in one run-length hook call, so
 //!   they may make at most one call per 50 activations; PARA's calls
 //!   and every attack's ns per activation are recorded ungated.
+//! - `memsim_system`: the Fig.-14 grid over one mix, as
+//!   `memsim_exp::run` simulates it (one unmitigated baseline, then every
+//!   evaluated mechanism at every RDT and margin). Its run count,
+//!   simulated ns, activations and preventive operations are
+//!   deterministic counts, and host ns per simulated ns is an ungated
+//!   best-of-3.
 //! - `fleet`: fair-share scheduler replay, dispatch-once, bounded wait
 //!   and overhead at 1k/4k/10k jobs, plus an in-process service drain on
 //!   one and two workers.
@@ -58,12 +64,13 @@ use vrd_core::scheduler::{replay, FairShareScheduler, Priority};
 use vrd_core::RdtSeries;
 use vrd_dram::fleet::synthetic_specs;
 use vrd_dram::{ModuleSpec, TestConditions};
+use vrd_experiments::memsim_exp::{effective_threshold, MARGINS, RDT_VALUES};
 use vrd_experiments::serve::{JobKind, JobSpec, JobState, ServeConfig, Service};
 use vrd_experiments::sweep_exp::{covered_actions, covered_points};
 use vrd_experiments::{findings, indepth, sweep_exp, Options};
 use vrd_memsim::mitigation::{Mitigation, MitigationAction, MitigationKind};
 use vrd_memsim::security::{simulate_attack, AttackConfig, SpatialVictim};
-use vrd_memsim::MitigationProfile;
+use vrd_memsim::{MitigationProfile, SimConfig, System};
 
 /// Seed of every suite.
 const SEED: u64 = 2025;
@@ -84,6 +91,10 @@ const SECURITY_KINDS: [MitigationKind; 3] =
     [MitigationKind::Graphene, MitigationKind::Prac, MitigationKind::Para];
 /// Timed repetitions of each memsim_security attack.
 const SECURITY_REPS: usize = 3;
+/// Simulated nanoseconds of each memory-system run in the grid.
+const SYSTEM_CYCLES: u64 = 40_000;
+/// Timed repetitions of the memory-system grid.
+const SYSTEM_REPS: usize = 3;
 /// Scheduler queue depths (one job per fleet module).
 const FLEET_SIZES: [usize; 3] = [1_000, 4_000, 10_000];
 const TENANTS: [&str; 8] = ["alice", "bob", "carol", "dave", "erin", "frank", "grace", "heidi"];
@@ -183,6 +194,7 @@ struct Runs {
     discovery: Vec<DiscoveryRun>,
     sweep: SweepRun,
     security: Vec<SecurityRun>,
+    system: SystemRun,
     scheduler: Vec<SchedulerRun>,
     service: ServiceRun,
     timings: Timings,
@@ -231,6 +243,19 @@ struct SecurityRun {
     /// `on_activate` calls the attack made.
     calls: u64,
     /// Wall-time samples of the attack, in ms.
+    wall_ms: Vec<f64>,
+}
+
+/// The memory-system grid's summed statistics.
+struct SystemRun {
+    /// `System::run_mix` calls of one grid.
+    runs: u64,
+    /// The calls with a baseline run for every cell.
+    per_cell_runs: u64,
+    sim_ns: u64,
+    activations: u64,
+    preventive_ops: u64,
+    /// Wall-time samples of the grid, in ms.
     wall_ms: Vec<f64>,
 }
 
@@ -336,6 +361,7 @@ fn measure() -> Runs {
         discovery: MODULES.map(measure_discovery).into(),
         sweep: measure_sweep(),
         security: measure_security(),
+        system: measure_system(),
         scheduler: FLEET_SIZES.map(measure_scheduler).into(),
         service: measure_service(),
         timings: measure_timings(),
@@ -348,6 +374,7 @@ fn records(runs: &Runs) -> Vec<Record> {
     records.extend(discovery_records(&runs.discovery));
     records.extend(sweep_records(&runs.sweep));
     records.extend(security_records(&runs.security));
+    records.extend(system_records(&runs.system));
     records.extend(fleet_records(&runs.scheduler, &runs.service));
     records.extend(timing_records(&runs.timings));
     records
@@ -739,6 +766,59 @@ fn security_records(runs: &[SecurityRun]) -> Vec<Record> {
     records
 }
 
+// ----- memsim_system ---------------------------------------------------
+
+/// Runs the Fig.-14 grid over the default mix: one unmitigated baseline,
+/// then every evaluated mechanism at every RDT and margin.
+fn measure_system() -> SystemRun {
+    let cfg = SimConfig { cycles: SYSTEM_CYCLES, ..SimConfig::default() };
+    let grid = || {
+        let mut stats = vec![System::run_mix(&cfg, MitigationKind::None, u32::MAX, SEED)];
+        for rdt in RDT_VALUES {
+            for margin in MARGINS {
+                let threshold = effective_threshold(rdt, margin);
+                for kind in MitigationKind::EVALUATED {
+                    stats.push(System::run_mix(&cfg, kind, threshold, SEED));
+                }
+            }
+        }
+        stats
+    };
+    let mut wall_ms = Vec::new();
+    let mut stats = Vec::new();
+    for _ in 0..SYSTEM_REPS {
+        let started = Instant::now();
+        stats = black_box(grid());
+        wall_ms.push(ms(started.elapsed()));
+    }
+    let runs = stats.len() as u64;
+    SystemRun {
+        runs,
+        per_cell_runs: 2 * (runs - 1),
+        sim_ns: stats.iter().map(|s| s.cycles).sum(),
+        activations: stats.iter().map(|s| s.activations).sum(),
+        preventive_ops: stats.iter().map(|s| s.preventive_ops).sum(),
+        wall_ms,
+    }
+}
+
+fn system_records(r: &SystemRun) -> Vec<Record> {
+    const LAYER: &str = "memsim.system";
+    vec![
+        Record::new("memsim_system.runs", LAYER, "count", r.runs as f64)
+            .baseline(r.per_cell_runs as f64),
+        Record::new("memsim_system.sim_ns", LAYER, "ns", r.sim_ns as f64),
+        Record::new("memsim_system.activations", LAYER, "count", r.activations as f64),
+        Record::new("memsim_system.preventive_ops", LAYER, "count", r.preventive_ops as f64),
+        Record::new(
+            "memsim_system.host_ns_per_sim_ns",
+            LAYER,
+            "ratio",
+            best(&r.wall_ms) * 1e6 / (r.sim_ns as f64).max(1.0),
+        ),
+    ]
+}
+
 // ----- fleet ------------------------------------------------------------
 
 /// Submits one job per fleet module across the tenant roster, drains
@@ -1017,6 +1097,14 @@ mod tests {
                     wall_ms: vec![3.0, 2.5, 2.6],
                 })
                 .collect(),
+            system: SystemRun {
+                runs: 33,
+                per_cell_runs: 64,
+                sim_ns: 33 * SYSTEM_CYCLES,
+                activations: 120_000,
+                preventive_ops: 3_000,
+                wall_ms: vec![60.0, 55.0, 58.0],
+            },
             scheduler: FLEET_SIZES
                 .iter()
                 .map(|&fleet_size| SchedulerRun {
@@ -1166,6 +1254,16 @@ mod tests {
         let records = security_records(&passing().security);
         let value = |name: &str| records.iter().find(|r| r.name == name).unwrap().value;
         assert_eq!(value("memsim_security.PRAC.ns_per_act"), 2.5e6 / 4e6);
+    }
+
+    #[test]
+    fn system_records_are_ungated_with_a_best_of_rate() {
+        let records = system_records(&passing().system);
+        assert!(records.iter().all(|r| r.gate.is_none()));
+        let value = |name: &str| records.iter().find(|r| r.name == name).unwrap().value;
+        assert_eq!(value("memsim_system.host_ns_per_sim_ns"), 55.0e6 / (33.0 * 40_000.0));
+        let runs = records.iter().find(|r| r.name == "memsim_system.runs").unwrap();
+        assert_eq!((runs.value, runs.baseline), (33.0, Some(64.0)));
     }
 
     #[test]

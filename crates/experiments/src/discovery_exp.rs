@@ -98,15 +98,13 @@ pub fn render(study: &DiscoveryStudy) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opts::TestOutDir;
 
     #[test]
     fn discovery_study_runs_and_renders_at_smoke_scale() {
-        let mut opts = Options::smoke();
+        let out = TestOutDir::new();
+        let mut opts = out.smoke();
         opts.modules = vec!["M1".into()];
-        opts.out_dir = std::env::temp_dir()
-            .join(format!("vrd-discovery-test-{}", std::process::id()))
-            .to_string_lossy()
-            .into_owned();
         let study = run(&opts);
         assert_eq!(study.per_module.len(), 1);
         assert!(!study.per_module[0].rows.is_empty());
@@ -114,6 +112,5 @@ mod tests {
         assert!(rendered.contains("rows bounded"));
         assert!(rendered.contains("M1"));
         assert!(mean_epochs_per_row(&study).unwrap() >= f64::from(study.config.min_epochs));
-        let _ = std::fs::remove_dir_all(&opts.out_dir);
     }
 }

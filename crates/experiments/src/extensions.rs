@@ -435,10 +435,12 @@ pub fn render_takeaways(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opts::TestOutDir;
 
     #[test]
     fn takeaways_render_from_smoke_studies() {
-        let mut opts = Options::smoke();
+        let out = TestOutDir::new();
+        let mut opts = out.smoke();
         opts.modules = vec!["M1".into()];
         opts.foundational_measurements = 300;
         opts.indepth_measurements = 60;
@@ -451,7 +453,8 @@ mod tests {
 
     #[test]
     fn ablation_covers_variants_and_separates_them() {
-        let mut opts = Options::smoke();
+        let out = TestOutDir::new();
+        let mut opts = out.smoke();
         opts.foundational_measurements = 400;
         opts.modules = vec!["M1".into()];
         let rows = ablation(&opts);
@@ -477,7 +480,8 @@ mod tests {
 
     #[test]
     fn security_rows_show_margin_benefit() {
-        let mut opts = Options::smoke();
+        let out = TestOutDir::new();
+        let mut opts = out.smoke();
         opts.modules = vec!["M1".into()];
         opts.foundational_measurements = 400;
         let study = crate::foundational::run(&opts);
@@ -498,7 +502,8 @@ mod tests {
 
     #[test]
     fn online_converges_downward() {
-        let mut opts = Options::smoke();
+        let out = TestOutDir::new();
+        let mut opts = out.smoke();
         opts.modules = vec!["S2".into()];
         opts.foundational_measurements = 300;
         let result = online(&opts).expect("S2 has vulnerable rows");
@@ -513,7 +518,8 @@ mod tests {
 
     #[test]
     fn renders_nonempty() {
-        let mut opts = Options::smoke();
+        let out = TestOutDir::new();
+        let mut opts = out.smoke();
         opts.foundational_measurements = 300;
         opts.modules = vec!["M1".into()];
         let rows = ablation(&opts);

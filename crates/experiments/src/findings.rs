@@ -471,11 +471,12 @@ pub fn render(checks: &[FindingCheck]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opts::Options;
+    use crate::opts::TestOutDir;
 
     #[test]
     fn foundational_findings_pass_on_smoke_data() {
-        let mut opts = Options::smoke();
+        let out = TestOutDir::new();
+        let mut opts = out.smoke();
         opts.foundational_measurements = 400;
         let study = crate::foundational::run(&opts);
         let checks = check_foundational(&study);

@@ -209,9 +209,11 @@ pub fn fig6_reports(study: &FoundationalStudy) -> Vec<(String, PredictabilityRep
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opts::TestOutDir;
 
     fn smoke_study() -> FoundationalStudy {
-        let mut opts = Options::smoke();
+        let out = TestOutDir::new();
+        let mut opts = out.smoke();
         opts.foundational_measurements = 300;
         run(&opts)
     }

@@ -112,12 +112,14 @@ pub fn worst_margin_ber(study: &GuardbandStudy, margin: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opts::TestOutDir;
     use std::sync::OnceLock;
 
     fn smoke_study() -> &'static GuardbandStudy {
         static STUDY: OnceLock<GuardbandStudy> = OnceLock::new();
         STUDY.get_or_init(|| {
-            let mut opts = Options::smoke();
+            let out = TestOutDir::new();
+            let mut opts = out.smoke();
             opts.modules = vec!["M4".into(), "S0".into()];
             opts.guardband_trials = 120;
             opts.guardband_rows = 3;

@@ -165,13 +165,14 @@ pub fn render_fig15(study: &InDepthStudy) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opts::Options;
+    use crate::opts::TestOutDir;
     use std::sync::OnceLock;
 
     fn smoke_study() -> &'static InDepthStudy {
         static STUDY: OnceLock<InDepthStudy> = OnceLock::new();
         STUDY.get_or_init(|| {
-            let mut opts = Options::smoke();
+            let out = TestOutDir::new();
+            let mut opts = out.smoke();
             opts.modules = vec!["M1".into(), "S2".into()];
             opts.indepth_measurements = 100;
             opts.picks_per_segment = 3;

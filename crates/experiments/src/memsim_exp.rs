@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use vrd_memsim::system::{SimConfig, System};
+use vrd_memsim::system::{SimConfig, SimStats, System};
 use vrd_memsim::workload::WorkloadParams;
 use vrd_memsim::MitigationKind;
 
@@ -14,6 +14,12 @@ pub const RDT_VALUES: [u32; 2] = [1024, 128];
 
 /// The guardband margins evaluated in Fig. 14.
 pub const MARGINS: [f64; 4] = [0.0, 0.10, 0.25, 0.50];
+
+/// The threshold a mechanism is configured with at `rdt` under a
+/// guardband of `margin`.
+pub fn effective_threshold(rdt: u32, margin: f64) -> u32 {
+    (f64::from(rdt) * (1.0 - margin)).round().max(1.0) as u32
+}
 
 /// Normalized performance of one mitigation at one configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -40,22 +46,29 @@ pub struct Fig14Result {
     pub mixes: usize,
 }
 
-/// Runs the Fig. 14 sweep.
+/// Runs the Fig. 14 sweep. The unmitigated baseline reads neither the
+/// threshold nor the mitigation seed, so each mix's baseline runs once
+/// and serves every cell.
 pub fn run(opts: &Options) -> Fig14Result {
-    let mixes: Vec<[WorkloadParams; 4]> =
-        WorkloadParams::paper_mixes().into_iter().take(opts.mixes.max(1)).collect();
+    let mixes: Vec<(SimConfig, u64, SimStats)> = WorkloadParams::paper_mixes()
+        .into_iter()
+        .take(opts.mixes.max(1))
+        .enumerate()
+        .map(|(mix_idx, mix)| {
+            let cfg = SimConfig { cycles: opts.sim_cycles, banks: 16, mix };
+            let seed = opts.seed ^ ((mix_idx as u64) << 16);
+            (cfg, seed, System::run_mix(&cfg, MitigationKind::None, u32::MAX, seed))
+        })
+        .collect();
     let mut points = Vec::new();
     for &rdt in &RDT_VALUES {
         for &margin in &MARGINS {
-            let effective = ((f64::from(rdt)) * (1.0 - margin)).round().max(1.0) as u32;
+            let effective = effective_threshold(rdt, margin);
             for kind in MitigationKind::EVALUATED {
                 let mut sum = 0.0;
-                for (mix_idx, mix) in mixes.iter().enumerate() {
-                    let cfg = SimConfig { cycles: opts.sim_cycles, banks: 16, mix: *mix };
-                    let seed = opts.seed ^ ((mix_idx as u64) << 16);
-                    let baseline = System::run_mix(&cfg, MitigationKind::None, effective, seed);
-                    let mitigated = System::run_mix(&cfg, kind, effective, seed);
-                    sum += mitigated.weighted_ipc(&baseline);
+                for (cfg, seed, baseline) in &mixes {
+                    let mitigated = System::run_mix(cfg, kind, effective, *seed);
+                    sum += mitigated.weighted_ipc(baseline);
                 }
                 points.push(Fig14Point {
                     mitigation: kind,
@@ -85,7 +98,7 @@ pub fn render(result: &Fig14Result) -> String {
                     .map(|p| f(p.normalized_performance, 3))
                     .unwrap_or_else(|| "-".into())
             };
-            let effective = ((f64::from(rdt)) * (1.0 - margin)).round() as u32;
+            let effective = effective_threshold(rdt, margin);
             table.row([
                 rdt.to_string(),
                 format!("{:.0}%", margin * 100.0),

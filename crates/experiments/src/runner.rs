@@ -191,6 +191,7 @@ mod tests {
     use vrd_core::campaign::{foundational_campaign, FoundationalConfig};
 
     use super::*;
+    use crate::opts::TestOutDir;
 
     #[test]
     fn map_modules_preserves_order() {
@@ -213,12 +214,9 @@ mod tests {
 
     #[test]
     fn run_campaign_returns_body_result_and_writes_metrics() {
-        let mut opts = Options::smoke();
+        let out = TestOutDir::new();
+        let mut opts = out.smoke();
         opts.modules = vec!["M1".into(), "S0".into()];
-        opts.out_dir = std::env::temp_dir()
-            .join(format!("vrd-runner-test-{}", std::process::id()))
-            .to_string_lossy()
-            .into_owned();
         let cfg = FoundationalConfig {
             measurements: 50,
             seed: opts.seed,
@@ -235,20 +233,15 @@ mod tests {
             std::fs::read_to_string(Path::new(&opts.out_dir).join("metrics.json")).unwrap();
         assert!(metrics.contains("\"foundational\""), "metrics must name the campaign");
         assert!(metrics.contains("unit_wall_time"), "metrics must carry the histogram");
-        let _ = std::fs::remove_dir_all(&opts.out_dir);
     }
 
     #[test]
     fn save_json_round_trips() {
-        let mut opts = Options::smoke();
-        opts.out_dir = std::env::temp_dir()
-            .join(format!("vrd-test-{}", std::process::id()))
-            .to_string_lossy()
-            .into_owned();
+        let out = TestOutDir::new();
+        let opts = out.smoke();
         save_json(&opts, "probe", &vec![1, 2, 3]).unwrap();
         let content = std::fs::read_to_string(Path::new(&opts.out_dir).join("probe.json")).unwrap();
         let back: Vec<i32> = serde_json::from_str(&content).unwrap();
         assert_eq!(back, vec![1, 2, 3]);
-        let _ = std::fs::remove_dir_all(&opts.out_dir);
     }
 }

@@ -349,12 +349,14 @@ pub fn render(study: &SweepStudy) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opts::TestOutDir;
     use std::sync::OnceLock;
 
     fn smoke_sweep() -> &'static SweepStudy {
         static STUDY: OnceLock<SweepStudy> = OnceLock::new();
         STUDY.get_or_init(|| {
-            let mut opts = Options::smoke();
+            let out = TestOutDir::new();
+            let mut opts = out.smoke();
             opts.modules = vec!["M1".into()];
             opts.sweep_activations = 40_000;
             let study = crate::indepth::run(&opts);

@@ -58,7 +58,7 @@ impl Core {
     /// controller should drain [`take_request`](Self::take_request)
     /// afterwards.
     pub fn step(&mut self) -> CoreEvent {
-        if self.pending.is_some() || self.outstanding >= self.mlp {
+        if self.stalled() {
             return CoreEvent::Stalled;
         }
         self.instructions += 1;
@@ -68,6 +68,32 @@ impl Core {
             self.pending = Some(self.stream.next_access());
         }
         CoreEvent::Progress
+    }
+
+    /// Whether the core is blocked: a generated request awaits the
+    /// controller or the miss window is full.
+    fn stalled(&self) -> bool {
+        self.pending.is_some() || self.outstanding >= self.mlp
+    }
+
+    /// How many more steps, this one excluded, until an unstalled core
+    /// generates its next request; `None` while it is stalled. The core
+    /// stays as it is (stalled or not) until then or until a miss
+    /// completes.
+    pub(crate) fn next_request_in(&self) -> Option<u64> {
+        (!self.stalled()).then_some(self.until_miss)
+    }
+
+    /// Performs `steps` steps in one add. An unstalled core commits one
+    /// instruction per step and must not reach its next request
+    /// (`steps < next_request_in()`); a stalled one stays as it is.
+    pub(crate) fn skip(&mut self, steps: u64) {
+        if self.stalled() {
+            return;
+        }
+        debug_assert!(steps < self.until_miss, "a skip must stop before the next request");
+        self.instructions += steps;
+        self.until_miss -= steps;
     }
 
     /// Takes the generated request, if any, marking it outstanding.
@@ -146,6 +172,31 @@ mod tests {
         }
         // Drained misses never stall the core: one instruction per step.
         assert_eq!(c.instructions, 10);
+    }
+
+    #[test]
+    fn skip_equals_single_steps() {
+        let mut stepped = core();
+        let mut skipped = core();
+        for _ in 0..3 {
+            let steps = skipped.next_request_in().expect("unstalled");
+            skipped.skip(steps - 1);
+            skipped.step();
+            for _ in 0..steps {
+                stepped.step();
+            }
+            assert_eq!(skipped.take_request(), stepped.take_request());
+            assert_eq!(skipped.instructions, stepped.instructions);
+        }
+        // Stalled on a full window: a skip commits nothing.
+        for _ in 0..100 {
+            skipped.step();
+            let _ = skipped.take_request();
+        }
+        assert_eq!(skipped.next_request_in(), None);
+        let before = skipped.instructions;
+        skipped.skip(1_000);
+        assert_eq!(skipped.instructions, before);
     }
 
     #[test]

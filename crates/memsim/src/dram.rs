@@ -116,30 +116,25 @@ impl DramChannel {
         bank / self.timing.banks_per_group.max(1)
     }
 
-    /// Whether an ACT may issue at `now` under tFAW and tRRD.
-    fn act_window_ok(&self, bank: usize, now: u64) -> bool {
+    /// The earliest time an ACT may issue to `bank` under tFAW and tRRD.
+    fn act_window_opens(&self, bank: usize) -> u64 {
+        let t = &self.timing;
+        let mut opens = 0;
         // tFAW: with four prior ACTs tracked, the oldest must have left
         // the rolling window.
         if self.recent_acts.iter().all(|t| t.is_some()) {
             let oldest = self.recent_acts.iter().flatten().copied().min().expect("all some");
-            if now < oldest + self.timing.t_faw {
-                return false;
-            }
+            opens = oldest + t.t_faw;
         }
         // Same-group spacing (tRRD_L).
-        let group = self.group_of(bank);
-        if let Some(last) = self.last_act_in_group[group] {
-            if now < last + self.timing.t_rrd_l {
-                return false;
-            }
+        if let Some(last) = self.last_act_in_group[self.group_of(bank)] {
+            opens = opens.max(last + t.t_rrd_l);
         }
         // Any-bank spacing (tRRD_S).
         if let Some(newest) = self.recent_acts.iter().flatten().copied().max() {
-            if now < newest + self.timing.t_rrd_s {
-                return false;
-            }
+            opens = opens.max(newest + t.t_rrd_s);
         }
-        true
+        opens
     }
 
     /// Records an ACT at `now` for the window trackers.
@@ -185,6 +180,31 @@ impl DramChannel {
         true
     }
 
+    /// When the next periodic refresh is due.
+    pub(crate) fn next_refresh(&self) -> u64 {
+        self.next_refresh
+    }
+
+    /// The earliest time [`service`](Self::service) of `row` on `bank`
+    /// issues a command, given the channel's state now: the column
+    /// access of a row hit once the bank and the data bus are free, the
+    /// PRE of a conflict, or the ACT of a closed bank once the bank,
+    /// tFAW and tRRD allow it.
+    ///
+    /// Other banks' commands only move the bus and the ACT windows
+    /// later, and a refresh or block only raises the bank's own limits,
+    /// so until this bank's open row or the requested row changes, the
+    /// value is a lower bound on when servicing `row` can change
+    /// anything.
+    pub(crate) fn ready_at(&self, bank: usize, row: u32) -> u64 {
+        let state = &self.banks[bank];
+        match state.open_row {
+            Some(open) if open == row => state.next_col.max(self.bus_free),
+            Some(_) => state.next_pre,
+            None => state.next_act.max(self.act_window_opens(bank)),
+        }
+    }
+
     /// Whether `row` is open in `bank`.
     pub fn is_row_hit(&self, bank: usize, row: u32) -> bool {
         self.banks[bank].open_row == Some(row)
@@ -199,41 +219,31 @@ impl DramChannel {
     /// candidate; the method performs at most one command transition per
     /// call (PRE, then ACT, then the column access).
     pub fn service(&mut self, bank: usize, row: u32, now: u64) -> Option<u64> {
+        if now < self.ready_at(bank, row) {
+            return None;
+        }
         let t = self.timing;
         let state = &mut self.banks[bank];
         match state.open_row {
             Some(open) if open == row => {
-                // Row hit: issue the column access when legal.
-                if now < state.next_col {
-                    return None;
-                }
-                let start = now.max(self.bus_free);
-                if start > now {
-                    return None; // bus busy; retry later
-                }
-                self.bus_free = start + t.t_burst;
-                Some(start + t.t_burst)
+                // Row hit: issue the column access.
+                self.bus_free = now + t.t_burst;
+                Some(now + t.t_burst)
             }
             Some(_) => {
-                // Conflict: precharge when legal.
-                if now >= state.next_pre {
-                    state.open_row = None;
-                    state.next_act = state.next_act.max(now + t.t_rp);
-                }
+                // Conflict: precharge.
+                state.open_row = None;
+                state.next_act = state.next_act.max(now + t.t_rp);
                 None
             }
             None => {
-                // Closed: activate when legal (bank timing plus the
-                // channel-level tFAW / tRRD windows).
-                if now >= state.next_act && self.act_window_ok(bank, now) {
-                    let state = &mut self.banks[bank];
-                    state.open_row = Some(row);
-                    state.activations += 1;
-                    state.next_col = now + t.t_rcd;
-                    state.next_pre = now + t.t_ras;
-                    state.next_act = now + t.t_rc;
-                    self.record_act(bank, now);
-                }
+                // Closed: activate.
+                state.open_row = Some(row);
+                state.activations += 1;
+                state.next_col = now + t.t_rcd;
+                state.next_pre = now + t.t_ras;
+                state.next_act = now + t.t_rc;
+                self.record_act(bank, now);
                 None
             }
         }
@@ -270,6 +280,49 @@ impl DramChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn another_banks_command_never_brings_a_bank_forward(
+            ops in prop::collection::vec((0usize..8, 0u32..3, 0u64..12), 1..300),
+        ) {
+            // The system's wake times rely on this: a bank's ready time
+            // moves only later when other banks issue commands.
+            let mut ch = DramChannel::new(8, DramTiming::default());
+            let ready = |ch: &DramChannel, skip: usize| -> Vec<u64> {
+                (0..8)
+                    .filter(|&b| b != skip)
+                    .flat_map(|b| (0..3).map(move |r| (b, r)))
+                    .map(|(b, r)| ch.ready_at(b, r))
+                    .collect()
+            };
+            let mut now = 0;
+            for (bank, row, dt) in ops {
+                now += dt;
+                let before = ready(&ch, bank);
+                ch.service(bank, row, now);
+                let after = ready(&ch, bank);
+                prop_assert!(before.iter().zip(&after).all(|(b, a)| a >= b));
+            }
+        }
+    }
+
+    #[test]
+    fn service_issues_from_ready_at_on() {
+        let mut ch = DramChannel::new(8, DramTiming::default());
+        ch.service(0, 1, 0); // ACT
+        ch.service(4, 1, 2); // ACT in another group
+        // Row hit: tRCD, then the bus.
+        assert_eq!(ch.ready_at(0, 1), 14);
+        assert_eq!(ch.service(0, 1, 14), Some(18));
+        assert_eq!(ch.ready_at(4, 1), 18, "bank 4's tRCD ends at 16, the bus at 18");
+        // Conflict: tRAS. Closed: tRRD_L within the group.
+        assert_eq!(ch.ready_at(0, 2), 32);
+        assert_eq!(ch.ready_at(1, 2), 5);
+        assert_eq!(ch.service(1, 2, 4), None);
+        assert!(!ch.is_row_hit(1, 2));
+    }
 
     #[test]
     fn service_sequences_act_then_column() {

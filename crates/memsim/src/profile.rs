@@ -185,13 +185,19 @@ impl MitigationProfile {
         Ok(profile)
     }
 
-    /// Writes the profile artifact to `path`.
+    /// Writes the profile artifact to `path` atomically: the bytes go to
+    /// `<path>.tmp`, which is then renamed over `path`, so a reader, or
+    /// a crash mid-save, finds the old profile or the new one, never a
+    /// torn one.
     ///
     /// # Errors
     ///
     /// [`ProfileError::Io`] on filesystem failure.
     pub fn save(&self, path: &Path) -> Result<(), ProfileError> {
-        std::fs::write(path, self.to_json())?;
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        std::fs::write(&tmp, self.to_json())?;
+        std::fs::rename(&tmp, path)?;
         Ok(())
     }
 

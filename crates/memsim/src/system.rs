@@ -76,11 +76,23 @@ struct QueuedRequest {
 }
 
 /// The four-core memory system under one mitigation.
+///
+/// The system advances event by event. Each step simulates one
+/// nanosecond: refresh, completions, one instruction per unstalled core,
+/// and a visit to every bank with queued requests whose wake time has
+/// come. It then jumps to the next nanosecond at which anything but an
+/// instruction count can change, and credits the unstalled cores with
+/// the instructions of the nanoseconds in between.
 #[derive(Debug)]
 pub struct System {
     cores: Vec<Core>,
     channel: DramChannel,
     queues: Vec<Vec<QueuedRequest>>,
+    /// One bit per bank whose queue is not empty, 64 banks per word.
+    queued: Vec<u64>,
+    /// Per bank, a lower bound on the next time servicing its FR-FCFS
+    /// pick can issue a command; a visit before it would change nothing.
+    wake: Vec<u64>,
     completions: Vec<(u64, usize)>,
     mitigation: Box<dyn Mitigation>,
     /// The mitigation's action buffer, reused by every hook call.
@@ -102,6 +114,8 @@ impl System {
             cores,
             channel: DramChannel::new(cfg.banks, DramTiming::default()),
             queues: vec![Vec::new(); cfg.banks],
+            queued: vec![0; cfg.banks.div_ceil(64)],
+            wake: vec![0; cfg.banks],
             completions: Vec::new(),
             mitigation: kind.build(&MitigationProfile::flat(threshold), cfg.banks, seed),
             actions: Vec::new(),
@@ -120,7 +134,14 @@ impl System {
     pub fn run_for(&mut self, cycles: u64) {
         let end = self.now + cycles;
         while self.now < end {
-            self.step();
+            let next = self.step().min(end);
+            let skipped = next - self.now - 1;
+            if skipped > 0 {
+                for core in &mut self.cores {
+                    core.skip(skipped);
+                }
+            }
+            self.now = next;
         }
     }
 
@@ -135,22 +156,29 @@ impl System {
         }
     }
 
-    fn step(&mut self) {
+    /// Simulates nanosecond `now` and returns the next one at which
+    /// anything but an unstalled core's instruction count can change:
+    /// the next refresh, completion, core request or bank wake time.
+    fn step(&mut self) -> u64 {
         let now = self.now;
 
         // Periodic refresh (and the mitigation's REF-time hook).
         if self.channel.maybe_refresh(now) {
+            self.wake.fill(0);
             self.mitigation.on_refresh(&mut self.actions);
             self.apply_actions(now);
         }
+        let mut next = self.channel.next_refresh();
 
         // Deliver completed requests.
         let mut i = 0;
         while i < self.completions.len() {
-            if self.completions[i].0 <= now {
-                let (_, core) = self.completions.swap_remove(i);
+            let (done_at, core) = self.completions[i];
+            if done_at <= now {
+                self.completions.swap_remove(i);
                 self.cores[core].complete_miss();
             } else {
+                next = next.min(done_at);
                 i += 1;
             }
         }
@@ -164,27 +192,61 @@ impl System {
                     row: access.row,
                     arrival: now,
                 });
+                self.queued[access.bank / 64] |= 1 << (access.bank % 64);
+                self.wake[access.bank] = 0;
+            }
+            if let Some(steps) = core.next_request_in() {
+                next = next.min(now + steps);
             }
         }
 
-        // FR-FCFS per bank: serve the oldest row hit, else the oldest.
-        for bank in 0..self.queues.len() {
-            let Some(pick) = self.pick_request(bank) else {
-                continue;
-            };
-            let row = self.queues[bank][pick].row;
-            let was_hit = self.channel.is_row_hit(bank, row);
-            if let Some(done_at) = self.channel.service(bank, row, now) {
-                let req = self.queues[bank].swap_remove(pick);
-                self.completions.push((done_at, req.core));
-            } else if !was_hit && self.channel.is_row_hit(bank, row) {
-                // An activation just happened: inform the mitigation.
-                self.mitigation.on_activate(bank, row, 1, &mut self.actions);
-                self.apply_actions(now);
+        // FR-FCFS per bank, in bank order, over the banks whose wake time
+        // has come. A visit that issues a command wakes its bank at
+        // `now + 1`, so the wake times read here bound the next event even
+        // when the command empties the queue (its completion is not
+        // counted above) or a mitigation action resets every bank's wake
+        // mid-loop.
+        for word in 0..self.queued.len() {
+            let mut bits = self.queued[word];
+            while bits != 0 {
+                let bank = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.wake[bank] <= now {
+                    self.visit(bank, now);
+                }
+                next = next.min(self.wake[bank]);
             }
         }
+        next.max(now + 1)
+    }
 
-        self.now += 1;
+    /// Services `bank`'s FR-FCFS pick at `now` if it can issue a command,
+    /// and sets the bank's wake time: `now + 1` after a command, else the
+    /// time the pick becomes ready.
+    fn visit(&mut self, bank: usize, now: u64) {
+        let Some(pick) = self.pick_request(bank) else {
+            return;
+        };
+        let row = self.queues[bank][pick].row;
+        let ready = self.channel.ready_at(bank, row);
+        if ready > now {
+            self.wake[bank] = ready;
+            return;
+        }
+        self.wake[bank] = now + 1;
+        // The pick is ready, so a closed bank activates it.
+        let activates = self.channel.bank(bank).open_row.is_none();
+        if let Some(done_at) = self.channel.service(bank, row, now) {
+            let req = self.queues[bank].swap_remove(pick);
+            self.completions.push((done_at, req.core));
+            if self.queues[bank].is_empty() {
+                self.queued[bank / 64] &= !(1 << (bank % 64));
+            }
+        } else if activates {
+            // An activation just happened: inform the mitigation.
+            self.mitigation.on_activate(bank, row, 1, &mut self.actions);
+            self.apply_actions(now);
+        }
     }
 
     fn pick_request(&self, bank: usize) -> Option<usize> {
@@ -208,8 +270,12 @@ impl System {
         Some(best_idx)
     }
 
-    /// Applies and empties the buffered mitigation actions.
+    /// Applies and empties the buffered mitigation actions; any action
+    /// resets every bank's wake time.
     fn apply_actions(&mut self, now: u64) {
+        if !self.actions.is_empty() {
+            self.wake.fill(0);
+        }
         let t_rfm = self.channel.timing().t_rfm;
         for action in self.actions.drain(..) {
             match action {
@@ -230,6 +296,144 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dram::BankState;
+    use proptest::prelude::*;
+
+    /// The per-nanosecond reference: one call simulates one nanosecond,
+    /// stepping every core and servicing every bank's FR-FCFS pick.
+    /// `run_for` must be equal to repeating it.
+    fn oracle_step(s: &mut System) {
+        let now = s.now;
+
+        if s.channel.maybe_refresh(now) {
+            s.mitigation.on_refresh(&mut s.actions);
+            s.apply_actions(now);
+        }
+
+        let mut i = 0;
+        while i < s.completions.len() {
+            if s.completions[i].0 <= now {
+                let (_, core) = s.completions.swap_remove(i);
+                s.cores[core].complete_miss();
+            } else {
+                i += 1;
+            }
+        }
+
+        for (core_idx, core) in s.cores.iter_mut().enumerate() {
+            core.step();
+            if let Some(access) = core.take_request() {
+                s.queues[access.bank].push(QueuedRequest {
+                    core: core_idx,
+                    row: access.row,
+                    arrival: now,
+                });
+            }
+        }
+
+        for bank in 0..s.queues.len() {
+            let Some(pick) = s.pick_request(bank) else {
+                continue;
+            };
+            let row = s.queues[bank][pick].row;
+            let was_hit = s.channel.is_row_hit(bank, row);
+            if let Some(done_at) = s.channel.service(bank, row, now) {
+                let req = s.queues[bank].swap_remove(pick);
+                s.completions.push((done_at, req.core));
+            } else if !was_hit && s.channel.is_row_hit(bank, row) {
+                s.mitigation.on_activate(bank, row, 1, &mut s.actions);
+                s.apply_actions(now);
+            }
+        }
+
+        s.now += 1;
+    }
+
+    /// `System::run_mix` through the per-nanosecond reference.
+    fn oracle_run(cfg: &SimConfig, kind: MitigationKind, threshold: u32, seed: u64) -> SimStats {
+        let mut system = System::new(cfg, kind, threshold, seed);
+        while system.now < cfg.cycles {
+            oracle_step(&mut system);
+        }
+        system.stats()
+    }
+
+    /// What the two advances must agree on: the statistics (every
+    /// core's instruction count included), every bank's state and every
+    /// core's outstanding misses.
+    fn fingerprint(s: &System) -> (SimStats, Vec<BankState>, Vec<usize>) {
+        let banks = (0..s.queues.len()).map(|b| *s.channel.bank(b)).collect();
+        (s.stats(), banks, s.cores.iter().map(|c| c.outstanding).collect())
+    }
+
+    fn workload() -> impl Strategy<Value = WorkloadParams> {
+        (5.0f64..400.0, 0.0f64..=1.0, 1u32..1024, (0.0f64..=1.0, 1u32..8)).prop_map(
+            |(mpki, row_locality, rows_per_bank, (hot_fraction, hot_rows))| WorkloadParams {
+                mpki,
+                row_locality,
+                rows_per_bank,
+                hot_fraction,
+                hot_rows,
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn run_for_equals_the_per_ns_reference(
+            banks in prop_oneof![Just(1usize), Just(6usize), Just(16usize), 1usize..=64, 65usize..=130],
+            mix in (workload(), workload(), workload(), workload()),
+            mechanism in (0usize..=MitigationKind::EXTENDED.len(), 16u32..=2048, any::<u64>()),
+            run in (1u64..10_000, prop::collection::vec(0u64..4_000, 0..6)),
+        ) {
+            let (kind, threshold, seed) = mechanism;
+            let kind = [MitigationKind::None].into_iter().chain(MitigationKind::EXTENDED).nth(kind).unwrap();
+            let (cycles, chunks) = run;
+            let cfg = SimConfig { cycles, banks, mix: [mix.0, mix.1, mix.2, mix.3] };
+
+            let mut reference = System::new(&cfg, kind, threshold, seed);
+            while reference.now < cycles {
+                oracle_step(&mut reference);
+            }
+            let mut whole = System::new(&cfg, kind, threshold, seed);
+            whole.run_for(cycles);
+            prop_assert_eq!(fingerprint(&whole), fingerprint(&reference));
+
+            // The same run, cut into chunks at arbitrary boundaries.
+            let mut split = System::new(&cfg, kind, threshold, seed);
+            for chunk in chunks {
+                split.run_for(chunk.min(cycles - split.now));
+            }
+            split.run_for(cycles - split.now);
+            prop_assert_eq!(fingerprint(&split), fingerprint(&whole));
+        }
+    }
+
+    #[test]
+    fn the_baseline_ignores_the_threshold() {
+        // `memsim_exp::run` runs one baseline per mix for every cell.
+        let cfg = quick_cfg();
+        let baseline = System::run_mix(&cfg, MitigationKind::None, 1024, 5);
+        for threshold in [1, 64, 128, u32::MAX] {
+            assert_eq!(System::run_mix(&cfg, MitigationKind::None, threshold, 5), baseline);
+        }
+    }
+
+    #[test]
+    fn event_driven_run_equals_the_per_ns_reference_at_paper_scale() {
+        let cfg = SimConfig { cycles: 20_000, ..SimConfig::default() };
+        for kind in std::iter::once(MitigationKind::None).chain(MitigationKind::EXTENDED) {
+            for threshold in [1024, 64] {
+                assert_eq!(
+                    System::run_mix(&cfg, kind, threshold, 2025),
+                    oracle_run(&cfg, kind, threshold, 2025),
+                    "{} at {threshold}",
+                    kind.name()
+                );
+            }
+        }
+    }
 
     fn quick_cfg() -> SimConfig {
         SimConfig { cycles: 120_000, ..SimConfig::default() }

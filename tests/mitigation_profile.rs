@@ -226,6 +226,45 @@ fn save_load_and_failure_modes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_save_over_a_profile_is_never_torn() {
+    let dir = std::env::temp_dir().join(format!("vrd_profile_atomic_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("mitigation_profile.json");
+    let old = characterized_profile();
+    let new = MitigationProfile::flat(old.min_threshold() / 2);
+    old.save(&path).expect("save");
+
+    // A reader polling the file while saves alternate between the two
+    // profiles sees one of them, whole, every time.
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut reads = 0u64;
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                let loaded = MitigationProfile::load(&path).expect("a whole profile");
+                assert!(loaded == old || loaded == new, "a third profile appeared");
+                reads += 1;
+            }
+            reads
+        });
+        for i in 0..400 {
+            if i % 2 == 0 { &new } else { &old }.save(&path).expect("save");
+        }
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        assert!(reader.join().expect("reader") > 0);
+    });
+    assert_eq!(MitigationProfile::load(&path).expect("load"), old);
+
+    // A save that cannot write its temporary file leaves the old profile.
+    std::fs::create_dir_all(dir.join("mitigation_profile.json.tmp")).expect("blocking dir");
+    assert!(matches!(new.save(&path), Err(ProfileError::Io(_))));
+    assert_eq!(MitigationProfile::load(&path).expect("load"), old);
+    assert_eq!(std::fs::read_to_string(&path).expect("read"), old.to_json());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // Layer 3c: golden sweep output, thread-invariant.
 
 fn sweep_opts(threads: usize) -> Options {
