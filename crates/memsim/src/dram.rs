@@ -122,7 +122,7 @@ impl DramChannel {
         let mut opens = 0;
         // tFAW: with four prior ACTs tracked, the oldest must have left
         // the rolling window.
-        if self.recent_acts.iter().all(|t| t.is_some()) {
+        if self.recent_acts.iter().all(Option::is_some) {
             let oldest = self.recent_acts.iter().flatten().copied().min().expect("all some");
             opens = oldest + t.t_faw;
         }
@@ -311,8 +311,9 @@ mod tests {
     #[test]
     fn service_issues_from_ready_at_on() {
         let mut ch = DramChannel::new(8, DramTiming::default());
-        ch.service(0, 1, 0); // ACT
-        ch.service(4, 1, 2); // ACT in another group
+        // ACTs to bank 0 and, in another group, bank 4.
+        ch.service(0, 1, 0);
+        ch.service(4, 1, 2);
         // Row hit: tRCD, then the bus.
         assert_eq!(ch.ready_at(0, 1), 14);
         assert_eq!(ch.service(0, 1, 14), Some(18));

@@ -135,11 +135,8 @@ impl System {
         let end = self.now + cycles;
         while self.now < end {
             let next = self.step().min(end);
-            let skipped = next - self.now - 1;
-            if skipped > 0 {
-                for core in &mut self.cores {
-                    core.skip(skipped);
-                }
+            for core in &mut self.cores {
+                core.skip(next - self.now - 1);
             }
             self.now = next;
         }
@@ -224,9 +221,7 @@ impl System {
     /// and sets the bank's wake time: `now + 1` after a command, else the
     /// time the pick becomes ready.
     fn visit(&mut self, bank: usize, now: u64) {
-        let Some(pick) = self.pick_request(bank) else {
-            return;
-        };
+        let pick = self.pick_request(bank).expect("a queued bank has a request");
         let row = self.queues[bank][pick].row;
         let ready = self.channel.ready_at(bank, row);
         if ready > now {
