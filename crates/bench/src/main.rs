@@ -49,6 +49,8 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use vrd_bender::estimate::{
     one_measurement_energy_nj, one_measurement_time_ns, CampaignSpec, EnergyModel, MeasurementSpec,
@@ -109,6 +111,10 @@ const TIMING_REPS: usize = 10;
 const OBSERVER_PAIRS: usize = 20;
 /// Calls per sample of the nanosecond-scale estimator timings.
 const ESTIMATE_CALLS: u32 = 100_000;
+/// `next_u64` draws per sample of the generator timing.
+const RNG_DRAWS: u32 = 16_000_000;
+/// Samples behind the generator timing.
+const RNG_REPS: usize = 5;
 
 /// Adaptive search spends at most 1/4 of linear's sessions.
 const MIN_SESSION_REDUCTION: f64 = 4.0;
@@ -285,6 +291,8 @@ struct Timings {
     /// `one_measurement_time_ns`, `one_measurement_energy_nj` and
     /// `CampaignSpec::total_time_ns`, ns per call.
     estimate_ns: [f64; 3],
+    /// `StdRng::next_u64`, ns per draw.
+    rng_ns_per_u64: f64,
 }
 
 fn main() -> ExitCode {
@@ -1014,6 +1022,10 @@ fn measure_timings() -> Timings {
             * 1e9
             / f64::from(ESTIMATE_CALLS)
     };
+    let draws = best_of(RNG_REPS, || {
+        let mut rng = StdRng::seed_from_u64(SEED);
+        (0..RNG_DRAWS).fold(0u64, |acc, _| acc ^ rng.next_u64())
+    });
     Timings {
         in_depth_threads_1_ms: threads_ms[0],
         in_depth_threads_4_ms: threads_ms[1],
@@ -1024,6 +1036,7 @@ fn measure_timings() -> Timings {
             per_call(&|| one_measurement_energy_nj(black_box(&timing), black_box(&spec), &energy)),
             per_call(&|| projection.total_time_ns(black_box(&timing))),
         ],
+        rng_ns_per_u64: draws.as_secs_f64() * 1e9 / f64::from(RNG_DRAWS),
     }
 }
 
@@ -1044,6 +1057,8 @@ fn timing_records(t: &Timings) -> Vec<Record> {
         Record::new("bender.estimate.one_measurement_time", "bender", "ns", time),
         Record::new("bender.estimate.one_measurement_energy", "bender", "ns", energy),
         Record::new("bender.estimate.campaign_projection", "bender", "ns", projection),
+        // The generator behind PARA's one draw per attack activation.
+        Record::new("rng.chacha12.ns_per_u64", "memsim.security", "ns", t.rng_ns_per_u64),
     ]
 }
 
@@ -1127,6 +1142,7 @@ mod tests {
                 observer_ratios: vec![0.98, 1.0, 1.01, 1.03],
                 executor_ns_per_unit: 200.0,
                 estimate_ns: [5.0, 9.0, 6.0],
+                rng_ns_per_u64: 3.0,
             },
         }
     }
