@@ -195,7 +195,7 @@ mod tests {
         for seed in 0..300 {
             let mut rng = ChaCha12Rng::seed_from_u64(seed);
             let mut expected = oracle(rng.key, 0);
-            // Up to 1200 words: block 0 and the eight-block refills
+            // About 1200 words: block 0 and the eight-block refills
             // after it, entered at every mix of word offsets.
             check_draws(&mut rng, &mut expected, &mut pick, 800);
         }
@@ -224,7 +224,11 @@ mod tests {
         }
         assert_eq!(rng.index, BUFFER_WORDS);
         rng.next_u32();
-        if cfg!(target_arch = "x86_64") && std::is_x86_feature_detected!("avx2") {
+        #[cfg(target_arch = "x86_64")]
+        let wide = std::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let wide = false;
+        if wide {
             assert_eq!((rng.counter, rng.index), (1 + WIDE_BLOCKS as u64, 1));
         } else {
             assert_eq!((rng.counter, rng.index), (2, TAIL + 1));
