@@ -68,8 +68,9 @@ use vrd_dram::fleet::synthetic_specs;
 use vrd_dram::{ModuleSpec, TestConditions};
 use vrd_experiments::memsim_exp::{effective_threshold, MARGINS, RDT_VALUES};
 use vrd_experiments::serve::{JobKind, JobSpec, JobState, ServeConfig, Service};
+use vrd_experiments::studies::Studies;
 use vrd_experiments::sweep_exp::{covered_actions, covered_points};
-use vrd_experiments::{findings, indepth, sweep_exp, Options};
+use vrd_experiments::{findings, Options};
 use vrd_memsim::mitigation::{Mitigation, MitigationAction, MitigationKind};
 use vrd_memsim::security::{simulate_attack, AttackConfig, SpatialVictim};
 use vrd_memsim::{MitigationProfile, SimConfig, System};
@@ -658,18 +659,18 @@ fn measure_sweep() -> SweepRun {
         ..Options::default()
     };
     let started = Instant::now();
-    let campaign = indepth::run(&opts);
-    let study = sweep_exp::run(&opts, &campaign);
+    let studies = Studies::new(&opts);
+    let study = studies.sweep().expect("M1 measures in-depth series");
     let wall_ms = ms(started.elapsed());
-    let (uniform_actions, profiled_actions) = covered_actions(&study).unwrap_or((0, 0));
-    let checks = findings::check_sweep(&study);
+    let (uniform_actions, profiled_actions) = covered_actions(study).unwrap_or((0, 0));
+    let checks = findings::check_sweep(study);
     let passed = |id: u8| checks.iter().any(|c| c.id == id && c.passed);
     SweepRun {
         f18: passed(18),
         f19: passed(19),
         uniform_actions,
         profiled_actions,
-        covered_cells: covered_points(&study).len(),
+        covered_cells: covered_points(study).len(),
         wall_ms,
     }
 }

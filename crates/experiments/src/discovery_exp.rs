@@ -5,11 +5,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use vrd_core::discovery::{discovery_campaign, DiscoveryConfig, DiscoveryResult, DISCOVERY};
+use vrd_core::discovery::{discovery_campaign, DiscoveryConfig, DiscoveryResult};
 
 use crate::opts::Options;
 use crate::render::{f, Table};
-use crate::runner;
 
 /// The discovery study output across the module scope.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -20,19 +19,12 @@ pub struct DiscoveryStudy {
     pub per_module: Vec<DiscoveryResult>,
 }
 
-/// Runs the discovery campaign across the module scope on the
-/// deterministic executor (one unit per selected row; identical output
-/// at any `--threads` value).
-pub fn run(opts: &Options) -> DiscoveryStudy {
-    let cfg = opts.discovery_config();
-    let specs = opts.specs();
-    runner::run_campaign(opts, DISCOVERY, &cfg, |run_opts| run_with(opts, &specs, run_opts))
-}
-
 /// Runs the discovery campaign over an explicit spec list under
 /// caller-supplied [`RunOptions`](vrd_core::run::RunOptions) — the
-/// reusable core both the CLI harness ([`run`]) and the fleet service
-/// drive.
+/// reusable core both the CLI harness
+/// ([`Studies::discovery`](crate::studies::Studies::discovery)) and the
+/// fleet service drive. One unit per selected row; identical output at
+/// any thread count.
 ///
 /// # Errors
 ///
@@ -105,12 +97,13 @@ mod tests {
         let out = TestOutDir::new();
         let mut opts = out.smoke();
         opts.modules = vec!["M1".into()];
-        let study = run(&opts);
+        let studies = crate::studies::Studies::new(&opts);
+        let study = studies.discovery();
         assert_eq!(study.per_module.len(), 1);
         assert!(!study.per_module[0].rows.is_empty());
-        let rendered = render(&study);
+        let rendered = render(study);
         assert!(rendered.contains("rows bounded"));
         assert!(rendered.contains("M1"));
-        assert!(mean_epochs_per_row(&study).unwrap() >= f64::from(study.config.min_epochs));
+        assert!(mean_epochs_per_row(study).unwrap() >= f64::from(study.config.min_epochs));
     }
 }

@@ -436,6 +436,7 @@ pub fn render_takeaways(
 mod tests {
     use super::*;
     use crate::opts::TestOutDir;
+    use crate::studies::Studies;
 
     #[test]
     fn takeaways_render_from_smoke_studies() {
@@ -444,9 +445,8 @@ mod tests {
         opts.modules = vec!["M1".into()];
         opts.foundational_measurements = 300;
         opts.indepth_measurements = 60;
-        let foundational = crate::foundational::run(&opts);
-        let indepth = crate::indepth::run(&opts);
-        let text = render_takeaways(&foundational, &indepth);
+        let studies = Studies::new(&opts);
+        let text = render_takeaways(studies.foundational(), studies.indepth());
         assert!(text.contains("Takeaway 1"));
         assert!(text.contains("Takeaway 4"));
     }
@@ -484,8 +484,7 @@ mod tests {
         let mut opts = out.smoke();
         opts.modules = vec!["M1".into()];
         opts.foundational_measurements = 400;
-        let study = crate::foundational::run(&opts);
-        let rows = security(&study, &opts);
+        let rows = security(Studies::new(&opts).foundational(), &opts);
         assert!(!rows.is_empty());
         for r in &rows {
             assert!(r.estimated_min >= r.true_min);

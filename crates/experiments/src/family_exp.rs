@@ -78,15 +78,10 @@ impl FamilyStudy {
     }
 }
 
-/// Runs the study on every module in scope.
-pub fn run(opts: &Options) -> FamilyStudy {
-    run_with(opts, opts.specs())
-}
-
-/// Like [`run`], over an explicit spec list — the entry point the fleet
-/// service uses for synthetic modules. Pure computation against the
-/// threshold oracle: no campaign harness, no checkpoint (a service job
-/// that restarts simply reruns it).
+/// Runs the study on every module of `specs` (the CLI passes the module
+/// scope, the fleet service its synthetic modules). Pure computation
+/// against the threshold oracle: no campaign harness, no checkpoint (a
+/// service job that restarts simply reruns it).
 pub fn run_with(opts: &Options, specs: Vec<vrd_dram::ModuleSpec>) -> FamilyStudy {
     let conditions = TestConditions::default();
     let mut per_module = Vec::new();
@@ -167,6 +162,10 @@ pub fn render_family(study: &FamilyStudy) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(opts: &Options) -> FamilyStudy {
+        run_with(opts, opts.specs())
+    }
 
     fn two_family_opts() -> Options {
         Options { modules: vec!["M1".into(), "Chip0".into()], row_bytes: 512, ..Options::default() }

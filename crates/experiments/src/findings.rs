@@ -31,7 +31,7 @@ use crate::sweep_exp::SweepStudy;
 /// Outcome of checking one finding.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FindingCheck {
-    /// Finding number (1–17).
+    /// Finding number (1–21: the paper's 17, then F18–F21).
     pub id: u8,
     /// Short restatement.
     pub title: String,
@@ -472,14 +472,14 @@ pub fn render(checks: &[FindingCheck]) -> String {
 mod tests {
     use super::*;
     use crate::opts::TestOutDir;
+    use crate::studies::Studies;
 
     #[test]
     fn foundational_findings_pass_on_smoke_data() {
         let out = TestOutDir::new();
         let mut opts = out.smoke();
         opts.foundational_measurements = 400;
-        let study = crate::foundational::run(&opts);
-        let checks = check_foundational(&study);
+        let checks = check_foundational(Studies::new(&opts).foundational());
         assert_eq!(checks.len(), 4);
         assert!(checks[0].passed, "F1 must hold: {}", checks[0].detail);
         assert!(checks[2].passed, "F3 must hold: {}", checks[2].detail);

@@ -13,7 +13,6 @@ use vrd_stats::{BoxSummary, Histogram};
 
 use crate::opts::Options;
 use crate::render::{f, Table};
-use crate::runner;
 
 /// The full foundational study output.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -35,10 +34,11 @@ pub fn config(opts: &Options) -> FoundationalConfig {
 
 /// Runs the foundational campaign over an explicit spec list under
 /// caller-supplied [`RunOptions`](vrd_core::run::RunOptions) — the
-/// reusable core both the CLI
-/// harness ([`run`]) and the fleet service drive. Output is a pure
-/// function of `(config, specs)`; the run options only decide
-/// threading, observation, checkpointing, and cancellation.
+/// reusable core both the CLI harness
+/// ([`Studies::foundational`](crate::studies::Studies::foundational))
+/// and the fleet service drive. Output is a pure function of
+/// `(config, specs)`; the run options only decide threading,
+/// observation, checkpointing, and cancellation.
 ///
 /// # Errors
 ///
@@ -51,19 +51,6 @@ pub fn run_with(
     let cfg = config(opts);
     let results = foundational_campaign(specs, &cfg, run_opts)?;
     Ok(FoundationalStudy { per_module: results.into_iter().flatten().collect() })
-}
-
-/// Runs (or reuses) the foundational campaign across the module scope,
-/// on the deterministic executor: output is identical at any
-/// `--threads` value. With `--checkpoint-dir`, every finished module is
-/// journaled and a `--resume` run restores completed modules instead of
-/// remeasuring them — to byte-identical output.
-pub fn run(opts: &Options) -> FoundationalStudy {
-    let cfg = config(opts);
-    let specs = opts.specs();
-    runner::run_campaign(opts, vrd_core::campaign::FOUNDATIONAL, &cfg, |run_opts| {
-        run_with(opts, &specs, run_opts)
-    })
 }
 
 /// Fig. 1: per-1,000-measurement mean ± range of one module's series,
@@ -215,7 +202,7 @@ mod tests {
         let out = TestOutDir::new();
         let mut opts = out.smoke();
         opts.foundational_measurements = 300;
-        run(&opts)
+        crate::studies::Studies::new(&opts).foundational().clone()
     }
 
     #[test]

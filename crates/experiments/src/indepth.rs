@@ -11,7 +11,6 @@ use vrd_stats::{BoxSummary, SCurve};
 
 use crate::opts::Options;
 use crate::render::{f, Table};
-use crate::runner;
 
 /// A labelled module-name predicate (manufacturer class filter).
 type ClassFilter = (&'static str, Box<dyn Fn(&str) -> bool>);
@@ -21,18 +20,6 @@ type ClassFilter = (&'static str, Box<dyn Fn(&str) -> bool>);
 pub struct InDepthStudy {
     /// Per-module campaign results.
     pub per_module: Vec<InDepthResult>,
-}
-
-/// Runs the in-depth campaign across the module scope on the
-/// deterministic executor. Every (module × row × condition) cell is one
-/// work unit sharing a single pool, so thin modules do not idle threads
-/// — and the output is identical at any `--threads` value.
-pub fn run(opts: &Options) -> InDepthStudy {
-    let cfg = config(opts);
-    let specs = opts.specs();
-    runner::run_campaign(opts, vrd_core::campaign::IN_DEPTH, &cfg, |run_opts| {
-        run_with(opts, &specs, run_opts)
-    })
 }
 
 /// The in-depth campaign configuration at this scale.
@@ -49,8 +36,11 @@ pub fn config(opts: &Options) -> InDepthConfig {
 
 /// Runs the in-depth campaign over an explicit spec list under
 /// caller-supplied [`RunOptions`](vrd_core::run::RunOptions) — the
-/// reusable core both the CLI harness ([`run`]) and the fleet service
-/// drive.
+/// reusable core both the CLI harness
+/// ([`Studies::indepth`](crate::studies::Studies::indepth)) and the
+/// fleet service drive. Every (module × row × condition) cell is one
+/// work unit sharing a single pool, so thin modules do not idle
+/// threads, and the output is identical at any thread count.
 ///
 /// # Errors
 ///
@@ -485,7 +475,7 @@ mod tests {
             opts.modules = vec!["M0".into(), "M1".into(), "H3".into()];
             opts.indepth_measurements = 80;
             opts.picks_per_segment = 3;
-            run(&opts)
+            crate::studies::Studies::new(&opts).indepth().clone()
         })
     }
 

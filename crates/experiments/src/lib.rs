@@ -4,7 +4,8 @@
 //! Each experiment is a function that takes an [`opts::Options`] scale
 //! configuration and returns a serializable result that the `vrd-exp`
 //! binary renders as the same rows/series the paper reports and writes
-//! as JSON under `results/`.
+//! as JSON under `results/`. [`studies::STUDIES`] lists every id the
+//! binary accepts; `vrd-exp all` runs them in that order.
 //!
 //! | IDs | Paper artifact | Module |
 //! |---|---|---|
@@ -15,10 +16,10 @@
 //! | `fig16` | §6.4 guardband bitflips | [`guardband_exp`] |
 //! | `tab3` | §6.4 ECC error rates | [`ecc_exp`] |
 //! | `fig17`–`fig24` | Appendix A time/energy | [`estimate_exp`] |
-//! | `findings` | Findings 1–17 | [`findings`] |
+//! | `findings` | Findings 1–21 | [`findings`] |
 //! | `discovery` | DiscoRD-style early-stopping RDT bounds | [`discovery_exp`] |
 //! | `memsim-sweep` | spatial-aware defenses sweep (ref \[134\]) | [`sweep_exp`] |
-//! | `ablation` `security` `online` | extensions beyond the paper | [`extensions`] |
+//! | `ablation` `security` `online` `takeaways` | extensions beyond the paper | [`extensions`] |
 //! | `family` | per-bank RDT spread across device families | [`family_exp`] |
 //! | `serve` | fleet-scale multi-tenant campaign service | [`serve`] |
 
@@ -38,6 +39,7 @@ pub mod render;
 pub mod runner;
 pub mod serve;
 pub mod sinks;
+pub mod studies;
 pub mod sweep_exp;
 
 pub use opts::Options;

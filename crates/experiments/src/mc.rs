@@ -176,7 +176,7 @@ mod tests {
             opts.modules = vec!["M1".into(), "S2".into()];
             opts.indepth_measurements = 100;
             opts.picks_per_segment = 3;
-            crate::indepth::run(&opts)
+            crate::studies::Studies::new(&opts).indepth().clone()
         })
     }
 

@@ -3,8 +3,8 @@
 //! journal, fault injection) and result persistence.
 
 use std::fs::{self, File};
-use std::path::Path;
-use std::sync::OnceLock;
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use serde::Serialize;
 
@@ -70,9 +70,7 @@ where
         sinks::error(format!("{campaign} campaign failed: {e}"));
         std::process::exit(2);
     });
-    if let Err(e) = write_metrics(opts) {
-        sinks::error(format!("cannot write metrics.json: {e}"));
-    }
+    write_metrics(opts);
     out
 }
 
@@ -85,9 +83,13 @@ fn metrics_sink() -> &'static MetricsSink {
 }
 
 /// Rewrites `<out_dir>/metrics.json` with every campaign report
-/// aggregated so far.
-fn write_metrics(opts: &Options) -> std::io::Result<()> {
-    save_json(opts, "metrics", &metrics_sink().reports())
+/// aggregated so far. One writer at a time: concurrent campaigns in one
+/// process would otherwise race on the shared temporary file.
+fn write_metrics(opts: &Options) {
+    static WRITER: Mutex<()> = Mutex::new(());
+    let _writer = WRITER.lock().unwrap_or_else(PoisonError::into_inner);
+    let json = serde_json::to_string_pretty(&metrics_sink().reports()).expect("serializable");
+    save(opts, "metrics.json", &json);
 }
 
 /// The process-wide `--trace-out` file, created (truncated) once; all
@@ -171,19 +173,19 @@ pub fn fault_plan(opts: &Options) -> Option<FaultPlan> {
     })
 }
 
-/// Writes `value` as pretty JSON to `<out_dir>/<name>.json` through
+/// Writes `text` to `<out_dir>/<file>` through
 /// [`vrd_core::journal::write_atomic`], so a crash never leaves a
-/// half-written artifact.
-///
-/// # Errors
-///
-/// Returns an I/O error if the directory cannot be created or the file
-/// cannot be written.
-pub fn save_json<T: Serialize>(opts: &Options, name: &str, value: &T) -> std::io::Result<()> {
-    fs::create_dir_all(&opts.out_dir)?;
-    let path = Path::new(&opts.out_dir).join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serializable result");
-    vrd_core::journal::write_atomic(path, json)
+/// half-written artifact, and returns the path. A failed write names
+/// the path and the error and exits the process with status 2.
+pub fn save(opts: &Options, file: &str, text: &str) -> PathBuf {
+    let path = Path::new(&opts.out_dir).join(file);
+    let written = fs::create_dir_all(&opts.out_dir)
+        .and_then(|()| vrd_core::journal::write_atomic(&path, text));
+    if let Err(e) = written {
+        sinks::error(format!("cannot write {}: {e}", path.display()));
+        std::process::exit(2);
+    }
+    path
 }
 
 #[cfg(test)]
@@ -236,12 +238,11 @@ mod tests {
     }
 
     #[test]
-    fn save_json_round_trips() {
+    fn save_creates_the_directory_and_returns_the_path() {
         let out = TestOutDir::new();
         let opts = out.smoke();
-        save_json(&opts, "probe", &vec![1, 2, 3]).unwrap();
-        let content = std::fs::read_to_string(Path::new(&opts.out_dir).join("probe.json")).unwrap();
-        let back: Vec<i32> = serde_json::from_str(&content).unwrap();
-        assert_eq!(back, vec![1, 2, 3]);
+        let path = save(&opts, "probe.json", "[1, 2, 3]");
+        assert_eq!(path, Path::new(&opts.out_dir).join("probe.json"));
+        assert_eq!(std::fs::read_to_string(path).unwrap(), "[1, 2, 3]");
     }
 }

@@ -159,24 +159,21 @@ fn outcome(
     }
 }
 
-/// Runs the sweep on top of an already-run in-depth study.
-///
-/// # Panics
-///
-/// Panics when the study measured no series (nothing to derive a
-/// profile from).
-pub fn run(opts: &Options, study: &InDepthStudy) -> SweepStudy {
-    run_with(opts, &opts.specs(), study)
+/// Whether `study` measured any series, so that [`run_with`] can
+/// derive a profile from it.
+pub(crate) fn has_series(study: &InDepthStudy) -> bool {
+    pooled_distribution(study).is_some()
 }
 
-/// Like [`run`], but resolving the campaign module's spec from an
-/// explicit list instead of Table 1 — required for synthetic-fleet
-/// modules, whose renamed specs `ModuleSpec::by_name` cannot find.
+/// Runs the sweep on top of an already-run in-depth study, resolving
+/// the campaign module's spec from `specs` before Table 1 — required
+/// for synthetic-fleet modules, whose renamed specs
+/// `ModuleSpec::by_name` cannot find.
 ///
 /// # Panics
 ///
-/// Panics when the study measured no series or the module's spec is in
-/// neither `specs` nor Table 1.
+/// Panics when the study measured no series or the
+/// module's spec is in neither `specs` nor Table 1.
 pub fn run_with(
     opts: &Options,
     specs: &[vrd_dram::ModuleSpec],
@@ -359,8 +356,7 @@ mod tests {
             let mut opts = out.smoke();
             opts.modules = vec!["M1".into()];
             opts.sweep_activations = 40_000;
-            let study = crate::indepth::run(&opts);
-            run(&opts, &study)
+            crate::studies::Studies::new(&opts).sweep().expect("M1 measures series").clone()
         })
     }
 

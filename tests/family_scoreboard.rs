@@ -13,7 +13,8 @@ use std::collections::BTreeSet;
 
 use vrd_dram::fleet::{shard_specs, FleetScope};
 use vrd_dram::{DramStandard, ModuleSpec};
-use vrd_experiments::{family_exp, findings, foundational, indepth, Options};
+use vrd_experiments::studies::Studies;
+use vrd_experiments::{findings, Options};
 
 #[path = "util/golden.rs"]
 mod golden;
@@ -33,13 +34,12 @@ fn scoreboard_opts(threads: usize) -> Options {
 /// thread-invariance witness).
 fn scoreboard(threads: usize) -> (String, String) {
     let opts = scoreboard_opts(threads);
-    let f = foundational::run(&opts);
-    let d = indepth::run(&opts);
-    let fam = family_exp::run(&opts);
-    let mut checks = findings::check_foundational(&f);
-    checks.extend(findings::check_indepth(&d));
-    checks.extend(findings::check_cells(&d));
-    checks.extend(findings::check_family(&fam));
+    let studies = Studies::new(&opts);
+    let d = studies.indepth();
+    let mut checks = findings::check_foundational(studies.foundational());
+    checks.extend(findings::check_indepth(d));
+    checks.extend(findings::check_cells(d));
+    checks.extend(findings::check_family(studies.family()));
 
     let failing: String = checks
         .iter()

@@ -16,7 +16,8 @@
 #[path = "util/golden.rs"]
 mod golden;
 
-use vrd_experiments::{ecc_exp, extensions, foundational, memsim_exp, Options};
+use vrd_experiments::studies::Studies;
+use vrd_experiments::{ecc_exp, extensions, memsim_exp, Options};
 use vrd_memsim::workload::WorkloadParams;
 use vrd_memsim::{MitigationKind, SimConfig, SimStats, System};
 
@@ -51,8 +52,9 @@ fn golden_ablation_seed_2025() {
 #[test]
 fn golden_security_seed_2025() {
     let opts = golden_opts();
-    let study = foundational::run(&opts);
-    assert_golden("security_seed_2025.json", &pretty(&extensions::security(&study, &opts)));
+    let study = Studies::new(&opts);
+    let rows = extensions::security(study.foundational(), &opts);
+    assert_golden("security_seed_2025.json", &pretty(&rows));
 }
 
 #[test]
@@ -105,8 +107,6 @@ fn extension_goldens_are_thread_invariant() {
     // must not drift (they share the deterministic executor contract).
     let mut opts = golden_opts();
     opts.threads = 4;
-    assert_golden(
-        "security_seed_2025.json",
-        &pretty(&extensions::security(&foundational::run(&opts), &opts)),
-    );
+    let rows = extensions::security(Studies::new(&opts).foundational(), &opts);
+    assert_golden("security_seed_2025.json", &pretty(&rows));
 }

@@ -31,7 +31,8 @@ use proptest::prelude::*;
 
 use vrd::memsim::mitigation::{Mitigation, MitigationAction, MitigationKind};
 use vrd::memsim::profile::{MitigationProfile, ProfileError, FORMAT_VERSION};
-use vrd_experiments::{findings, indepth, sweep_exp, Options};
+use vrd_experiments::studies::Studies;
+use vrd_experiments::{findings, sweep_exp, Options};
 
 /// Drives `mitigation` through `script`, interleaving a periodic refresh
 /// every 16 activations through one reused buffer, and returns every
@@ -276,9 +277,8 @@ fn sweep_opts(threads: usize) -> Options {
 }
 
 fn sweep_at(threads: usize) -> sweep_exp::SweepStudy {
-    let opts = sweep_opts(threads);
-    let study = indepth::run(&opts);
-    sweep_exp::run(&opts, &study)
+    let studies = Studies::new(&sweep_opts(threads));
+    studies.sweep().expect("M1 measures in-depth series").clone()
 }
 
 fn reference_sweep() -> &'static sweep_exp::SweepStudy {

@@ -47,8 +47,9 @@ use vrd::dram::device::TRAP_STEPS_PER_MEASUREMENT;
 use vrd::dram::vrd::Trap;
 use vrd::dram::{ModuleSpec, TestConditions};
 use vrd::stats::ks::ks_test_two_sample;
+use vrd_experiments::findings;
 use vrd_experiments::opts::Options;
-use vrd_experiments::{findings, foundational, indepth};
+use vrd_experiments::studies::Studies;
 
 /// KS significance level for the matched-design tests.
 const ALPHA: f64 = 0.01;
@@ -251,11 +252,11 @@ fn findings_scoreboard_is_unchanged() {
         threads: 1,
         ..Options::default()
     };
-    let f = foundational::run(&opts);
-    let d = indepth::run(&opts);
-    let mut checks = findings::check_foundational(&f);
-    checks.extend(findings::check_indepth(&d));
-    checks.extend(findings::check_cells(&d));
+    let studies = Studies::new(&opts);
+    let d = studies.indepth();
+    let mut checks = findings::check_foundational(studies.foundational());
+    checks.extend(findings::check_indepth(d));
+    checks.extend(findings::check_cells(d));
 
     let scoreboard: String = checks
         .iter()
