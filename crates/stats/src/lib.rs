@@ -20,8 +20,8 @@
 //! - [`ks`] — the two-sample Kolmogorov–Smirnov test between
 //!   measurement series (did the RDT distribution change?).
 //! - [`normal`] — normal/lognormal sampling (Box–Muller) and CDF/PDF.
-//! - [`montecarlo`] — deterministic seed derivation and subsampling
-//!   utilities for the paper's Monte-Carlo analyses (§5.1).
+//! - [`montecarlo`] — subsampling and its exact probabilities for the
+//!   paper's Monte-Carlo analyses (§5.1).
 //! - [`scurve`] — sorted percentile curves (Fig. 7a).
 //! - [`binomial`] — binomial pmf/cdf and exact Clopper–Pearson
 //!   confidence bounds.
@@ -64,7 +64,7 @@ pub use descriptive::{coefficient_of_variation, mean, percentile, stddev, Summar
 pub use error::StatsError;
 pub use histogram::Histogram;
 pub use ks::{ks_test_two_sample, KsResult};
-pub use montecarlo::{derive_seed, sample_indices_without_replacement};
+pub use montecarlo::sample_indices_without_replacement;
 pub use runlength::run_length_histogram;
 pub use scurve::SCurve;
 pub use sequential::{SequentialMin, StoppingRule};

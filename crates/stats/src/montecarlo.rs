@@ -1,40 +1,10 @@
-//! Monte-Carlo utilities: deterministic seed derivation and subsampling.
+//! Monte-Carlo utilities: subsampling and its exact probabilities.
 //!
 //! The paper's §5.1 analysis runs 10,000 Monte-Carlo iterations per row,
 //! uniformly randomly selecting N of the 1,000 recorded RDT measurements.
-//! The helpers here make those draws reproducible: every sub-experiment
-//! derives its own seed from a root seed and a label, so experiments are
-//! both deterministic and statistically independent.
+//! The draws take a caller-seeded RNG, so they are reproducible.
 
 use rand::Rng;
-
-/// Derives a child seed from a root seed and a set of stream labels using a
-/// SplitMix64-style finalizer. The same `(root, labels)` always yields the
-/// same seed; distinct labels yield (with overwhelming probability)
-/// distinct, well-mixed seeds.
-///
-/// # Examples
-///
-/// ```
-/// let a = vrd_stats::derive_seed(42, &[1, 0]);
-/// let b = vrd_stats::derive_seed(42, &[1, 1]);
-/// assert_ne!(a, b);
-/// assert_eq!(a, vrd_stats::derive_seed(42, &[1, 0]));
-/// ```
-pub fn derive_seed(root: u64, labels: &[u64]) -> u64 {
-    let mut state = root ^ 0x9E37_79B9_7F4A_7C15;
-    for &label in labels {
-        state = splitmix64(state.wrapping_add(splitmix64(label)));
-    }
-    splitmix64(state)
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Uniformly samples `k` distinct indices from `0..n` (partial
 /// Fisher–Yates). The result is unordered.
@@ -134,13 +104,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn derive_seed_deterministic_and_distinct() {
-        assert_eq!(derive_seed(1, &[2, 3]), derive_seed(1, &[2, 3]));
-        assert_ne!(derive_seed(1, &[2, 3]), derive_seed(1, &[3, 2]));
-        assert_ne!(derive_seed(1, &[]), derive_seed(2, &[]));
-    }
 
     #[test]
     fn sample_without_replacement_distinct() {
