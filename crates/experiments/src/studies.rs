@@ -47,11 +47,6 @@ impl Studies {
         }
     }
 
-    /// The options every study here runs under.
-    pub fn opts(&self) -> &Options {
-        &self.opts
-    }
-
     /// The §4 foundational campaign. With `--checkpoint-dir`, every
     /// finished module is journaled and a `--resume` run restores
     /// completed modules instead of remeasuring them, to byte-identical
@@ -222,7 +217,7 @@ pub const STUDIES: &[Study] = &[
     study("fig13", |s, id| print(id, indepth::render_fig13(s.indepth()))),
     study("fig14", |s, id| {
         sinks::status("running Fig.-14 mitigation sweep...");
-        let result = memsim_exp::run(s.opts());
+        let result = memsim_exp::run(&s.opts);
         show(id, memsim_exp::render(&result), &result)
     }),
     study("fig15", |s, id| show(id, mc::render_fig15(s.indepth()), &mc::fig15_stats(s.indepth()))),
@@ -239,7 +234,7 @@ pub const STUDIES: &[Study] = &[
     study("tab3", |s, id| {
         let measured = guardband_exp::worst_margin_ber(s.guardband(), 0.1);
         let ber = if measured > 0.0 { measured } else { vrd_ecc::analysis::PAPER_WORST_BER };
-        let seed = s.opts().seed;
+        let seed = s.opts.seed;
         sinks::artifact(id, ecc_exp::render(&ecc_exp::run(ber, 20_000, seed)));
         // Also emit the paper's exact operating point for reference.
         let paper = ecc_exp::run_paper(20_000, seed);
@@ -275,18 +270,18 @@ pub const STUDIES: &[Study] = &[
     study("family", |s, id| show(id, family_exp::render_family(s.family()), s.family())),
     study("ablation", |s, id| {
         sinks::status("running model ablation...");
-        let rows = extensions::ablation(s.opts());
+        let rows = extensions::ablation(&s.opts);
         show(id, extensions::render_ablation(&rows), &rows)
     }),
     study("security", |s, id| {
         let study = s.foundational();
         sinks::status("running guardband security sweep...");
-        let rows = extensions::security(study, s.opts());
+        let rows = extensions::security(study, &s.opts);
         show(id, extensions::render_security(&rows), &rows)
     }),
     study("online", |s, id| {
         sinks::status("running online-profiling experiment...");
-        let Some(result) = extensions::online(s.opts()) else {
+        let Some(result) = extensions::online(&s.opts) else {
             warn("no module in scope produced profilable rows");
             return vec![];
         };
