@@ -90,12 +90,10 @@ pub fn render(study: &DiscoveryStudy) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opts::TestOutDir;
 
     #[test]
     fn discovery_study_runs_and_renders_at_smoke_scale() {
-        let out = TestOutDir::new();
-        let mut opts = out.smoke();
+        let mut opts = Options::smoke();
         opts.modules = vec!["M1".into()];
         let studies = crate::studies::Studies::new(&opts);
         let study = studies.discovery();

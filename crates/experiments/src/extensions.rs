@@ -435,13 +435,11 @@ pub fn render_takeaways(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opts::TestOutDir;
     use crate::studies::Studies;
 
     #[test]
     fn takeaways_render_from_smoke_studies() {
-        let out = TestOutDir::new();
-        let mut opts = out.smoke();
+        let mut opts = Options::smoke();
         opts.modules = vec!["M1".into()];
         opts.foundational_measurements = 300;
         opts.indepth_measurements = 60;
@@ -453,8 +451,7 @@ mod tests {
 
     #[test]
     fn ablation_covers_variants_and_separates_them() {
-        let out = TestOutDir::new();
-        let mut opts = out.smoke();
+        let mut opts = Options::smoke();
         opts.foundational_measurements = 400;
         opts.modules = vec!["M1".into()];
         let rows = ablation(&opts);
@@ -480,8 +477,7 @@ mod tests {
 
     #[test]
     fn security_rows_show_margin_benefit() {
-        let out = TestOutDir::new();
-        let mut opts = out.smoke();
+        let mut opts = Options::smoke();
         opts.modules = vec!["M1".into()];
         opts.foundational_measurements = 400;
         let rows = security(Studies::new(&opts).foundational(), &opts);
@@ -501,8 +497,7 @@ mod tests {
 
     #[test]
     fn online_converges_downward() {
-        let out = TestOutDir::new();
-        let mut opts = out.smoke();
+        let mut opts = Options::smoke();
         opts.modules = vec!["S2".into()];
         opts.foundational_measurements = 300;
         let result = online(&opts).expect("S2 has vulnerable rows");
@@ -517,8 +512,7 @@ mod tests {
 
     #[test]
     fn renders_nonempty() {
-        let out = TestOutDir::new();
-        let mut opts = out.smoke();
+        let mut opts = Options::smoke();
         opts.foundational_measurements = 300;
         opts.modules = vec!["M1".into()];
         let rows = ablation(&opts);

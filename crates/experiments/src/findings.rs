@@ -471,13 +471,12 @@ pub fn render(checks: &[FindingCheck]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opts::TestOutDir;
     use crate::studies::Studies;
+    use crate::Options;
 
     #[test]
     fn foundational_findings_pass_on_smoke_data() {
-        let out = TestOutDir::new();
-        let mut opts = out.smoke();
+        let mut opts = Options::smoke();
         opts.foundational_measurements = 400;
         let checks = check_foundational(Studies::new(&opts).foundational());
         assert_eq!(checks.len(), 4);

@@ -196,11 +196,9 @@ pub fn fig6_reports(study: &FoundationalStudy) -> Vec<(String, PredictabilityRep
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opts::TestOutDir;
 
     fn smoke_study() -> FoundationalStudy {
-        let out = TestOutDir::new();
-        let mut opts = out.smoke();
+        let mut opts = Options::smoke();
         opts.foundational_measurements = 300;
         crate::studies::Studies::new(&opts).foundational().clone()
     }

@@ -4,13 +4,14 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+use vrd_core::exec::{self, Unit, UnitKey};
 use vrd_core::guardband::{
     run_guardband, worst_bit_error_rate, GuardbandConfig, RowGuardbandResult,
 };
+use vrd_dram::ModuleSpec;
 
 use crate::opts::Options;
 use crate::render::{sci, Table};
-use crate::runner::map_modules;
 
 /// The guardband study across modules.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -38,6 +39,19 @@ pub fn run(opts: &Options) -> GuardbandStudy {
         (spec.name.clone(), run_guardband(spec, &cfg))
     });
     GuardbandStudy { per_module: results, row_bits: opts.row_bytes * 8 }
+}
+
+/// Maps `f` over the option's module specs on the deterministic executor
+/// ([`vrd_core::exec`]), preserving Table-1 order in the output. One
+/// unit per module; a panicking module panics the call.
+fn map_modules<T, F>(opts: &Options, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&ModuleSpec) -> T + Sync,
+{
+    let units: Vec<Unit<ModuleSpec>> =
+        opts.specs().into_iter().map(|s| Unit::new(UnitKey::module(&s.name), s)).collect();
+    exec::execute(&opts.exec_config(), units, |_ctx, spec| f(spec)).into_results()
 }
 
 /// Histogram of unique bitflips per row at the given margin (Fig. 16).
@@ -112,19 +126,36 @@ pub fn worst_margin_ber(study: &GuardbandStudy, margin: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opts::TestOutDir;
     use std::sync::OnceLock;
 
     fn smoke_study() -> &'static GuardbandStudy {
         static STUDY: OnceLock<GuardbandStudy> = OnceLock::new();
         STUDY.get_or_init(|| {
-            let out = TestOutDir::new();
-            let mut opts = out.smoke();
+            let mut opts = Options::smoke();
             opts.modules = vec!["M4".into(), "S0".into()];
             opts.guardband_trials = 120;
             opts.guardband_rows = 3;
             run(&opts)
         })
+    }
+
+    #[test]
+    fn map_modules_preserves_order() {
+        let mut opts = Options::smoke();
+        opts.modules = vec!["H0".into(), "M1".into(), "S0".into()];
+        let names = map_modules(&opts, |spec| spec.name.clone());
+        assert_eq!(names, vec!["H0", "M1", "S0"]);
+    }
+
+    #[test]
+    fn map_modules_parallel_matches_serial() {
+        let mut opts = Options::smoke();
+        opts.modules.clear(); // all 25
+        opts.threads = 8;
+        let parallel = map_modules(&opts, |spec| spec.family().topology.rows_per_bank);
+        opts.threads = 1;
+        let serial = map_modules(&opts, |spec| spec.family().topology.rows_per_bank);
+        assert_eq!(parallel, serial);
     }
 
     #[test]

@@ -464,14 +464,12 @@ pub fn all_condition_variation_fraction(study: &InDepthStudy) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opts::TestOutDir;
     use std::sync::OnceLock;
 
     fn smoke_study() -> &'static InDepthStudy {
         static STUDY: OnceLock<InDepthStudy> = OnceLock::new();
         STUDY.get_or_init(|| {
-            let out = TestOutDir::new();
-            let mut opts = out.smoke();
+            let mut opts = Options::smoke();
             opts.modules = vec!["M0".into(), "M1".into(), "H3".into()];
             opts.indepth_measurements = 80;
             opts.picks_per_segment = 3;

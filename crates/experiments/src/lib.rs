@@ -36,7 +36,6 @@ pub mod mc;
 pub mod memsim_exp;
 pub mod opts;
 pub mod render;
-pub mod runner;
 pub mod serve;
 pub mod sinks;
 pub mod studies;

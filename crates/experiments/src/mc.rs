@@ -165,14 +165,13 @@ pub fn render_fig15(study: &InDepthStudy) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opts::TestOutDir;
+    use crate::Options;
     use std::sync::OnceLock;
 
     fn smoke_study() -> &'static InDepthStudy {
         static STUDY: OnceLock<InDepthStudy> = OnceLock::new();
         STUDY.get_or_init(|| {
-            let out = TestOutDir::new();
-            let mut opts = out.smoke();
+            let mut opts = Options::smoke();
             opts.modules = vec!["M1".into(), "S2".into()];
             opts.indepth_measurements = 100;
             opts.picks_per_segment = 3;

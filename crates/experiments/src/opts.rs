@@ -220,34 +220,6 @@ impl Options {
     }
 }
 
-/// A unit test's output directory under the system temp dir, unique per
-/// test and removed on drop, so tests that run campaigns (which rewrite
-/// `<out_dir>/metrics.json`) leave nothing in the source tree.
-#[cfg(test)]
-pub(crate) struct TestOutDir(std::path::PathBuf);
-
-#[cfg(test)]
-impl TestOutDir {
-    pub(crate) fn new() -> Self {
-        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let name = format!("vrd-exp-test-{}-{n}", std::process::id());
-        TestOutDir(std::env::temp_dir().join(name))
-    }
-
-    /// [`Options::smoke`] writing its artifacts here.
-    pub(crate) fn smoke(&self) -> Options {
-        Options { out_dir: self.0.to_string_lossy().into_owned(), ..Options::smoke() }
-    }
-}
-
-#[cfg(test)]
-impl Drop for TestOutDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

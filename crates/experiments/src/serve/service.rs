@@ -54,9 +54,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
-use vrd_core::campaign::{FOUNDATIONAL, IN_DEPTH};
-use vrd_core::checkpoint::{self, Checkpoint, CheckpointError, CheckpointManifest};
-use vrd_core::discovery::DISCOVERY;
+use vrd_core::checkpoint::{Checkpoint, CheckpointError};
 use vrd_core::exec::faults::FaultPlan;
 use vrd_core::journal::{self, Log};
 use vrd_core::obs::trace::JsonlSink;
@@ -68,6 +66,7 @@ use vrd_dram::ModuleSpec;
 
 use crate::serve::job::{JobKind, JobRecord, JobSpec, JobState};
 use crate::sinks;
+use crate::studies::Campaign;
 use crate::{discovery_exp, family_exp, foundational, indepth, sweep_exp};
 
 /// Service configuration (the `vrd-exp serve` flags).
@@ -741,26 +740,16 @@ impl Service {
         let scoped = JobObserver { job: record.id.clone(), hub: &self.events };
         let fanout = MultiObserver::new(vec![&trace as &dyn Observer, &scoped]);
         let mut run_opts = RunOptions::new(opts.exec_config()).observer(&fanout).cancel(cancel);
-        // The campaign label and config hash the job's checkpoint is
-        // bound to; the family study is pure computation and keeps none.
+        // The campaign the job's checkpoint is bound to; the family
+        // study is pure computation and keeps none.
         let campaign = match record.spec.kind {
-            JobKind::Foundational => {
-                Some((FOUNDATIONAL, checkpoint::config_hash(&foundational::config(&opts))))
-            }
-            JobKind::InDepth | JobKind::MemsimSweep => {
-                Some((IN_DEPTH, checkpoint::config_hash(&indepth::config(&opts))))
-            }
-            JobKind::Discovery => {
-                Some((DISCOVERY, checkpoint::config_hash(&opts.discovery_config())))
-            }
+            JobKind::Foundational => Some(Campaign::Foundational),
+            JobKind::InDepth | JobKind::MemsimSweep => Some(Campaign::InDepth),
+            JobKind::Discovery => Some(Campaign::Discovery),
             JobKind::Family => None,
         };
         let ckpt = campaign
-            .map(|(label, config_hash)| {
-                let manifest =
-                    CheckpointManifest::for_campaign(label, config_hash, opts.seed, &specs);
-                Checkpoint::open(dir.join("checkpoint"), manifest)
-            })
+            .map(|c| Checkpoint::open(dir.join("checkpoint"), c.manifest(&opts, &specs)))
             .transpose()?;
         if let Some(ckpt) = &ckpt {
             run_opts = run_opts.checkpoint(ckpt);

@@ -3,28 +3,81 @@
 //! [`run_studies`], which runs a list of ids against one cache and
 //! writes their JSON artifacts.
 //!
-//! [`Studies`] is the only code that runs a campaign under the CLI
-//! harness ([`runner::run_campaign`]): it binds each campaign's
-//! checkpoint label and config to the one [`Options`] it was built
-//! with, and runs each campaign at most once however many ids read it.
+//! [`Studies`] owns everything one run needs: the module specs in
+//! scope, the metrics aggregator and the `--trace-out` file. It is the
+//! only code that runs a campaign under the CLI harness (progress
+//! heartbeat, trace stream, metrics, checkpoint journal, fault
+//! injection), and runs each campaign at most once however many ids
+//! read it. Two caches share nothing, so concurrent runs with their own
+//! `--out` and `--trace-out` stay apart.
 
+use std::fs::{self, File};
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use serde::Serialize;
 
-use vrd_core::obs::Level;
+use vrd_core::checkpoint::{self, Checkpoint, CheckpointError, CheckpointManifest};
+use vrd_core::exec::faults::FaultPlan;
+use vrd_core::exec::Progress;
+use vrd_core::obs::metrics::MetricsSink;
+use vrd_core::obs::trace::JsonlSink;
+use vrd_core::obs::{Level, MultiObserver, Observer};
+use vrd_core::run::RunOptions;
+use vrd_dram::ModuleSpec;
 
 use crate::discovery_exp::{self, DiscoveryStudy};
 use crate::family_exp::{self, FamilyStudy};
 use crate::foundational::{self, FoundationalStudy};
 use crate::guardband_exp::{self, GuardbandStudy};
 use crate::indepth::{self, InDepthStudy};
+use crate::sinks::{self, CliProgressSink};
 use crate::sweep_exp::{self, SweepStudy};
-use crate::{ecc_exp, estimate_exp, extensions, findings, mc, memsim_exp, runner, sinks, Options};
+use crate::{ecc_exp, estimate_exp, extensions, findings, mc, memsim_exp, Options};
 
-/// The campaigns several ids share, each run on first use.
+/// The checkpointed campaigns: the one place a campaign's label meets
+/// its config, for the CLI and the fleet service alike.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Campaign {
+    Foundational,
+    InDepth,
+    Discovery,
+}
+
+impl Campaign {
+    fn label(self) -> &'static str {
+        match self {
+            Campaign::Foundational => vrd_core::campaign::FOUNDATIONAL,
+            Campaign::InDepth => vrd_core::campaign::IN_DEPTH,
+            Campaign::Discovery => vrd_core::discovery::DISCOVERY,
+        }
+    }
+
+    /// The checkpoint manifest of this campaign over `specs` at `opts`'
+    /// scale: label, config hash, seed, shard and roster.
+    pub(crate) fn manifest(self, opts: &Options, specs: &[ModuleSpec]) -> CheckpointManifest {
+        let config_hash = match self {
+            Campaign::Foundational => checkpoint::config_hash(&foundational::config(opts)),
+            Campaign::InDepth => checkpoint::config_hash(&indepth::config(opts)),
+            Campaign::Discovery => checkpoint::config_hash(&opts.discovery_config()),
+        };
+        CheckpointManifest {
+            shard_index: opts.shard_index as u64,
+            shard_count: opts.shard_count as u64,
+            ..CheckpointManifest::for_campaign(self.label(), config_hash, opts.seed, specs)
+        }
+    }
+}
+
+/// The campaigns several ids share, each run on first use, and the
+/// sinks every campaign of the run reports to.
 pub struct Studies {
     opts: Options,
+    specs: Vec<ModuleSpec>,
+    metrics: MetricsSink,
+    /// The `--trace-out` file, created (truncated) by the first
+    /// campaign; later campaigns append to the same stream.
+    trace: OnceLock<Option<File>>,
     foundational: OnceLock<FoundationalStudy>,
     indepth: OnceLock<InDepthStudy>,
     guardband: OnceLock<GuardbandStudy>,
@@ -38,6 +91,9 @@ impl Studies {
     pub fn new(opts: &Options) -> Self {
         Studies {
             opts: opts.clone(),
+            specs: opts.specs(),
+            metrics: MetricsSink::new(),
+            trace: OnceLock::new(),
             foundational: OnceLock::new(),
             indepth: OnceLock::new(),
             guardband: OnceLock::new(),
@@ -53,14 +109,12 @@ impl Studies {
     /// output.
     pub fn foundational(&self) -> &FoundationalStudy {
         self.foundational.get_or_init(|| {
-            let opts = &self.opts;
             sinks::status(format!(
                 "running foundational campaign ({} measurements/row)...",
-                opts.foundational_measurements
+                self.opts.foundational_measurements
             ));
-            let cfg = foundational::config(opts);
-            runner::run_campaign(opts, vrd_core::campaign::FOUNDATIONAL, &cfg, |run_opts| {
-                foundational::run_with(opts, &opts.specs(), run_opts)
+            self.run_campaign(Campaign::Foundational, |run_opts| {
+                foundational::run_with(&self.opts, &self.specs, run_opts)
             })
         })
     }
@@ -69,15 +123,13 @@ impl Studies {
     /// is one work unit of a single pool.
     pub fn indepth(&self) -> &InDepthStudy {
         self.indepth.get_or_init(|| {
-            let opts = &self.opts;
             sinks::status(format!(
                 "running in-depth campaign ({} meas/row/cond, {} conds)...",
-                opts.indepth_measurements,
-                opts.condition_grid().len()
+                self.opts.indepth_measurements,
+                self.opts.condition_grid().len()
             ));
-            let cfg = indepth::config(opts);
-            runner::run_campaign(opts, vrd_core::campaign::IN_DEPTH, &cfg, |run_opts| {
-                indepth::run_with(opts, &opts.specs(), run_opts)
+            self.run_campaign(Campaign::InDepth, |run_opts| {
+                indepth::run_with(&self.opts, &self.specs, run_opts)
             })
         })
     }
@@ -96,15 +148,13 @@ impl Studies {
     /// The early-stopping discovery campaign.
     pub fn discovery(&self) -> &DiscoveryStudy {
         self.discovery.get_or_init(|| {
-            let opts = &self.opts;
             sinks::status(format!(
                 "running discovery campaign ({:.0}% confidence, <= {} epochs/row)...",
-                100.0 * opts.discovery_confidence,
-                opts.discovery_max_epochs
+                100.0 * self.opts.discovery_confidence,
+                self.opts.discovery_max_epochs
             ));
-            let cfg = opts.discovery_config();
-            runner::run_campaign(opts, vrd_core::discovery::DISCOVERY, &cfg, |run_opts| {
-                discovery_exp::run_with(opts, &opts.specs(), run_opts)
+            self.run_campaign(Campaign::Discovery, |run_opts| {
+                discovery_exp::run_with(&self.opts, &self.specs, run_opts)
             })
         })
     }
@@ -123,7 +173,7 @@ impl Studies {
                     "running spatial-aware defenses sweep ({} activations/attack)...",
                     self.opts.sweep_activations
                 ));
-                Some(sweep_exp::run_with(&self.opts, &self.opts.specs(), study))
+                Some(sweep_exp::run_with(&self.opts, &self.specs, study))
             })
             .as_ref()
     }
@@ -132,9 +182,131 @@ impl Studies {
     pub fn family(&self) -> &FamilyStudy {
         self.family.get_or_init(|| {
             sinks::status("running device-family bank-variation study...");
-            family_exp::run_with(&self.opts, self.opts.specs())
+            family_exp::run_with(&self.opts, self.specs.clone())
         })
     }
+
+    /// Runs one campaign `body` under the CLI harness: a [`Progress`]
+    /// with an event-driven heartbeat, this run's metrics aggregator
+    /// and `--trace-out` stream, the optional `--checkpoint-dir`
+    /// journal, and the `--fail-after-units` fault plan. Campaign
+    /// errors (interruption, checkpoint I/O) exit the process with
+    /// status 2.
+    fn run_campaign<T>(
+        &self,
+        campaign: Campaign,
+        body: impl FnOnce(&RunOptions<'_>) -> Result<T, CheckpointError>,
+    ) -> T {
+        let label = campaign.label();
+        let ckpt = campaign_checkpoint(&self.opts, campaign, &self.specs);
+        let plan = fault_plan(&self.opts);
+        let progress = Progress::new();
+        let heartbeat = CliProgressSink::new(format!("{label} campaign"), &progress);
+        let trace = self.trace().map(JsonlSink::new);
+        let mut observers: Vec<&dyn Observer> = vec![&heartbeat, &self.metrics];
+        if let Some(trace) = &trace {
+            observers.push(trace);
+        }
+        let fanout = MultiObserver::new(observers);
+        let mut run_opts =
+            RunOptions::new(self.opts.exec_config()).observer(&fanout).progress(&progress);
+        if let Some(ckpt) = &ckpt {
+            run_opts = run_opts.checkpoint(ckpt);
+        }
+        if let Some(plan) = &plan {
+            run_opts = run_opts.hooks(plan);
+        }
+        body(&run_opts).unwrap_or_else(|e| {
+            sinks::error(format!("{label} campaign failed: {e}"));
+            std::process::exit(2);
+        })
+    }
+
+    /// The `--trace-out` file, opened on first use; a path that cannot
+    /// be created exits the process with status 2.
+    fn trace(&self) -> Option<&File> {
+        self.trace
+            .get_or_init(|| {
+                let path = self.opts.trace_out.as_deref()?;
+                if let Some(parent) = Path::new(path).parent() {
+                    let _ = fs::create_dir_all(parent);
+                }
+                match File::create(path) {
+                    Ok(file) => Some(file),
+                    Err(e) => {
+                        sinks::error(format!("cannot open trace file {path}: {e}"));
+                        std::process::exit(2);
+                    }
+                }
+            })
+            .as_ref()
+    }
+}
+
+/// Opens `campaign`'s checkpoint under `--checkpoint-dir`, bound to its
+/// [`Campaign::manifest`]. Returns `None` when checkpointing is off.
+///
+/// Exits the process with an explanatory message when the directory
+/// already holds a checkpoint but `--resume` was not passed, or when
+/// the existing checkpoint belongs to a different campaign/config/shard
+/// (stale checkpoints are rejected, never merged).
+fn campaign_checkpoint(
+    opts: &Options,
+    campaign: Campaign,
+    specs: &[ModuleSpec],
+) -> Option<Checkpoint> {
+    let root = opts.checkpoint_dir.as_deref()?;
+    let label = campaign.label();
+    let dir = Path::new(root).join(label);
+    if dir.join("manifest.json").exists() && !opts.resume {
+        sinks::error(format!(
+            "checkpoint {} already exists; pass --resume to continue it \
+             or remove the directory to start over",
+            dir.display()
+        ));
+        std::process::exit(2);
+    }
+    match Checkpoint::open(&dir, campaign.manifest(opts, specs)) {
+        Ok(ckpt) => {
+            if ckpt.completed_units() > 0 || ckpt.recovered_torn_tail() {
+                sinks::status(format!(
+                    "resuming {label}: {} completed units restored{}",
+                    ckpt.completed_units(),
+                    if ckpt.recovered_torn_tail() { " (dropped a torn tail record)" } else { "" },
+                ));
+            }
+            Some(ckpt)
+        }
+        Err(e) => {
+            sinks::error(format!("cannot open checkpoint {}: {e}", dir.display()));
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The `--fail-after-units` fault plan: a simulated crash (exit code 3)
+/// after the Nth journal commit, announced on the status stream.
+fn fault_plan(opts: &Options) -> Option<FaultPlan> {
+    opts.fail_after_units.map(|n| {
+        FaultPlan::exit_after(n, 3).announce_with(|done| {
+            sinks::error(format!("simulated crash after {done} committed units"));
+        })
+    })
+}
+
+/// Writes `text` to `<out_dir>/<file>` through
+/// [`vrd_core::journal::write_atomic`], so a crash never leaves a
+/// half-written artifact, and returns the path. A failed write names
+/// the path and the error and exits the process with status 2.
+fn save(opts: &Options, file: &str, text: &str) -> PathBuf {
+    let path = Path::new(&opts.out_dir).join(file);
+    let written = fs::create_dir_all(&opts.out_dir)
+        .and_then(|()| vrd_core::journal::write_atomic(&path, text));
+    if let Err(e) = written {
+        sinks::error(format!("cannot write {}: {e}", path.display()));
+        std::process::exit(2);
+    }
+    path
 }
 
 /// One `vrd-exp` id.
@@ -294,7 +466,9 @@ pub const STUDIES: &[Study] = &[
 
 /// Runs `ids` in order against one [`Studies`] cache over `opts`,
 /// printing each id's artifacts and writing its JSON files under
-/// `opts.out_dir`.
+/// `opts.out_dir`. After each id that ran a campaign, and before that
+/// id's own files, `metrics.json` is rewritten with every campaign
+/// report of the run so far.
 ///
 /// An id missing from [`STUDIES`], or a file that cannot be written,
 /// names itself on the error stream and exits the process with status
@@ -310,12 +484,35 @@ pub fn run_studies(ids: &[&str], opts: &Options) {
         })
         .collect();
     let cache = Studies::new(opts);
+    let mut reported = 0;
     for study in studies {
-        for saved in (study.run)(&cache, study.id) {
-            let path = runner::save(opts, &saved.file, &saved.text);
+        let files = (study.run)(&cache, study.id);
+        let reports = cache.metrics.reports();
+        if reports.len() > reported {
+            reported = reports.len();
+            let json = serde_json::to_string_pretty(&reports).expect("serializable");
+            save(opts, "metrics.json", &json);
+        }
+        for saved in files {
+            let path = save(opts, &saved.file, &saved.text);
             if let Some(what) = saved.announce {
                 sinks::status(format!("{what} written to {}", path.display()));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn save_creates_the_directory_and_returns_the_path() {
+        let dir = std::env::temp_dir().join(format!("vrd-exp-save-{}", std::process::id()));
+        let opts = Options { out_dir: dir.to_string_lossy().into_owned(), ..Options::smoke() };
+        let path = save(&opts, "probe.json", "[1, 2, 3]");
+        assert_eq!(path, dir.join("probe.json"));
+        assert_eq!(std::fs::read_to_string(path).unwrap(), "[1, 2, 3]");
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

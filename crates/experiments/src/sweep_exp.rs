@@ -346,14 +346,12 @@ pub fn render(study: &SweepStudy) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opts::TestOutDir;
     use std::sync::OnceLock;
 
     fn smoke_sweep() -> &'static SweepStudy {
         static STUDY: OnceLock<SweepStudy> = OnceLock::new();
         STUDY.get_or_init(|| {
-            let out = TestOutDir::new();
-            let mut opts = out.smoke();
+            let mut opts = Options::smoke();
             opts.modules = vec!["M1".into()];
             opts.sweep_activations = 40_000;
             crate::studies::Studies::new(&opts).sweep().expect("M1 measures series").clone()
