@@ -163,6 +163,20 @@ impl FleetScope {
     }
 }
 
+/// Parses `ddr4`, `hbm2` or `all`, ignoring ASCII case.
+impl std::str::FromStr for FleetScope {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.to_ascii_lowercase().as_str() {
+            "all" => Ok(FleetScope::All),
+            "ddr4" => Ok(FleetScope::Ddr4),
+            "hbm2" => Ok(FleetScope::Hbm2),
+            _ => Err(format!("unknown family {s:?} (expected ddr4|hbm2|all)")),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,6 +192,14 @@ mod tests {
         assert_eq!(count(FleetScope::All), 25);
         assert_eq!(count(FleetScope::Ddr4), 21);
         assert_eq!(count(FleetScope::Hbm2), 4);
+    }
+
+    #[test]
+    fn scopes_parse_from_their_names_in_any_case() {
+        assert_eq!("ddr4".parse::<FleetScope>(), Ok(FleetScope::Ddr4));
+        assert_eq!("HBM2".parse::<FleetScope>(), Ok(FleetScope::Hbm2));
+        assert_eq!("All".parse::<FleetScope>(), Ok(FleetScope::All));
+        assert!("ddr5".parse::<FleetScope>().unwrap_err().contains("\"ddr5\""));
     }
 
     #[test]

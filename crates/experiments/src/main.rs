@@ -56,6 +56,7 @@
 //!                         json (one serialized event per line)
 //! ```
 
+use vrd_experiments::opts::flag_value;
 use vrd_experiments::studies::{run_studies, STUDIES};
 use vrd_experiments::{sinks, Options};
 
@@ -80,15 +81,6 @@ fn main() {
     }
 }
 
-/// The value after `flag`, parsed as `T`.
-fn value<T: std::str::FromStr>(iter: &mut std::slice::Iter<String>, flag: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let raw = iter.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    raw.parse().map_err(|e| format!("{flag}: {e}"))
-}
-
 /// Parses the command line into experiment ids (in first-occurrence
 /// order, each once) and options. `--paper` picks the base scale wherever
 /// it appears, so every other flag overrides it in any order.
@@ -108,34 +100,29 @@ fn parse(args: &[String]) -> Result<(Vec<&'static str>, Options), String> {
                 std::process::exit(0);
             }
             "--paper" => {}
-            "--measurements" => opts.foundational_measurements = value(&mut iter, arg)?,
-            "--indepth" => opts.indepth_measurements = value(&mut iter, arg)?,
-            "--rows" => opts.picks_per_segment = value(&mut iter, arg)?,
-            "--trials" => opts.guardband_trials = value(&mut iter, arg)?,
-            "--confidence" => {
-                opts.discovery_confidence = value(&mut iter, arg)?;
-                if !(opts.discovery_confidence > 0.0 && opts.discovery_confidence < 1.0) {
-                    return Err(format!("{arg}: must be in (0, 1)"));
-                }
-            }
-            "--min-epochs" => opts.discovery_min_epochs = value(&mut iter, arg)?,
-            "--max-epochs" => opts.discovery_max_epochs = value(&mut iter, arg)?,
-            "--mixes" => opts.mixes = value(&mut iter, arg)?,
-            "--cycles" => opts.sim_cycles = value(&mut iter, arg)?,
+            "--measurements" => opts.foundational_measurements = flag_value(&mut iter, arg)?,
+            "--indepth" => opts.indepth_measurements = flag_value(&mut iter, arg)?,
+            "--rows" => opts.picks_per_segment = flag_value(&mut iter, arg)?,
+            "--trials" => opts.guardband_trials = flag_value(&mut iter, arg)?,
+            "--confidence" => opts.discovery_confidence = flag_value(&mut iter, arg)?,
+            "--min-epochs" => opts.discovery_min_epochs = flag_value(&mut iter, arg)?,
+            "--max-epochs" => opts.discovery_max_epochs = flag_value(&mut iter, arg)?,
+            "--mixes" => opts.mixes = flag_value(&mut iter, arg)?,
+            "--cycles" => opts.sim_cycles = flag_value(&mut iter, arg)?,
             "--region-rows" => {
-                opts.region_rows = value(&mut iter, arg)?;
+                opts.region_rows = flag_value(&mut iter, arg)?;
                 if opts.region_rows == 0 {
                     return Err(format!("{arg}: must be positive"));
                 }
             }
             "--sweep-acts" => {
-                opts.sweep_activations = value(&mut iter, arg)?;
+                opts.sweep_activations = flag_value(&mut iter, arg)?;
                 if opts.sweep_activations == 0 {
                     return Err(format!("{arg}: must be positive"));
                 }
             }
             "--modules" => {
-                opts.modules = value::<String>(&mut iter, arg)?
+                opts.modules = flag_value::<String>(&mut iter, arg)?
                     .split(',')
                     .map(|s| s.trim().to_owned())
                     .collect();
@@ -146,18 +133,11 @@ fn parse(args: &[String]) -> Result<(Vec<&'static str>, Options), String> {
                     return Err(format!("{arg}: unknown module {unknown:?} (not in Table 1)"));
                 }
             }
-            "--family" => {
-                opts.family = match value::<String>(&mut iter, arg)?.to_ascii_lowercase().as_str() {
-                    "all" => vrd_dram::fleet::FleetScope::All,
-                    "ddr4" => vrd_dram::fleet::FleetScope::Ddr4,
-                    "hbm2" => vrd_dram::fleet::FleetScope::Hbm2,
-                    other => return Err(format!("{arg}: expected ddr4|hbm2|all, got {other:?}")),
-                }
-            }
-            "--seed" => opts.seed = value(&mut iter, arg)?,
-            "--threads" => opts.threads = value(&mut iter, arg)?,
+            "--family" => opts.family = flag_value(&mut iter, arg)?,
+            "--seed" => opts.seed = flag_value(&mut iter, arg)?,
+            "--threads" => opts.threads = flag_value(&mut iter, arg)?,
             "--shard" => {
-                let raw = value::<String>(&mut iter, arg)?;
+                let raw = flag_value::<String>(&mut iter, arg)?;
                 let (index, count) = raw
                     .split_once('/')
                     .ok_or_else(|| format!("{arg}: expected I/N, got {raw:?}"))?;
@@ -167,12 +147,12 @@ fn parse(args: &[String]) -> Result<(Vec<&'static str>, Options), String> {
                     return Err(format!("{arg}: index must be < count, got {raw}"));
                 }
             }
-            "--out" => opts.out_dir = value::<String>(&mut iter, arg)?,
-            "--checkpoint-dir" => opts.checkpoint_dir = Some(value::<String>(&mut iter, arg)?),
+            "--out" => opts.out_dir = flag_value(&mut iter, arg)?,
+            "--checkpoint-dir" => opts.checkpoint_dir = Some(flag_value(&mut iter, arg)?),
             "--resume" => opts.resume = true,
-            "--trace-out" => opts.trace_out = Some(value::<String>(&mut iter, arg)?),
-            "--log-format" => opts.log_format = value(&mut iter, arg)?,
-            "--fail-after-units" => opts.fail_after_units = Some(value(&mut iter, arg)?),
+            "--trace-out" => opts.trace_out = Some(flag_value(&mut iter, arg)?),
+            "--log-format" => opts.log_format = flag_value(&mut iter, arg)?,
+            "--fail-after-units" => opts.fail_after_units = Some(flag_value(&mut iter, arg)?),
             "all" => ids.extend(STUDIES.iter().map(|s| s.id)),
             other => match STUDIES.iter().find(|s| s.id == other) {
                 Some(study) => ids.push(study.id),
@@ -187,6 +167,9 @@ fn parse(args: &[String]) -> Result<(Vec<&'static str>, Options), String> {
     }
     if opts.resume && opts.checkpoint_dir.is_none() {
         return Err("--resume needs --checkpoint-dir".into());
+    }
+    if let Err(e) = opts.discovery_config().stopping_rule() {
+        return Err(format!("--confidence/--min-epochs/--max-epochs: {e}"));
     }
     if opts.scope().is_empty() {
         return Err(format!(

@@ -4,9 +4,26 @@
 //! `--release`; `--paper` switches every knob to the paper's full scale
 //! (expect long runs, exactly like the paper's 29-day footnote warns).
 
+use std::str::FromStr;
+
 use serde::{Deserialize, Serialize};
 
 use crate::sinks::LogFormat;
+
+/// The value after `flag` on a command line, taken from `iter` and
+/// parsed as `T`.
+///
+/// # Errors
+///
+/// Returns `"<flag> needs a value"` when the line ends at the flag, and
+/// `"<flag>: <parse error>"` when the value does not parse.
+pub fn flag_value<T: FromStr>(iter: &mut std::slice::Iter<String>, flag: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let raw = iter.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse().map_err(|e| format!("{flag}: {e}"))
+}
 
 /// Scale and scope configuration shared by all experiments.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -164,6 +164,14 @@ impl JobSpec {
         if self.row_bytes == 0 {
             return Err("row_bytes must be positive".into());
         }
+        if self.kind == JobKind::Discovery {
+            // The same stopping-rule check the campaign asserts, so a
+            // bad epoch ceiling is refused here instead of panicking
+            // the job.
+            if let Err(e) = self.to_options().discovery_config().stopping_rule() {
+                return Err(format!("discovery_max_epochs: {e}"));
+            }
+        }
         Ok(())
     }
 
@@ -173,15 +181,7 @@ impl JobSpec {
     ///
     /// Returns a message when the field names no known family.
     pub fn fleet_scope(&self) -> Result<FleetScope, String> {
-        match self.family.as_deref() {
-            None => Ok(FleetScope::All),
-            Some(f) => match f.to_ascii_lowercase().as_str() {
-                "all" => Ok(FleetScope::All),
-                "ddr4" => Ok(FleetScope::Ddr4),
-                "hbm2" => Ok(FleetScope::Hbm2),
-                other => Err(format!("unknown family {other:?} (expected ddr4|hbm2|all)")),
-            },
-        }
+        self.family.as_deref().map_or(Ok(FleetScope::All), str::parse)
     }
 
     /// The experiment scale this submission maps onto. Module scoping
@@ -401,6 +401,19 @@ mod tests {
         spec.family = None;
         spec.limit = 0;
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn a_discovery_ceiling_below_the_epoch_floor_is_rejected() {
+        let mut spec = JobSpec::new("t", JobKind::Discovery);
+        spec.validate().unwrap();
+        spec.discovery_max_epochs = 0;
+        let error = spec.validate().unwrap_err();
+        assert!(error.contains("discovery_max_epochs"), "{error}");
+        assert!(error.contains("max_epochs must be >= min_epochs"), "{error}");
+        // Only discovery jobs read the ceiling.
+        spec.kind = JobKind::Foundational;
+        spec.validate().unwrap();
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub mod service;
 
 use std::sync::Arc;
 
+use crate::opts::flag_value;
 use crate::sinks;
 
 pub use job::{JobKind, JobRecord, JobSpec, JobState};
@@ -58,43 +59,28 @@ pub fn parse(args: &[String]) -> Result<(ServeConfig, sinks::LogFormat), String>
     let mut cfg = ServeConfig::default();
     let mut log_format = sinks::LogFormat::default();
     let mut iter = args.iter();
-    let need = |value: Option<&String>, flag: &str| -> Result<String, String> {
-        value.cloned().ok_or_else(|| format!("{flag} needs a value"))
-    };
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--state-dir" => cfg.state_dir = need(iter.next(), arg)?,
-            "--addr" => cfg.addr = need(iter.next(), arg)?,
+            "--state-dir" => cfg.state_dir = flag_value(&mut iter, arg)?,
+            "--addr" => cfg.addr = flag_value(&mut iter, arg)?,
             "--fleet-size" => {
-                cfg.fleet_size =
-                    need(iter.next(), arg)?.parse().map_err(|e| format!("{arg}: {e}"))?;
+                cfg.fleet_size = flag_value(&mut iter, arg)?;
                 if cfg.fleet_size == 0 {
                     return Err(format!("{arg}: must be positive"));
                 }
             }
-            "--fleet-seed" => {
-                cfg.fleet_seed =
-                    need(iter.next(), arg)?.parse().map_err(|e| format!("{arg}: {e}"))?;
-            }
-            "--service-seed" => {
-                cfg.service_seed =
-                    need(iter.next(), arg)?.parse().map_err(|e| format!("{arg}: {e}"))?;
-            }
+            "--fleet-seed" => cfg.fleet_seed = flag_value(&mut iter, arg)?,
+            "--service-seed" => cfg.service_seed = flag_value(&mut iter, arg)?,
             "--workers" => {
-                cfg.workers = need(iter.next(), arg)?.parse().map_err(|e| format!("{arg}: {e}"))?;
+                cfg.workers = flag_value(&mut iter, arg)?;
                 if cfg.workers == 0 {
                     return Err(format!("{arg}: must be positive"));
                 }
             }
-            "--script" => cfg.script = Some(need(iter.next(), arg)?),
+            "--script" => cfg.script = Some(flag_value(&mut iter, arg)?),
             "--resume" => cfg.resume = true,
-            "--fail-after-units" => {
-                cfg.fail_after_units =
-                    Some(need(iter.next(), arg)?.parse().map_err(|e| format!("{arg}: {e}"))?);
-            }
-            "--log-format" => {
-                log_format = need(iter.next(), arg)?.parse()?;
-            }
+            "--fail-after-units" => cfg.fail_after_units = Some(flag_value(&mut iter, arg)?),
+            "--log-format" => log_format = flag_value(&mut iter, arg)?,
             other => return Err(format!("serve: unknown argument {other:?}")),
         }
     }

@@ -36,6 +36,14 @@ fn a_module_scope_that_selects_nothing_is_rejected() {
 }
 
 #[test]
+fn discovery_knobs_outside_the_stopping_rule_are_rejected() {
+    let ceiling = ["discovery", "--modules", "M1", "--max-epochs", "5"];
+    assert_rejected(&ceiling, "max_epochs must be >= min_epochs");
+    assert_rejected(&["discovery", "--modules", "M1", "--confidence", "1"], "confidence");
+    assert_rejected(&["fig1", "--min-epochs", "0"], "min_epochs must be at least 1");
+}
+
+#[test]
 fn retired_strategy_flags_are_unknown_arguments() {
     assert_rejected(&["fig1", "--search", "adaptive"], "unknown argument \"--search\"");
     assert_rejected(&["fig1", "--eval", "batch"], "unknown argument \"--eval\"");
