@@ -50,28 +50,26 @@ const MAX_HEAD_BYTES: u64 = 8 * 1024;
 pub fn serve(service: Arc<Service>, addr: &str) -> Result<SocketAddr, String> {
     let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let bound = listener.local_addr().map_err(|e| e.to_string())?;
-    listener.set_nonblocking(true).map_err(|e| e.to_string())?;
     let endpoint = std::path::PathBuf::from(&service.config().state_dir).join("endpoint.txt");
     // Atomic, so a client polling for the file never reads half an address.
     vrd_core::journal::write_atomic(&endpoint, format!("{bound}\n")).map_err(|e| e.to_string())?;
+    let _ = service.bound.set(bound);
     std::thread::spawn(move || accept_loop(&listener, &service));
     Ok(bound)
 }
 
-/// Polls for connections, handing each to its own thread; exits when
-/// the service shuts down.
+/// Blocks on incoming connections, handing each to its own thread;
+/// exits on the first connection accepted after the service shut down
+/// ([`Service::request_shutdown`] makes one to wake it).
 fn accept_loop(listener: &TcpListener, service: &Arc<Service>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for stream in listener.incoming() {
+        if service.is_shutdown() {
+            break;
+        }
+        match stream {
+            Ok(stream) => {
                 let service = Arc::clone(service);
                 std::thread::spawn(move || handle(stream, &service));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if service.is_shutdown() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(25));
             }
             Err(_) => break,
         }
@@ -187,8 +185,10 @@ fn route(mut stream: TcpStream, service: &Service, method: &str, target: &str, b
         }
         ("GET", "/events") => stream_events(stream, service),
         ("POST", "/shutdown") => {
-            service.request_shutdown();
+            // Answer first: a drained process exits as soon as its
+            // workers return, which can be before a late write lands.
             json(&mut stream, 200, "{\"ok\":true}");
+            service.request_shutdown();
         }
         ("GET", p) if p.starts_with("/jobs/") => {
             let id = &p["/jobs/".len()..];
@@ -273,10 +273,8 @@ mod tests {
     use super::*;
     use crate::serve::ServeConfig;
 
-    /// Sends each raw request to `handle` over a loopback connection and
-    /// returns the response status codes.
-    fn statuses(requests: &[String]) -> Vec<u16> {
-        let dir = std::env::temp_dir().join(format!("vrd-http-{}", std::process::id()));
+    fn tiny_service(tag: &str) -> (Service, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("vrd-http-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let service = Service::boot(ServeConfig {
             state_dir: dir.to_string_lossy().into_owned(),
@@ -286,6 +284,13 @@ mod tests {
             ..ServeConfig::default()
         })
         .unwrap();
+        (service, dir)
+    }
+
+    /// Sends each raw request to `handle` over a loopback connection and
+    /// returns the response status codes.
+    fn statuses(requests: &[String]) -> Vec<u16> {
+        let (service, dir) = tiny_service("statuses");
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let codes = requests
@@ -336,5 +341,22 @@ mod tests {
             ),
         ];
         assert_eq!(statuses(&requests), [200, 413, 413, 413, 400, 400, 400, 431, 431]);
+    }
+
+    #[test]
+    fn a_shutdown_wakes_the_accept_loop_and_closes_the_listener() {
+        let (service, dir) = tiny_service("wake");
+        let service = Arc::new(service);
+        let addr = serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        assert_eq!(service.bound.get(), Some(&addr));
+        service.request_shutdown();
+        // The loop returns on the first connection after the shutdown
+        // and drops the listener, so connecting soon fails.
+        let closed = (0..200).any(|_| {
+            std::thread::sleep(Duration::from_millis(10));
+            TcpStream::connect(addr).is_err()
+        });
+        assert!(closed, "the listener must close after a shutdown");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

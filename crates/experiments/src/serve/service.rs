@@ -46,11 +46,12 @@
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
+use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -267,6 +268,9 @@ pub struct Service {
     /// Serializes dashboard rewrites: they share one temp file, and an
     /// older snapshot must never replace a newer one.
     dashboard: Mutex<()>,
+    /// The HTTP front end's bound address, set by [`super::http::serve`];
+    /// a shutdown connects to it once to wake the blocking accept loop.
+    pub(super) bound: OnceLock<SocketAddr>,
 }
 
 impl Service {
@@ -399,6 +403,7 @@ impl Service {
             fault,
             shutdown: AtomicBool::new(false),
             dashboard: Mutex::new(()),
+            bound: OnceLock::new(),
         };
         service.write_fleet_metrics();
         Ok(service)
@@ -425,14 +430,18 @@ impl Service {
     }
 
     /// Requests a graceful shutdown: running jobs finish, queued jobs
-    /// stay queued (they resume on the next boot), and the event hub
-    /// closes every live subscription.
+    /// stay queued (they resume on the next boot), the event hub
+    /// closes every live subscription, and the HTTP accept loop, if
+    /// any, is woken to exit.
     pub fn request_shutdown(&self) {
         let inner = self.lock_inner();
         self.shutdown.store(true, Ordering::SeqCst);
         self.work.notify_all();
         drop(inner);
         self.events.close();
+        if let Some(addr) = self.bound.get() {
+            let _ = TcpStream::connect(addr);
+        }
     }
 
     /// Locks the service state. Like every lock in the service it
