@@ -37,7 +37,7 @@ use crate::{ecc_exp, estimate_exp, extensions, findings, mc, memsim_exp, Options
 
 /// The checkpointed campaigns: the one place a campaign's label meets
 /// its config, for the CLI and the fleet service alike.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub(crate) enum Campaign {
     Foundational,
     InDepth,
