@@ -26,8 +26,10 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
+use vrd::dram::spatial::SpatialProfile;
 use vrd::memsim::mitigation::{Graphene, Mitigation, MitigationAction, MitigationKind, Prac};
 use vrd::memsim::security::{simulate_attack, AttackConfig, AttackResult, SpatialVictim};
+use vrd::memsim::workload::region_victim_rows;
 use vrd::memsim::MitigationProfile;
 
 /// The baseline and every extended mechanism.
@@ -428,6 +430,100 @@ fn short_attacks_stop_exactly_at_the_activation_budget() {
                 ..AttackConfig::new(vec![3_500], vec![SpatialVictim { row: 1, factor: 1.0 }], 5)
             };
             both_ways(kind, &MitigationProfile::flat(3_500), &config);
+        }
+    }
+}
+
+/// The spatial-aware defenses sweep's attack at one RDT target: its 8
+/// victims (the weakest row of each of 8 regions of 512 rows under the
+/// wide spatial spread), the distribution scaled so its minimum is
+/// `target`, and its naive, uniform and profiled configurations.
+fn sweep_scenario(target: u32, seed: u64) -> (AttackConfig, [MitigationProfile; 3]) {
+    const DEVICE_SEED: u64 = 2025;
+    const REGION_ROWS: u32 = 512;
+    let spatial = SpatialProfile::wide();
+    let minima = region_victim_rows(&spatial, DEVICE_SEED, 8 * REGION_ROWS, REGION_ROWS);
+    let weakest = minima.iter().map(|&(_, f)| f).fold(f64::INFINITY, f64::min);
+    let victims =
+        minima.iter().map(|&(row, f)| SpatialVictim { row, factor: f / weakest }).collect();
+    let dist = vrd_distribution();
+    let min = f64::from(*dist.iter().min().unwrap());
+    let scaled = dist
+        .iter()
+        .map(|&v| (f64::from(v) * f64::from(target) / min).round().max(1.0) as u32)
+        .collect();
+    let profiled = MitigationProfile::from_characterization(
+        "M1",
+        target,
+        &spatial,
+        DEVICE_SEED,
+        8 * REGION_ROWS,
+        REGION_ROWS,
+        1.0,
+    );
+    let uniform = MitigationProfile::flat(profiled.min_threshold());
+    let naive = MitigationProfile::flat(profiled.max_region_threshold());
+    let config = AttackConfig { activations: 40_000, ..AttackConfig::new(scaled, victims, seed) };
+    (config, [naive, uniform, profiled])
+}
+
+#[test]
+fn sweep_attacks_match_the_per_activation_loop() {
+    let mut escapes = 0;
+    for (target, seed) in [(128, 7u64), (1024, 31337)] {
+        let (config, profiles) = sweep_scenario(target, seed);
+        assert_eq!(config.victims.len(), 8);
+        for kind in kinds() {
+            for profile in &profiles {
+                escapes += both_ways(kind, profile, &config).escapes;
+            }
+        }
+    }
+    assert!(escapes > 0, "the naive configurations must let victims escape");
+}
+
+#[test]
+fn victims_at_different_epoch_rdts_match_the_per_activation_loop() {
+    // Epoch RDTs far below the ~84 activations per tREFI, scaled apart
+    // per victim, make each victim's crossing the binding chunk end in
+    // turn; over-configured thresholds let them escape.
+    let victims = [(3, 1.0), (40, 1.5), (41, 2.0), (90, 3.0)]
+        .map(|(row, factor)| SpatialVictim { row, factor })
+        .to_vec();
+    let mut escapes = 0;
+    for rdts in [vec![2], vec![5, 7], vec![40, 83, 84, 85], vec![300, 640]] {
+        let config =
+            AttackConfig { activations: 8_000, ..AttackConfig::new(rdts, victims.clone(), 31337) };
+        for kind in kinds() {
+            // At 16 a BlockHammer throttle spans thousands of tREFIs,
+            // each one `on_refresh` call. At 1000 every victim still
+            // passes its region's quota under the region profile.
+            let base = if kind == MitigationKind::BlockHammer { 1_000 } else { 16 };
+            for profile in [MitigationProfile::flat(4 * base), spatial_profile(base)] {
+                escapes += both_ways(kind, &profile, &config).escapes;
+            }
+        }
+    }
+    assert!(escapes > 0);
+}
+
+#[test]
+fn multi_victim_attacks_across_the_refresh_window_match_the_per_activation_loop() {
+    // 720k activations at 46 ns span more than one 32 ms tREFW.
+    let mut config = AttackConfig::new(vrd_distribution(), spatial_victims(), 5);
+    config.activations = 720_000;
+    for (kind, profile) in [
+        (MitigationKind::None, MitigationProfile::flat(3_500)),
+        (MitigationKind::Graphene, spatial_profile(3_500)),
+        (MitigationKind::Graphene, MitigationProfile::flat(28_000)),
+        (MitigationKind::Prac, spatial_profile(3_500)),
+        (MitigationKind::Para, MitigationProfile::flat(12_000)),
+        (MitigationKind::Mint, spatial_profile(40)),
+        (MitigationKind::BlockHammer, spatial_profile(3_500)),
+    ] {
+        let result = both_ways(kind, &profile, &config);
+        if kind == MitigationKind::None {
+            assert!(result.escapes > 0);
         }
     }
 }
