@@ -12,11 +12,15 @@
 //! - `discovery`: the early-stopping discovery campaign against the
 //!   fixed in-depth epoch budget it must stay sound against.
 //! - `memsim_sweep`: the spatial-aware defenses crossover (F18/F19).
+//! - `memsim_spatial`: one attack per evaluated mechanism on the
+//!   sweep's 8 victims under its profile, a round-robin cycle of rows.
+//!   Graphene, PRAC and MINT absorb each quiet stretch of the cycle in
+//!   one run-length hook call, so they may make at most one call per 50
+//!   activations; PARA's calls and every attack's ns per activation are
+//!   recorded ungated.
 //! - `memsim_security`: one 4M-activation single-victim attack per
-//!   Graphene, PRAC and PARA, as the security sweep runs them. Graphene
-//!   and PRAC absorb each quiet stretch in one run-length hook call, so
-//!   they may make at most one call per 50 activations; PARA's calls
-//!   and every attack's ns per activation are recorded ungated.
+//!   Graphene, PRAC and PARA, as the security sweep runs them, gated the
+//!   same way on Graphene and PRAC.
 //! - `memsim_system`: the Fig.-14 grid over one mix, as
 //!   `memsim_exp::run` simulates it (one unmitigated baseline, then every
 //!   evaluated mechanism at every RDT and margin). Its run count,
@@ -92,8 +96,8 @@ const SECURITY_ACTIVATIONS: u64 = 4_000_000;
 /// The mechanisms the security sweep attacks.
 const SECURITY_KINDS: [MitigationKind; 3] =
     [MitigationKind::Graphene, MitigationKind::Prac, MitigationKind::Para];
-/// Timed repetitions of each memsim_security attack.
-const SECURITY_REPS: usize = 3;
+/// Timed repetitions of each memsim_security and memsim_spatial attack.
+const ATTACK_REPS: usize = 3;
 /// Simulated nanoseconds of each memory-system run in the grid.
 const SYSTEM_CYCLES: u64 = 40_000;
 /// Timed repetitions of the memory-system grid.
@@ -133,6 +137,12 @@ const MAX_NS_PER_OP: f64 = 1_000_000.0;
 /// Attack activations per run-length hook call, at least, for the
 /// mechanisms whose quiet stretches have a closed form.
 const MIN_ACTS_PER_CALL: f64 = 50.0;
+/// The mechanisms held to `MIN_ACTS_PER_CALL` on the sweep's attack
+/// (PARA draws once per activation).
+const SPATIAL_GATED: [MitigationKind; 3] =
+    [MitigationKind::Graphene, MitigationKind::Prac, MitigationKind::Mint];
+/// The mechanisms held to `MIN_ACTS_PER_CALL` on the security attack.
+const SECURITY_GATED: [MitigationKind; 2] = [MitigationKind::Graphene, MitigationKind::Prac];
 
 /// One bound on a record's value.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -200,7 +210,8 @@ struct Runs {
     batch: Vec<Comparison>,
     discovery: Vec<DiscoveryRun>,
     sweep: SweepRun,
-    security: Vec<SecurityRun>,
+    spatial: Vec<AttackRun>,
+    security: Vec<AttackRun>,
     system: SystemRun,
     scheduler: Vec<SchedulerRun>,
     service: ServiceRun,
@@ -243,7 +254,8 @@ struct SweepRun {
     wall_ms: f64,
 }
 
-struct SecurityRun {
+/// One mechanism's attack, repeated for timing.
+struct AttackRun {
     kind: MitigationKind,
     /// Activations the mechanism performed, summed over its hook calls.
     activations: u64,
@@ -364,12 +376,15 @@ fn failures(records: &[Record]) -> Vec<String> {
 }
 
 fn measure() -> Runs {
+    let series = run_loop("M1", SearchStrategy::Adaptive, EvalStrategy::Batch).series;
+    let (sweep, spatial) = measure_sweep(series.values());
     Runs {
         search: MODULES.map(measure_search).into(),
         batch: MODULES.map(measure_batch).into(),
         discovery: MODULES.map(measure_discovery).into(),
-        sweep: measure_sweep(),
-        security: measure_security(),
+        sweep,
+        spatial,
+        security: measure_security(series.values()),
         system: measure_system(),
         scheduler: FLEET_SIZES.map(measure_scheduler).into(),
         service: measure_service(),
@@ -382,7 +397,18 @@ fn records(runs: &Runs) -> Vec<Record> {
     records.extend(batch_records(&runs.batch));
     records.extend(discovery_records(&runs.discovery));
     records.extend(sweep_records(&runs.sweep));
-    records.extend(security_records(&runs.security));
+    records.extend(attack_records(
+        "memsim_spatial",
+        "memsim.spatial",
+        &SPATIAL_GATED,
+        &runs.spatial,
+    ));
+    records.extend(attack_records(
+        "memsim_security",
+        "memsim.security",
+        &SECURITY_GATED,
+        &runs.security,
+    ));
     records.extend(system_records(&runs.system));
     records.extend(fleet_records(&runs.scheduler, &runs.service));
     records.extend(timing_records(&runs.timings));
@@ -649,7 +675,10 @@ fn discovery_records(runs: &[DiscoveryRun]) -> Vec<Record> {
 
 // ----- memsim_sweep -----------------------------------------------------
 
-fn measure_sweep() -> SweepRun {
+/// Runs the defenses sweep, then attacks its 8 victims under its
+/// characterization profile with epoch RDTs following `series` (M1's
+/// measured RDTs), once per evaluated mechanism.
+fn measure_sweep(series: &[u32]) -> (SweepRun, Vec<AttackRun>) {
     let opts = Options {
         modules: vec!["M1".into()],
         indepth_measurements: SWEEP_INDEPTH,
@@ -665,14 +694,25 @@ fn measure_sweep() -> SweepRun {
     let (uniform_actions, profiled_actions) = covered_actions(study).unwrap_or((0, 0));
     let checks = findings::check_sweep(study);
     let passed = |id: u8| checks.iter().any(|c| c.id == id && c.passed);
-    SweepRun {
+    let sweep = SweepRun {
         f18: passed(18),
         f19: passed(19),
         uniform_actions,
         profiled_actions,
         covered_cells: covered_points(study).len(),
         wall_ms,
-    }
+    };
+    let config = AttackConfig {
+        activations: SWEEP_ACTIVATIONS,
+        rdt_distribution: series.to_vec(),
+        victims: study.victims.clone(),
+        seed: SEED,
+    };
+    let attacks = MitigationKind::EVALUATED
+        .iter()
+        .map(|&kind| measure_attack(kind, &study.profile, &config))
+        .collect();
+    (sweep, attacks)
 }
 
 fn sweep_records(s: &SweepRun) -> Vec<Record> {
@@ -694,7 +734,7 @@ fn sweep_records(s: &SweepRun) -> Vec<Record> {
     ]
 }
 
-// ----- memsim_security -------------------------------------------------
+// ----- memsim_spatial and memsim_security -----------------------------
 
 /// Forwards every hook call and counts the calls and the activations
 /// they performed.
@@ -709,11 +749,11 @@ impl Mitigation for Counting {
     fn on_activate(
         &mut self,
         bank: usize,
-        row: u32,
+        rows: &[u32],
         max: u64,
         out: &mut Vec<MitigationAction>,
     ) -> u64 {
-        let performed = self.inner.on_activate(bank, row, max, out);
+        let performed = self.inner.on_activate(bank, rows, max, out);
         self.calls += 1;
         self.activations += performed;
         performed
@@ -724,50 +764,61 @@ impl Mitigation for Counting {
     }
 }
 
+/// Runs `config` against `kind` built from `profile`, `ATTACK_REPS`
+/// times, counting the hook calls and activations of the last run.
+fn measure_attack(
+    kind: MitigationKind,
+    profile: &MitigationProfile,
+    config: &AttackConfig,
+) -> AttackRun {
+    let mut run = AttackRun { kind, activations: 0, calls: 0, wall_ms: Vec::new() };
+    for _ in 0..ATTACK_REPS {
+        let inner = kind.build(profile, 1, config.seed);
+        let mut counting = Counting { inner, calls: 0, activations: 0 };
+        let started = Instant::now();
+        black_box(simulate_attack(&mut counting, config));
+        run.wall_ms.push(ms(started.elapsed()));
+        (run.calls, run.activations) = (counting.calls, counting.activations);
+    }
+    run
+}
+
 /// Attacks one victim whose epoch RDTs follow M1's measured series,
 /// with each mechanism configured flat at the series' minimum.
-fn measure_security() -> Vec<SecurityRun> {
-    let series = run_loop("M1", SearchStrategy::Adaptive, EvalStrategy::Batch).series;
-    let threshold = series.values().iter().copied().min().expect("non-empty series");
+fn measure_security(series: &[u32]) -> Vec<AttackRun> {
+    let threshold = series.iter().copied().min().expect("non-empty series");
     let config = AttackConfig {
         activations: SECURITY_ACTIVATIONS,
-        rdt_distribution: series.values().to_vec(),
+        rdt_distribution: series.to_vec(),
         victims: vec![SpatialVictim { row: 7, factor: 1.0 }],
         seed: SEED,
     };
-    SECURITY_KINDS
-        .iter()
-        .map(|&kind| {
-            let mut run = SecurityRun { kind, activations: 0, calls: 0, wall_ms: Vec::new() };
-            for _ in 0..SECURITY_REPS {
-                let inner = kind.build(&MitigationProfile::flat(threshold), 1, SEED);
-                let mut counting = Counting { inner, calls: 0, activations: 0 };
-                let started = Instant::now();
-                black_box(simulate_attack(&mut counting, &config));
-                run.wall_ms.push(ms(started.elapsed()));
-                (run.calls, run.activations) = (counting.calls, counting.activations);
-            }
-            run
-        })
-        .collect()
+    let profile = MitigationProfile::flat(threshold);
+    SECURITY_KINDS.iter().map(|&kind| measure_attack(kind, &profile, &config)).collect()
 }
 
-fn security_records(runs: &[SecurityRun]) -> Vec<Record> {
-    const LAYER: &str = "memsim.security";
+/// `<suite>.<kind>.calls`, gated for the `gated` kinds, and
+/// `<suite>.<kind>.ns_per_act` of each attack.
+fn attack_records(
+    suite: &str,
+    layer: &str,
+    gated: &[MitigationKind],
+    runs: &[AttackRun],
+) -> Vec<Record> {
     let mut records = Vec::new();
     for r in runs {
-        let name = |what: &str| format!("memsim_security.{}.{what}", r.kind.name());
+        let name = |what: &str| format!("{suite}.{}.{what}", r.kind.name());
         // The per-activation loop's figure: one call per activation.
-        let calls = Record::new(name("calls"), LAYER, "count", r.calls as f64)
+        let calls = Record::new(name("calls"), layer, "count", r.calls as f64)
             .baseline(r.activations as f64);
-        records.push(if r.kind == MitigationKind::Para {
-            calls
-        } else {
+        records.push(if gated.contains(&r.kind) {
             calls.gate(Gate::AtMost(r.activations as f64 / MIN_ACTS_PER_CALL))
+        } else {
+            calls
         });
         records.push(Record::new(
             name("ns_per_act"),
-            LAYER,
+            layer,
             "ns",
             best(&r.wall_ms) * 1e6 / (r.activations as f64).max(1.0),
         ));
@@ -1104,9 +1155,18 @@ mod tests {
                 covered_cells: 28,
                 wall_ms: 400.0,
             },
+            spatial: MitigationKind::EVALUATED
+                .iter()
+                .map(|&kind| AttackRun {
+                    kind,
+                    activations: SWEEP_ACTIVATIONS,
+                    calls: 2_000,
+                    wall_ms: vec![3.0, 2.5, 2.6],
+                })
+                .collect(),
             security: SECURITY_KINDS
                 .iter()
-                .map(|&kind| SecurityRun {
+                .map(|&kind| AttackRun {
                     kind,
                     activations: SECURITY_ACTIVATIONS,
                     calls: 48_000,
@@ -1257,20 +1317,29 @@ mod tests {
     }
 
     #[test]
-    fn security_calls_are_gated_at_one_per_fifty_activations_except_para() {
-        let calls_pass = |kind: MitigationKind, calls: u64| {
-            let mut r = passing().security.remove(0);
-            (r.kind, r.calls) = (kind, calls);
-            passes(&security_records(&[r]), &format!("memsim_security.{}.calls", kind.name()))
+    fn attack_calls_are_gated_at_one_per_fifty_activations_except_para() {
+        let calls_pass = |suite: &str, gated: &[MitigationKind], r: AttackRun| {
+            let name = format!("{suite}.{}.calls", r.kind.name());
+            passes(&attack_records(suite, "memsim", gated, &[r]), &name)
         };
-        for kind in [MitigationKind::Graphene, MitigationKind::Prac] {
-            assert!(calls_pass(kind, SECURITY_ACTIVATIONS / 50), "exactly 1/50 passes");
-            assert!(!calls_pass(kind, SECURITY_ACTIVATIONS / 50 + 1));
+        for (suite, gated, acts) in [
+            ("memsim_spatial", &SPATIAL_GATED[..], SWEEP_ACTIVATIONS),
+            ("memsim_security", &SECURITY_GATED[..], SECURITY_ACTIVATIONS),
+        ] {
+            let run =
+                |kind, calls| AttackRun { kind, activations: acts, calls, wall_ms: vec![1.0] };
+            for &kind in gated {
+                assert!(calls_pass(suite, gated, run(kind, acts / 50)), "exactly 1/50 passes");
+                assert!(!calls_pass(suite, gated, run(kind, acts / 50 + 1)));
+            }
+            let para = run(MitigationKind::Para, acts);
+            assert!(calls_pass(suite, gated, para), "PARA is ungated");
         }
-        assert!(calls_pass(MitigationKind::Para, SECURITY_ACTIVATIONS), "PARA is ungated");
-        let records = security_records(&passing().security);
+        assert!(SPATIAL_GATED.contains(&MitigationKind::Mint));
+        let records = records(&passing());
         let value = |name: &str| records.iter().find(|r| r.name == name).unwrap().value;
         assert_eq!(value("memsim_security.PRAC.ns_per_act"), 2.5e6 / 4e6);
+        assert_eq!(value("memsim_spatial.MINT.ns_per_act"), 2.5e6 / 120_000.0);
     }
 
     #[test]

@@ -30,17 +30,18 @@
 //! [`System::run_for`] simulates only the nanoseconds at which something
 //! can change, and gives the same results as stepping every nanosecond.
 //! Each bank with queued requests keeps a wake time: a lower bound on
-//! when servicing its FR-FCFS pick can next issue a command. A visit that
-//! issues nothing sets it to the time the pick becomes ready: tRCD and
-//! the data bus for a row hit, tRAS for a conflict, and tRC, tFAW and
-//! tRRD for a closed bank, each raised by refreshes and blocks. A visit
-//! that issues a command sets it to the next nanosecond. An enqueue
-//! resets it, and a refresh or any mitigation action resets every bank's.
-//! A simulated nanosecond visits, in bank order, only the banks whose
-//! wake time has come. `now` then jumps to the earliest of the next
-//! refresh, the next completion, each unstalled core's next request and
-//! the smallest wake time, and the unstalled cores commit the skipped
-//! instructions in one add.
+//! when servicing its FR-FCFS pick can next issue a command. Every visit
+//! sets it to the time the pick — after a command, the new pick — becomes
+//! ready: tRCD and the data bus for a row hit, tRAS for a conflict, and
+//! tRC, tFAW and tRRD for a closed bank, each raised by refreshes and
+//! blocks, and no earlier than the next nanosecond. An enqueue resets
+//! it, and a refresh or any mitigation action resets every bank's (the
+//! step that applied the action then ends at the next nanosecond). A
+//! simulated nanosecond visits, in bank order, only the banks whose wake
+//! time has come. `now` then jumps to the earliest of the next refresh,
+//! the next completion (including one a visit just issued), each
+//! unstalled core's next request and the smallest wake time, and the
+//! unstalled cores commit the skipped instructions in one add.
 //!
 //! The unmitigated baseline reads neither the threshold nor the
 //! mitigation seed, so the Fig.-14 grid runs it once per mix.

@@ -28,21 +28,28 @@
 //! caller-owned buffer, so a simulator reuses one allocation for every
 //! activation and refresh.
 //!
-//! The activation hook is run-length: [`Mitigation::on_activate`] takes
-//! up to `max` back-to-back activations of one row, stops right after
-//! the first activation that acts, and returns how many it took. A
-//! mechanism whose quiet stretch is known in closed form (the baseline,
-//! a Graphene row already in its table, PRAC) absorbs it in one call;
-//! PARA steps internally, one RNG draw per activation as before; MINT
-//! and BlockHammer keep global state and take one activation per call.
-//! Passing `max = 1` is the plain per-activation hook.
+//! The activation hook is run-length over a cycle of rows:
+//! [`Mitigation::on_activate`] takes up to `max` activations that cycle
+//! through distinct `rows`, stops right after the first activation that
+//! acts, and returns how many it took. Every mechanism absorbs a quiet
+//! stretch in one call, except in the cases below. The baseline, PRAC
+//! and Graphene with every row of the cycle in its table use a closed
+//! form: row `i` of `n` reaches the `left`-th of its own next
+//! activations after `i + n·(left − 1) + 1` activations of the cycle.
+//! MINT steps until it has seen the whole cycle, which fixes the RFM
+//! interval it owes, then jumps by counter arithmetic. PARA loops
+//! internally, one RNG draw per activation. Graphene's insert and
+//! eviction cases and BlockHammer, which acts on every activation of a
+//! row past its quota, take one activation per call. Passing one row
+//! and `max = 1` is the plain per-activation hook.
 
 use crate::profile::MitigationProfile;
-use rand::Rng;
+use rand::RngCore;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Action requested by a mitigation in response to an activation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -76,16 +83,18 @@ pub enum MitigationAction {
 /// Both hooks append the actions they request to `out` and never clear
 /// it; the caller owns the buffer and empties it after applying them.
 pub trait Mitigation: std::fmt::Debug {
-    /// Performs between 1 and `max` (`max >= 1`) consecutive activations
-    /// of `(bank, row)` and returns how many it performed. It stops right
-    /// after the first activation that appends an action, so any action
-    /// belongs to the last activation performed, and the mechanism ends
-    /// in the state the same activations would leave one call at a time
-    /// with `max = 1`.
+    /// Performs between 1 and `max` (`max >= 1`) activations in `bank`
+    /// of `rows[0], rows[1], …`, cycling through the non-empty slice of
+    /// distinct `rows`, and returns how many it performed: activation `k`
+    /// (0-based) is of `rows[k % rows.len()]`. It stops right after the
+    /// first activation that appends an action, so any action belongs to
+    /// the last activation performed, and the mechanism ends in the state
+    /// the same activations would leave one call at a time with one row
+    /// and `max = 1`.
     fn on_activate(
         &mut self,
         bank: usize,
-        row: u32,
+        rows: &[u32],
         max: u64,
         out: &mut Vec<MitigationAction>,
     ) -> u64;
@@ -181,7 +190,7 @@ impl Mitigation for NoMitigation {
     fn on_activate(
         &mut self,
         _bank: usize,
-        _row: u32,
+        _rows: &[u32],
         max: u64,
         _out: &mut Vec<MitigationAction>,
     ) -> u64 {
@@ -196,7 +205,7 @@ pub struct Graphene {
     /// Counter table capacity per bank (sized for the worst-case
     /// trigger, so the weakest region stays fully tracked).
     capacity: usize,
-    tables: Vec<HashMap<u32, u32>>,
+    tables: Vec<RowMap<u32>>,
     /// Misra–Gries spillover counters.
     spill: Vec<u32>,
 }
@@ -213,7 +222,7 @@ impl Graphene {
         Graphene {
             thresholds,
             capacity,
-            tables: (0..banks).map(|_| HashMap::new()).collect(),
+            tables: (0..banks).map(|_| RowMap::default()).collect(),
             spill: vec![0; banks],
         }
     }
@@ -228,25 +237,42 @@ impl Mitigation for Graphene {
     fn on_activate(
         &mut self,
         bank: usize,
-        row: u32,
+        rows: &[u32],
         max: u64,
         out: &mut Vec<MitigationAction>,
     ) -> u64 {
+        // A tracked row's counter stays below its trigger and moves only
+        // on its own activations, so while every row of the cycle is
+        // tracked the stretch to the first trigger is known exactly.
+        // Otherwise the first row takes one activation.
+        let table = &self.tables[bank];
+        let left = |row: &u32| {
+            table.get(row).map(|&c| u64::from(self.trigger_for(*row).saturating_sub(c)).max(1))
+        };
+        let tracked = match first_action(rows.iter().map(left)) {
+            Some(action) => Some((rows, max, action)),
+            None => first_action(rows[..1].iter().map(left)).map(|action| (&rows[..1], 1, action)),
+        };
+        if let Some((rows, max, action)) = tracked {
+            let performed = max.min(action);
+            let split = Split::new(performed, rows.len());
+            let refreshed = (performed == action).then(|| rows[split.last()]);
+            for (i, row) in rows.iter().enumerate() {
+                let c = self.tables[bank].get_mut(row).expect("a tracked row");
+                if refreshed == Some(*row) {
+                    *c = 0;
+                } else {
+                    *c += split.share(i) as u32; // below the trigger
+                }
+            }
+            if let Some(row) = refreshed {
+                out.push(MitigationAction::RefreshNeighbors { bank, row });
+            }
+            return performed;
+        }
+        let row = rows[0];
         let trigger = self.trigger_for(row);
         let table = &mut self.tables[bank];
-        if let Some(c) = table.get_mut(&row) {
-            // A tracked row's counter stays below its trigger and moves
-            // only on its own activations, so the stretch to the trigger
-            // is known exactly.
-            let left = u64::from(trigger.saturating_sub(*c)).max(1);
-            if left > max {
-                *c += max as u32; // max < left <= u32::MAX
-                return max;
-            }
-            *c = 0;
-            out.push(MitigationAction::RefreshNeighbors { bank, row });
-            return left;
-        }
         if table.len() < self.capacity {
             let count = self.spill[bank] + 1;
             if count >= trigger {
@@ -272,6 +298,9 @@ impl Mitigation for Graphene {
 pub struct Para {
     thresholds: MitigationProfile,
     rng: ChaCha12Rng,
+    /// Each row's [`Para::bound`] for the current call, reused by every
+    /// call.
+    bounds: Vec<u64>,
 }
 
 impl Para {
@@ -286,11 +315,19 @@ impl Para {
     /// RNG stream — exactly one draw per activation, so every profile
     /// that assigns the same thresholds replays the same stream.
     pub fn new(thresholds: MitigationProfile, seed: u64) -> Self {
-        Para { thresholds, rng: ChaCha12Rng::seed_from_u64(seed) }
+        Para { thresholds, rng: ChaCha12Rng::seed_from_u64(seed), bounds: Vec::new() }
     }
 
     fn p_of(threshold: u32) -> f64 {
         (Self::PARA_CONSTANT / f64::from(threshold.max(1))).min(1.0)
+    }
+
+    /// The integer form of `gen_bool(p)` for `p` in `[0, 1]`: `gen_bool`
+    /// draws one word `x` and tests `(x >> 11) · 2⁻⁵³ < p`. The integer
+    /// `x >> 11` is below 2⁵³ and the scaling is exact, so the test is
+    /// `(x >> 11) < ⌈p · 2⁵³⌉` (2⁵³ for `p = 1`, which always passes).
+    fn bound(p: f64) -> u64 {
+        (p * (1u64 << 53) as f64).ceil() as u64
     }
 }
 
@@ -298,15 +335,23 @@ impl Mitigation for Para {
     fn on_activate(
         &mut self,
         bank: usize,
-        row: u32,
+        rows: &[u32],
         max: u64,
         out: &mut Vec<MitigationAction>,
     ) -> u64 {
-        let p = Self::p_of(self.thresholds.threshold_for(row));
+        let thresholds = &self.thresholds;
+        self.bounds.clear();
+        self.bounds
+            .extend(rows.iter().map(|&row| Self::bound(Self::p_of(thresholds.threshold_for(row)))));
+        let mut i = 0;
         for performed in 1..=max {
-            if self.rng.gen_bool(p) {
-                out.push(MitigationAction::RefreshNeighbors { bank, row });
+            if (self.rng.next_u64() >> 11) < self.bounds[i] {
+                out.push(MitigationAction::RefreshNeighbors { bank, row: rows[i] });
                 return performed;
+            }
+            i += 1;
+            if i == rows.len() {
+                i = 0;
             }
         }
         max
@@ -317,7 +362,7 @@ impl Mitigation for Para {
 #[derive(Debug)]
 pub struct Prac {
     thresholds: MitigationProfile,
-    counters: HashMap<(usize, u32), u32>,
+    counters: RowMap<(usize, u32)>,
     /// Channel-wide stall of the ABO handshake (ns).
     backoff_ns: u64,
 }
@@ -327,7 +372,7 @@ impl Prac {
     /// region's threshold (the JEDEC NBO margin leaves room for
     /// in-flight activations).
     pub fn new(thresholds: MitigationProfile) -> Self {
-        Prac { thresholds, counters: HashMap::new(), backoff_ns: 100 }
+        Prac { thresholds, counters: RowMap::default(), backoff_ns: 100 }
     }
 
     /// The alert threshold for one row.
@@ -340,25 +385,36 @@ impl Mitigation for Prac {
     fn on_activate(
         &mut self,
         bank: usize,
-        row: u32,
+        rows: &[u32],
         max: u64,
         out: &mut Vec<MitigationAction>,
     ) -> u64 {
-        let alert = self.alert_for(row);
-        let c = self.counters.entry((bank, row)).or_insert(0);
-        // The counter stays below the alert threshold between alerts.
-        let left = u64::from(alert.saturating_sub(*c)).max(1);
-        if left > max {
-            *c += max as u32; // max < left <= u32::MAX
-            return max;
+        // A row's counter stays below its alert threshold between alerts
+        // and moves only on its own activations.
+        let action = first_action(rows.iter().map(|&row| {
+            let c = self.counters.get(&(bank, row)).copied().unwrap_or(0);
+            Some(u64::from(self.alert_for(row).saturating_sub(c)).max(1))
+        }))
+        .expect("PRAC counts every row");
+        let performed = max.min(action);
+        let split = Split::new(performed, rows.len());
+        let alerted = (performed == action).then(|| rows[split.last()]);
+        for (i, &row) in rows.iter().enumerate() {
+            let c = self.counters.entry((bank, row)).or_insert(0);
+            if alerted == Some(row) {
+                *c = 0;
+            } else {
+                *c += split.share(i) as u32; // below the alert
+            }
         }
-        *c = 0;
-        // The alerted DRAM refreshes the aggressor's neighbors during
-        // the RFM the controller issues, and the ABO handshake stalls
-        // the channel briefly.
-        out.push(MitigationAction::RefreshNeighbors { bank, row });
-        out.push(MitigationAction::BlockChannel { duration: self.backoff_ns });
-        left
+        if let Some(row) = alerted {
+            // The alerted DRAM refreshes the aggressor's neighbors during
+            // the RFM the controller issues, and the ABO handshake stalls
+            // the channel briefly.
+            out.push(MitigationAction::RefreshNeighbors { bank, row });
+            out.push(MitigationAction::BlockChannel { duration: self.backoff_ns });
+        }
+        performed
     }
 }
 
@@ -399,18 +455,10 @@ impl Mint {
             Some((threshold / 2).max(1))
         }
     }
-}
 
-impl Mitigation for Mint {
-    /// MINT's RFM cadence counts activations of every row, so it takes
-    /// one activation per call.
-    fn on_activate(
-        &mut self,
-        bank: usize,
-        row: u32,
-        _max: u64,
-        out: &mut Vec<MitigationAction>,
-    ) -> u64 {
+    /// One activation of `(bank, row)`; returns whether it inserted an
+    /// RFM.
+    fn step(&mut self, bank: usize, row: u32, out: &mut Vec<MitigationAction>) -> bool {
         // Reservoir-style selection: remember the most recent activation
         // (a 1-deep uniform sampler is enough for the overhead study).
         self.selected = Some((bank, row));
@@ -424,9 +472,47 @@ impl Mitigation for Mint {
                 self.acts = 0;
                 self.pending_interval = None;
                 out.push(MitigationAction::BlockChannel { duration: self.rfm_ns });
+                return true;
             }
         }
-        1
+        false
+    }
+}
+
+impl Mitigation for Mint {
+    fn on_activate(
+        &mut self,
+        bank: usize,
+        rows: &[u32],
+        max: u64,
+        out: &mut Vec<MitigationAction>,
+    ) -> u64 {
+        let n = rows.len() as u64;
+        for (performed, &row) in (1..=max.min(n)).zip(rows) {
+            if self.step(bank, row, out) {
+                return performed;
+            }
+        }
+        if max <= n {
+            return max;
+        }
+        // Every row of the cycle has been seen since the last RFM, so the
+        // owed interval no longer changes and only the count moves: the
+        // next RFM lands `pending - acts` activations on (`acts` stays
+        // below `pending` after every activation).
+        let rest = max - n;
+        let to_rfm = self.pending_interval.map(|p| u64::from(p - self.acts));
+        let jump = to_rfm.map_or(rest, |to_rfm| rest.min(to_rfm));
+        let performed = n + jump;
+        self.selected = Some((bank, rows[Split::new(performed, rows.len()).last()]));
+        if to_rfm == Some(jump) {
+            self.acts = 0;
+            self.pending_interval = None;
+            out.push(MitigationAction::BlockChannel { duration: self.rfm_ns });
+        } else if to_rfm.is_some() {
+            self.acts += jump as u32; // jump < pending - acts
+        }
+        performed
     }
 
     fn on_refresh(&mut self, out: &mut Vec<MitigationAction>) {
@@ -445,7 +531,7 @@ impl Mitigation for Mint {
 #[derive(Debug)]
 pub struct BlockHammer {
     thresholds: MitigationProfile,
-    counters: HashMap<(usize, u32), u32>,
+    counters: RowMap<(usize, u32)>,
     /// Activations seen since the last window reset.
     window_acts: u64,
     /// Window length in activations (≈ one refresh window of row cycles).
@@ -459,7 +545,7 @@ impl BlockHammer {
     /// cannot be spent within the window.
     pub fn new(thresholds: MitigationProfile) -> Self {
         let window_len = 32_000_000 / 46; // tREFW / tRC activations
-        BlockHammer { thresholds, counters: HashMap::new(), window_acts: 0, window_len }
+        BlockHammer { thresholds, counters: RowMap::default(), window_acts: 0, window_len }
     }
 
     /// The activation quota for one row.
@@ -475,15 +561,18 @@ impl BlockHammer {
 }
 
 impl Mitigation for BlockHammer {
-    /// The blacklisting window counts activations of every row, so
-    /// BlockHammer takes one activation per call.
+    /// Once a row passes its quota every activation of it acts, so a
+    /// closed form barely pays: with one, attacks on 1–8 victims averaged
+    /// 1.0–2.5 activations per call. BlockHammer takes one activation of
+    /// the first row per call.
     fn on_activate(
         &mut self,
         bank: usize,
-        row: u32,
+        rows: &[u32],
         _max: u64,
         out: &mut Vec<MitigationAction>,
     ) -> u64 {
+        let row = rows[0];
         self.window_acts += 1;
         if self.window_acts >= self.window_len {
             self.window_acts = 0;
@@ -497,6 +586,85 @@ impl Mitigation for BlockHammer {
             out.push(MitigationAction::BlockBank { bank, duration: throttle_ns });
         }
         1
+    }
+}
+
+/// A counter per key, for the counter tables keyed by rows the
+/// simulators generate.
+type RowMap<K> = HashMap<K, u32, BuildHasherDefault<RowHasher>>;
+
+/// FxHash's multiply-rotate hash. The keys are simulated row numbers,
+/// not input an adversary picks, so SipHash's flood resistance buys
+/// nothing, while its cost dominates a multi-row hook call. No output
+/// depends on iteration order: Graphene's `retain` only filters.
+#[derive(Debug, Default, Clone, Copy)]
+struct RowHasher(u64);
+
+impl RowHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for RowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.add(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The closed form of a quiet stretch over a cycle of `n` rows in which
+/// row `i` acts on the `left_i`-th of its own next activations
+/// (`left_i >= 1`): it does so after `i + n·(left_i − 1) + 1`
+/// activations of the cycle, and the first row to act does so after
+/// the least of these. The residues mod `n` differ, so that row is the
+/// last activated one. `None` when any row's `left` is `None`.
+fn first_action(lefts: impl ExactSizeIterator<Item = Option<u64>>) -> Option<u64> {
+    let n = lefts.len() as u64;
+    lefts
+        .enumerate()
+        .try_fold(u64::MAX, |first, (i, left)| Some(first.min(i as u64 + n * (left? - 1) + 1)))
+}
+
+/// How the first `performed` activations of a cycle over `n` rows fall
+/// on its rows.
+pub(crate) struct Split {
+    q: u64,
+    r: usize,
+    n: usize,
+}
+
+impl Split {
+    pub(crate) fn new(performed: u64, n: usize) -> Self {
+        Split { q: performed / n as u64, r: (performed % n as u64) as usize, n }
+    }
+
+    /// The activations of row `i`. It is at most the row's `left` in
+    /// [`first_action`], so it fits in a `u32` where `left` does.
+    pub(crate) fn share(&self, i: usize) -> u64 {
+        self.q + u64::from(i < self.r)
+    }
+
+    /// The row of the last activation, for `performed >= 1`.
+    pub(crate) fn last(&self) -> usize {
+        if self.r == 0 {
+            self.n - 1
+        } else {
+            self.r - 1
+        }
     }
 }
 
@@ -516,7 +684,7 @@ mod tests {
     /// One activation's actions.
     fn act(m: &mut dyn Mitigation, bank: usize, row: u32) -> Vec<MitigationAction> {
         let mut out = Vec::new();
-        assert_eq!(m.on_activate(bank, row, 1, &mut out), 1);
+        assert_eq!(m.on_activate(bank, &[row], 1, &mut out), 1);
         out
     }
 
@@ -557,10 +725,11 @@ mod tests {
                     fresh.on_refresh(&mut expected);
                     prefilled.on_refresh(&mut out);
                 } else {
-                    let (bank, row, max) = (i as usize % 2, i % 5, u64::from(i % 7) + 1);
+                    let (bank, max) = (i as usize % 2, u64::from(i % 7) + 1);
+                    let rows = &[i % 5, 5 + i % 3][..1 + i as usize % 2];
                     assert_eq!(
-                        fresh.on_activate(bank, row, max, &mut expected),
-                        prefilled.on_activate(bank, row, max, &mut out),
+                        fresh.on_activate(bank, rows, max, &mut expected),
+                        prefilled.on_activate(bank, rows, max, &mut out),
                         "{} performed differently at call {i}",
                         kind.name()
                     );
@@ -601,6 +770,34 @@ mod tests {
     fn para_probability_scales_inverse_threshold() {
         assert!((Para::p_of(1024) - 30.0 / 1024.0).abs() < 1e-12);
         assert!((Para::p_of(128) - 30.0 / 128.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn para_bound_decides_every_draw_as_gen_bool_does() {
+        use rand::Rng;
+        let mut ps = vec![1.0];
+        ps.extend((1..=4096).chain([u32::MAX]).map(Para::p_of));
+        for k in 0..64u64 {
+            let p = k as f64 / (1u64 << 53) as f64;
+            ps.extend(
+                [p, p.next_down(), p.next_up()].into_iter().filter(|p| (0.0..=1.0).contains(p)),
+            );
+        }
+        let mut words = ChaCha12Rng::seed_from_u64(31337);
+        let mut draws = words.clone();
+        for p in ps {
+            let bound = Para::bound(p);
+            for _ in 0..64 {
+                assert_eq!((words.next_u64() >> 11) < bound, draws.gen_bool(p), "p = {p:e}");
+            }
+            // `gen_bool`'s test on the words whose top 53 bits sit on
+            // either side of the bound, which random draws rarely hit.
+            for m in [bound.saturating_sub(1), bound].into_iter().filter(|&m| m < 1 << 53) {
+                let x = m as f64 * (1.0 / (1u64 << 53) as f64);
+                assert_eq!(m < bound, x < p, "p = {p:e}, m = {m}");
+            }
+        }
+        assert_eq!(words.next_u64(), draws.next_u64(), "both streams consumed the same words");
     }
 
     #[test]
@@ -687,11 +884,11 @@ mod tests {
         // rows; the hot row's counter must clear.
         let mut out = Vec::new();
         for _ in 0..40 {
-            bh.on_activate(0, 1, 1, &mut out);
+            bh.on_activate(0, &[1], 1, &mut out);
         }
         let window = 32_000_000 / 46;
         for i in 0..window as u32 {
-            bh.on_activate(0, 1000 + i, 1, &mut out);
+            bh.on_activate(0, &[1000 + i], 1, &mut out);
         }
         assert!(act(&mut bh, 0, 1).is_empty(), "window reset must clear counters");
     }

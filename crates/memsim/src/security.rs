@@ -17,20 +17,20 @@
 //! **escape** occurs whenever the accumulated count reaches the epoch's
 //! true RDT before a preventive refresh lands.
 //!
-//! A single-victim attack advances in chunks: one run-length
-//! [`Mitigation::on_activate`] call takes every activation up to the
-//! first that can change anything outside the mechanism's counters —
-//! the mechanism's next action, the victim's epoch RDT, the next tREFI
-//! or tREFW, or the attack's end. A multi-victim attack switches row on
-//! every activation and so steps one activation at a time. Both produce
-//! exactly what stepping every activation would.
+//! An attack advances in chunks: one run-length
+//! [`Mitigation::on_activate`] call takes the round-robin cycle of
+//! victim rows for every activation up to the first that can change
+//! anything outside the mechanism's counters — the mechanism's next
+//! action, the first victim to reach its epoch RDT, the next tREFI or
+//! tREFW, or the attack's end. That produces exactly what stepping
+//! every activation would.
 
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::mitigation::{Mitigation, MitigationAction, MitigationKind};
+use crate::mitigation::{Mitigation, MitigationAction, MitigationKind, Split};
 use crate::profile::MitigationProfile;
 
 /// One victim of an attack.
@@ -109,14 +109,17 @@ impl AttackResult {
 /// threshold changes. The mitigation's `on_refresh` hook runs once per
 /// tREFI, which models MINT's REF-time mitigation at its real cadence.
 ///
-/// With one victim, each [`Mitigation::on_activate`] call may take a
-/// whole chunk of activations: the chunk ends at the mechanism's next
-/// action, at the activation that reaches the victim's epoch RDT, at the
-/// first activation at or past the next tREFI or tREFW, or at the end of
-/// the attack, whichever comes first, so every event lands on the
-/// activation it would land on one step at a time. With several victims
-/// the attacker changes row on every activation, and the loop steps one
-/// activation per call.
+/// Each [`Mitigation::on_activate`] call takes a whole chunk of the
+/// round-robin cycle: the chunk ends at the mechanism's next action, at
+/// the activation that brings the first victim to its epoch RDT, at the
+/// first activation at or past the next tREFI or tREFW, or at the end
+/// of the attack, whichever comes first, so every event lands on the
+/// activation it would land on one step at a time.
+///
+/// # Panics
+///
+/// Panics when two victims share a row: a preventive refresh of that
+/// row would restore only one of them.
 pub fn simulate_attack(mitigation: &mut dyn Mitigation, config: &AttackConfig) -> AttackResult {
     const T_RC_NS: u64 = 46;
     const T_REFI_NS: u64 = 3_900;
@@ -130,8 +133,13 @@ pub fn simulate_attack(mitigation: &mut dyn Mitigation, config: &AttackConfig) -
     };
     let victims = &config.victims;
     let victim_of = |row: u32| victims.iter().position(|v| v.row == row);
+    for (i, victim) in victims.iter().enumerate() {
+        assert_eq!(victim_of(victim.row), Some(i), "victim rows must be distinct");
+    }
 
     let n = victims.len();
+    // The cycle starting at victim `v` is `doubled[v..v + n]`.
+    let doubled: Vec<u32> = victims.iter().chain(victims).map(|v| v.row).collect();
     let mut accumulated = vec![0u64; n];
     let mut true_rdt: Vec<u64> = victims.iter().map(|v| draw_rdt(&mut rng, v.factor)).collect();
     let mut result = AttackResult {
@@ -156,24 +164,35 @@ pub fn simulate_attack(mitigation: &mut dyn Mitigation, config: &AttackConfig) -
     let mut v = 0usize;
     let mut done = 0u64;
     while done < config.activations {
-        // Every bound is at least 1: the victim is below its epoch RDT
-        // and `time_ns` below both refresh deadlines between chunks.
-        let max = if n == 1 {
-            (true_rdt[0] - accumulated[0])
-                .min((next_refi - time_ns).div_ceil(T_RC_NS))
-                .min((next_periodic - time_ns).div_ceil(T_RC_NS))
-                .min(config.activations - done)
-        } else {
-            1
-        };
-        let performed = mitigation.on_activate(bank, victims[v].row, max, &mut actions);
+        // Every bound is at least 1: each victim is below its epoch RDT
+        // and `time_ns` below both refresh deadlines between chunks. The
+        // victim at place `p` of the cycle reaches its epoch RDT after
+        // `p + n·(left − 1) + 1` activations.
+        let cycle = || (v..n).chain(0..v).enumerate();
+        let crossing = cycle()
+            .map(|(p, i)| p as u64 + n as u64 * (true_rdt[i] - accumulated[i] - 1) + 1)
+            .min()
+            .expect("at least one victim");
+        let max = crossing
+            .min((next_refi - time_ns).div_ceil(T_RC_NS))
+            .min((next_periodic - time_ns).div_ceil(T_RC_NS))
+            .min(config.activations - done);
+        let performed = mitigation.on_activate(bank, &doubled[v..v + n], max, &mut actions);
         done += performed;
         time_ns += performed * T_RC_NS;
-        accumulated[v] += performed;
-        if accumulated[v] >= true_rdt[v] {
+        let split = Split::new(performed, n);
+        for (p, i) in cycle() {
+            accumulated[i] += split.share(p);
+        }
+        // Only the last victim activated can have reached its epoch RDT.
+        let mut last = v + split.last();
+        if last >= n {
+            last -= n;
+        }
+        if accumulated[last] >= true_rdt[last] {
             result.escapes += 1;
-            result.per_victim_escapes[v] += 1;
-            restore[v] = true;
+            result.per_victim_escapes[last] += 1;
+            restore[last] = true;
             any_restore = true;
         }
         for action in actions.drain(..) {
@@ -223,10 +242,7 @@ pub fn simulate_attack(mitigation: &mut dyn Mitigation, config: &AttackConfig) -
                 }
             }
         }
-        v += 1;
-        if v == n {
-            v = 0;
-        }
+        v = if last + 1 == n { 0 } else { last + 1 };
     }
     result
 }
@@ -350,6 +366,15 @@ mod tests {
     fn baseline_always_leaks() {
         let result = attack(MitigationKind::None, 3_500, 6);
         assert!(result.escapes > 100, "no mitigation ⇒ steady escapes, got {}", result.escapes);
+    }
+
+    #[test]
+    #[should_panic(expected = "victim rows must be distinct")]
+    fn attack_rejects_victims_sharing_a_row() {
+        let victims =
+            vec![SpatialVictim { row: 7, factor: 1.0 }, SpatialVictim { row: 7, factor: 2.0 }];
+        let mut graphene = MitigationKind::Graphene.build(&MitigationProfile::flat(3_500), 1, 1);
+        simulate_attack(graphene.as_mut(), &AttackConfig::new(vrd_distribution(), victims, 1));
     }
 
     #[test]

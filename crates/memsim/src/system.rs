@@ -92,6 +92,7 @@ pub struct System {
     queued: Vec<u64>,
     /// Per bank, a lower bound on the next time servicing its FR-FCFS
     /// pick can issue a command; a visit before it would change nothing.
+    /// `u64::MAX` for a bank whose last command emptied its queue.
     wake: Vec<u64>,
     completions: Vec<(u64, usize)>,
     mitigation: Box<dyn Mitigation>,
@@ -198,18 +199,18 @@ impl System {
         }
 
         // FR-FCFS per bank, in bank order, over the banks whose wake time
-        // has come. A visit that issues a command wakes its bank at
-        // `now + 1`, so the wake times read here bound the next event even
-        // when the command empties the queue (its completion is not
-        // counted above) or a mitigation action resets every bank's wake
-        // mid-loop.
+        // has come. The wake times read here and the events the visits
+        // report (a completion not counted above, or a mitigation action
+        // that reset every bank's wake mid-loop) bound the next event.
         for word in 0..self.queued.len() {
             let mut bits = self.queued[word];
             while bits != 0 {
                 let bank = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 if self.wake[bank] <= now {
-                    self.visit(bank, now);
+                    if let Some(event) = self.visit(bank, now) {
+                        next = next.min(event);
+                    }
                 }
                 next = next.min(self.wake[bank]);
             }
@@ -218,30 +219,44 @@ impl System {
     }
 
     /// Services `bank`'s FR-FCFS pick at `now` if it can issue a command,
-    /// and sets the bank's wake time: `now + 1` after a command, else the
-    /// time the pick becomes ready.
-    fn visit(&mut self, bank: usize, now: u64) {
+    /// and sets the bank's wake time to when its pick, new after a
+    /// command, becomes ready (no earlier than `now + 1`). Returns the
+    /// time of an event the visit caused elsewhere: the completion of a
+    /// column access, or `now + 1` after a mitigation action, which
+    /// resets every bank's wake.
+    fn visit(&mut self, bank: usize, now: u64) -> Option<u64> {
         let pick = self.pick_request(bank).expect("a queued bank has a request");
         let row = self.queues[bank][pick].row;
         let ready = self.channel.ready_at(bank, row);
         if ready > now {
             self.wake[bank] = ready;
-            return;
+            return None;
         }
-        self.wake[bank] = now + 1;
         // The pick is ready, so a closed bank activates it.
         let activates = self.channel.bank(bank).open_row.is_none();
-        if let Some(done_at) = self.channel.service(bank, row, now) {
+        let done_at = self.channel.service(bank, row, now);
+        if let Some(done_at) = done_at {
             let req = self.queues[bank].swap_remove(pick);
             self.completions.push((done_at, req.core));
             if self.queues[bank].is_empty() {
                 self.queued[bank / 64] &= !(1 << (bank % 64));
             }
-        } else if activates {
-            // An activation just happened: inform the mitigation.
-            self.mitigation.on_activate(bank, row, 1, &mut self.actions);
-            self.apply_actions(now);
         }
+        // Until the bank's own next command or a reset of its wake, only
+        // other banks' commands change its state, and they only delay it.
+        self.wake[bank] = match self.pick_request(bank) {
+            Some(pick) => self.channel.ready_at(bank, self.queues[bank][pick].row).max(now + 1),
+            None => u64::MAX,
+        };
+        if done_at.is_none() && activates {
+            // An activation just happened: inform the mitigation.
+            self.mitigation.on_activate(bank, std::slice::from_ref(&row), 1, &mut self.actions);
+            if !self.actions.is_empty() {
+                self.apply_actions(now);
+                return Some(now + 1);
+            }
+        }
+        done_at
     }
 
     fn pick_request(&self, bank: usize) -> Option<usize> {
@@ -336,7 +351,7 @@ mod tests {
                 let req = s.queues[bank].swap_remove(pick);
                 s.completions.push((done_at, req.core));
             } else if !was_hit && s.channel.is_row_hit(bank, row) {
-                s.mitigation.on_activate(bank, row, 1, &mut s.actions);
+                s.mitigation.on_activate(bank, std::slice::from_ref(&row), 1, &mut s.actions);
                 s.apply_actions(now);
             }
         }
@@ -407,7 +422,8 @@ mod tests {
 
     #[test]
     fn the_baseline_ignores_the_threshold() {
-        // `memsim_exp::run` runs one baseline per mix for every cell.
+        // `memsim_exp::run` runs each mix's baseline once, at
+        // `u32::MAX`, and compares every cell's threshold against it.
         let cfg = quick_cfg();
         let baseline = System::run_mix(&cfg, MitigationKind::None, 1024, 5);
         for threshold in [1, 64, 128, u32::MAX] {

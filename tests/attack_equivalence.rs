@@ -1,26 +1,29 @@
 //! The run-length activation hook against its one-activation-per-call
 //! reading.
 //!
-//! [`Mitigation::on_activate`] may take up to `max` activations of one
-//! row in a call, and `simulate_attack` hands a single-victim attack's
-//! quiet stretches to it whole. Two layers of evidence that this changes
-//! nothing:
+//! [`Mitigation::on_activate`] may take up to `max` activations cycling
+//! through several rows in a call, and `simulate_attack` hands an
+//! attack's quiet stretches of its round-robin cycle to it whole. Two
+//! layers of evidence that this changes nothing:
 //!
 //! 1. **Mechanism level.** For the baseline and every `EXTENDED` kind,
-//!    under flat and multi-region profiles, a random stream of row runs
-//!    and refreshes driven through chunked calls of random `max` yields
-//!    the same actions at the same activation index as the same stream
-//!    unrolled into `max = 1` calls. A shared `max = 1` tail afterwards
-//!    then also matches, so the mechanisms' internal state matches too.
-//!    Both sides run the same closed forms, so Graphene's and PRAC's are
-//!    also checked against a model that needs none: a row acts on every
+//!    under flat and multi-region profiles, a random stream of runs over
+//!    cycles of 1–8 distinct rows and of refreshes, driven through
+//!    chunked calls of random `max` that each pass the cycle rotated to
+//!    where its run stands, yields the same actions at the same
+//!    activation index as the same stream unrolled into one-row
+//!    `max = 1` calls. A shared one-row `max = 1` tail afterwards then
+//!    also matches, so the mechanisms' internal state matches too. Both
+//!    sides run the same closed forms, so Graphene's and PRAC's are also
+//!    checked against a model that needs none: a row acts on every
 //!    `trigger`-th activation of its own.
 //! 2. **Attack level.** `simulate_attack` on a mechanism returns the same
 //!    [`AttackResult`] as on [`PerActivation`], an adapter that forwards
-//!    every call with `max = 1` (the per-activation loop, kept here as
-//!    the oracle). The configurations include escapes (over-configured
-//!    thresholds and no mitigation), PRAC's blocked time, attacks that
-//!    cross tREFW, and multi-victim attacks.
+//!    every call as one row with `max = 1` (the per-activation loop, kept
+//!    here as the oracle). The configurations include escapes
+//!    (over-configured thresholds and no mitigation), PRAC's blocked
+//!    time, attacks that cross tREFW, the defenses sweep's 8 victims and
+//!    victims at different epoch RDTs.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -40,10 +43,10 @@ fn kinds() -> impl Iterator<Item = MitigationKind> {
 // ----- mechanism level ---------------------------------------------------
 
 /// One element of a driven stream.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Step {
-    /// `len` consecutive activations of `(bank, row)`.
-    Run { bank: usize, row: u32, len: u64 },
+    /// `len` activations in `bank` cycling through the distinct `rows`.
+    Run { bank: usize, rows: Vec<u32>, len: u64 },
     /// One periodic refresh.
     Refresh,
 }
@@ -57,9 +60,10 @@ enum Event {
     Refresh(u64, MitigationAction),
 }
 
-/// A random stream: long runs of a few hot rows spread over several
-/// regions and both banks, one-off noise rows (enough distinct ones to
-/// saturate and evict Graphene's smaller tables), and refreshes.
+/// A random stream: long runs over cycles of 1–8 hot rows spread over
+/// several regions and both banks, some with a fresh noise row in the
+/// cycle, one-off noise rows (enough distinct ones to saturate and evict
+/// Graphene's smaller tables), and refreshes.
 fn random_stream(rng: &mut ChaCha12Rng) -> Vec<Step> {
     let mut noise = 10_000u32;
     (0..rng.gen_range(40..120))
@@ -67,13 +71,24 @@ fn random_stream(rng: &mut ChaCha12Rng) -> Vec<Step> {
             0 => Step::Refresh,
             1..=3 => {
                 noise += 1;
-                Step::Run { bank: rng.gen_range(0..2), row: noise, len: 1 }
+                Step::Run { bank: rng.gen_range(0..2), rows: vec![noise], len: 1 }
             }
-            _ => Step::Run {
-                bank: rng.gen_range(0..2),
-                row: rng.gen_range(0..12),
-                len: rng.gen_range(1..1_500),
-            },
+            _ => {
+                let n = rng.gen_range(1..=8);
+                let mut rows = Vec::new();
+                while rows.len() < n {
+                    let row = rng.gen_range(0..12);
+                    if !rows.contains(&row) {
+                        rows.push(row);
+                    }
+                }
+                if rng.gen_range(0..5) == 0 {
+                    noise += 1;
+                    rows.insert(rng.gen_range(0..=n), noise);
+                }
+                let len = rng.gen_range(1..1_500 * rows.len() as u64);
+                Step::Run { bank: rng.gen_range(0..2), rows, len }
+            }
         })
         .collect()
 }
@@ -94,19 +109,24 @@ fn random_profile(rng: &mut ChaCha12Rng, flat: bool) -> MitigationProfile {
 }
 
 /// Drives `stream` with a random `max` per call (often the whole rest
-/// of the run) and records every action by activation index.
+/// of the run), passing each run's cycle rotated to where the run
+/// stands, and records every action by activation index.
 fn drive_chunked(m: &mut dyn Mitigation, stream: &[Step], rng: &mut ChaCha12Rng) -> Vec<Event> {
     let (mut events, mut out, mut done) = (Vec::new(), Vec::new(), 0u64);
-    for &step in stream {
+    for step in stream {
         match step {
-            Step::Run { bank, row, len } => {
-                let mut left = len;
-                while left > 0 {
+            Step::Run { bank, rows, len } => {
+                let n = rows.len();
+                let doubled: Vec<u32> = rows.iter().chain(rows).copied().collect();
+                let mut ran = 0;
+                while ran < *len {
+                    let left = len - ran;
                     let max = if rng.gen_bool(0.5) { left } else { rng.gen_range(1..=left) };
-                    let performed = m.on_activate(bank, row, max, &mut out);
+                    let start = (ran % n as u64) as usize;
+                    let performed = m.on_activate(*bank, &doubled[start..start + n], max, &mut out);
                     assert!((1..=max).contains(&performed), "{m:?} performed {performed} of {max}");
                     done += performed;
-                    left -= performed;
+                    ran += performed;
                     events.extend(out.drain(..).map(|a| Event::Activation(done - 1, a)));
                 }
             }
@@ -119,14 +139,15 @@ fn drive_chunked(m: &mut dyn Mitigation, stream: &[Step], rng: &mut ChaCha12Rng)
     events
 }
 
-/// The same stream, one activation per call.
+/// The same stream, one activation of one row per call.
 fn drive_unrolled(m: &mut dyn Mitigation, stream: &[Step]) -> Vec<Event> {
     let (mut events, mut out, mut done) = (Vec::new(), Vec::new(), 0u64);
-    for &step in stream {
+    for step in stream {
         match step {
-            Step::Run { bank, row, len } => {
-                for _ in 0..len {
-                    assert_eq!(m.on_activate(bank, row, 1, &mut out), 1, "{m:?}");
+            Step::Run { bank, rows, len } => {
+                for k in 0..*len {
+                    let row = rows[(k % rows.len() as u64) as usize];
+                    assert_eq!(m.on_activate(*bank, &[row], 1, &mut out), 1, "{m:?}");
                     done += 1;
                     events.extend(out.drain(..).map(|a| Event::Activation(done - 1, a)));
                 }
@@ -161,8 +182,8 @@ fn chunked_calls_match_the_unrolled_stream_action_for_action() {
                 let (mut a, mut b) = (Vec::new(), Vec::new());
                 for i in 0..3_000u32 {
                     let (bank, row) = (i as usize % 2, [0, 4, 7, 11][i as usize % 4]);
-                    assert_eq!(chunked.on_activate(bank, row, 1, &mut a), 1);
-                    assert_eq!(unrolled.on_activate(bank, row, 1, &mut b), 1);
+                    assert_eq!(chunked.on_activate(bank, &[row], 1, &mut a), 1);
+                    assert_eq!(unrolled.on_activate(bank, &[row], 1, &mut b), 1);
                     if i % 97 == 96 {
                         chunked.on_refresh(&mut a);
                         unrolled.on_refresh(&mut b);
@@ -183,11 +204,12 @@ fn chunked_calls_match_the_unrolled_stream_action_for_action() {
 /// every `trigger(row)`-th activation of its own acts.
 fn trigger_model(stream: &[Step], trigger: impl Fn(u32) -> u32) -> Vec<u64> {
     let (mut acts, mut per_row, mut done) = (Vec::new(), [[0u64; 12]; 2], 0u64);
-    for &step in stream {
-        let Step::Run { bank, row, len } = step else { continue };
-        for _ in 0..len {
-            per_row[bank][row as usize] += 1;
-            if per_row[bank][row as usize] % u64::from(trigger(row)) == 0 {
+    for step in stream {
+        let Step::Run { bank, rows, len } = step else { continue };
+        for k in 0..*len {
+            let row = rows[(k % rows.len() as u64) as usize];
+            per_row[*bank][row as usize] += 1;
+            if per_row[*bank][row as usize] % u64::from(trigger(row)) == 0 {
                 acts.push(done);
             }
             done += 1;
@@ -217,7 +239,7 @@ fn graphene_and_prac_act_on_every_trigger_th_activation_of_a_row() {
             // Graphene's smallest table, so no row is ever evicted.
             let stream: Vec<Step> = random_stream(&mut rng)
                 .into_iter()
-                .filter(|s| matches!(s, Step::Run { row, .. } if *row < 12))
+                .filter(|s| matches!(s, Step::Run { rows, .. } if rows.iter().all(|r| *r < 12)))
                 .collect();
 
             let mut graphene = Graphene::new(profile.clone(), 2);
@@ -236,8 +258,9 @@ fn graphene_and_prac_act_on_every_trigger_th_activation_of_a_row() {
 
 // ----- attack level ------------------------------------------------------
 
-/// Forwards every call with `max = 1`: `simulate_attack` then steps one
-/// activation at a time, as the loop did before the run-length hook.
+/// Forwards every call as its first row with `max = 1`:
+/// `simulate_attack` then steps one activation at a time, as the loop
+/// did before the run-length hook.
 #[derive(Debug)]
 struct PerActivation(Box<dyn Mitigation>);
 
@@ -245,11 +268,11 @@ impl Mitigation for PerActivation {
     fn on_activate(
         &mut self,
         bank: usize,
-        row: u32,
+        rows: &[u32],
         _max: u64,
         out: &mut Vec<MitigationAction>,
     ) -> u64 {
-        self.0.on_activate(bank, row, 1, out)
+        self.0.on_activate(bank, &rows[..1], 1, out)
     }
 
     fn on_refresh(&mut self, out: &mut Vec<MitigationAction>) {
@@ -276,11 +299,11 @@ impl Mitigation for Counting {
     fn on_activate(
         &mut self,
         bank: usize,
-        row: u32,
+        rows: &[u32],
         max: u64,
         out: &mut Vec<MitigationAction>,
     ) -> u64 {
-        let performed = self.inner.on_activate(bank, row, max, out);
+        let performed = self.inner.on_activate(bank, rows, max, out);
         self.activations += performed;
         performed
     }

@@ -41,7 +41,7 @@ fn drive(mitigation: &mut dyn Mitigation, script: &[(usize, u32)]) -> Vec<Vec<Mi
     let mut batches = Vec::with_capacity(script.len());
     let mut out = Vec::new();
     for (i, &(bank, row)) in script.iter().enumerate() {
-        mitigation.on_activate(bank, row, 1, &mut out);
+        mitigation.on_activate(bank, &[row], 1, &mut out);
         batches.push(out.clone());
         out.clear();
         if i % 16 == 15 {
@@ -343,6 +343,6 @@ fn sweep_artifact_feeds_the_simulator() {
         MitigationProfile::from_json(&study.profile.to_json()).expect("artifact round-trips");
     let mut out = Vec::new();
     for kind in MitigationKind::EVALUATED {
-        kind.build(&reloaded, 1, 9).on_activate(0, 0, 1, &mut out);
+        kind.build(&reloaded, 1, 9).on_activate(0, &[0], 1, &mut out);
     }
 }
