@@ -34,14 +34,13 @@
 //! sets it to the time the pick — after a command, the new pick — becomes
 //! ready: tRCD and the data bus for a row hit, tRAS for a conflict, and
 //! tRC, tFAW and tRRD for a closed bank, each raised by refreshes and
-//! blocks, and no earlier than the next nanosecond. An enqueue resets
-//! it, and a refresh or any mitigation action resets every bank's (the
-//! step that applied the action then ends at the next nanosecond). A
-//! simulated nanosecond visits, in bank order, only the banks whose wake
-//! time has come. `now` then jumps to the earliest of the next refresh,
-//! the next completion (including one a visit just issued), each
-//! unstalled core's next request and the smallest wake time, and the
-//! unstalled cores commit the skipped instructions in one add.
+//! blocks. An enqueue resets it, and a refresh or any mitigation action
+//! resets every bank's. A simulated nanosecond visits, in bank order,
+//! only the banks whose wake time has come. `now` then jumps to the
+//! earliest of the next refresh, the next completion (including one a
+//! visit just issued), each unstalled core's next request and the
+//! smallest wake time, but at least one nanosecond, and the unstalled
+//! cores commit the skipped instructions in one add.
 //!
 //! The unmitigated baseline reads neither the threshold nor the
 //! mitigation seed, so the Fig.-14 grid runs it once per mix.

@@ -199,17 +199,18 @@ impl System {
         }
 
         // FR-FCFS per bank, in bank order, over the banks whose wake time
-        // has come. The wake times read here and the events the visits
-        // report (a completion not counted above, or a mitigation action
-        // that reset every bank's wake mid-loop) bound the next event.
+        // has come. The wake times read here and the completions the
+        // visits issue bound the next event. A wake time at or before
+        // `now` (one already past, or reset mid-loop by a mitigation
+        // action) ends the step at `now + 1`.
         for word in 0..self.queued.len() {
             let mut bits = self.queued[word];
             while bits != 0 {
                 let bank = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 if self.wake[bank] <= now {
-                    if let Some(event) = self.visit(bank, now) {
-                        next = next.min(event);
+                    if let Some(done_at) = self.visit(bank, now) {
+                        next = next.min(done_at);
                     }
                 }
                 next = next.min(self.wake[bank]);
@@ -220,10 +221,8 @@ impl System {
 
     /// Services `bank`'s FR-FCFS pick at `now` if it can issue a command,
     /// and sets the bank's wake time to when its pick, new after a
-    /// command, becomes ready (no earlier than `now + 1`). Returns the
-    /// time of an event the visit caused elsewhere: the completion of a
-    /// column access, or `now + 1` after a mitigation action, which
-    /// resets every bank's wake.
+    /// command, becomes ready. Returns the completion time of a column
+    /// access it issued.
     fn visit(&mut self, bank: usize, now: u64) -> Option<u64> {
         let pick = self.pick_request(bank).expect("a queued bank has a request");
         let row = self.queues[bank][pick].row;
@@ -245,16 +244,14 @@ impl System {
         // Until the bank's own next command or a reset of its wake, only
         // other banks' commands change its state, and they only delay it.
         self.wake[bank] = match self.pick_request(bank) {
-            Some(pick) => self.channel.ready_at(bank, self.queues[bank][pick].row).max(now + 1),
+            Some(pick) => self.channel.ready_at(bank, self.queues[bank][pick].row),
             None => u64::MAX,
         };
         if done_at.is_none() && activates {
-            // An activation just happened: inform the mitigation.
+            // An activation just happened: inform the mitigation. An
+            // action resets every bank's wake, this one's included.
             self.mitigation.on_activate(bank, std::slice::from_ref(&row), 1, &mut self.actions);
-            if !self.actions.is_empty() {
-                self.apply_actions(now);
-                return Some(now + 1);
-            }
+            self.apply_actions(now);
         }
         done_at
     }
