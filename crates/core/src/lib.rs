@@ -16,8 +16,9 @@
 //!   fitted normal and autocorrelation comparison with white noise.
 //! - [`montecarlo`] — §5.1: probability of finding the minimum RDT with N
 //!   measurements, expected normalized minimum RDT, and within-margin
-//!   probabilities — both by Monte-Carlo simulation (as the paper does)
-//!   and in closed form (for cross-validation).
+//!   probabilities, in closed form (the paper estimates them by
+//!   Monte-Carlo subsampling, which the root test suite keeps as an
+//!   oracle).
 //! - [`campaign`] — the foundational (§4) and in-depth (§5) measurement
 //!   campaigns against simulated modules.
 //! - [`discovery`] — the DiscoRD-style early-stopping campaign: bound

@@ -5,13 +5,11 @@
 //! what is the probability of observing the population minimum, and how
 //! far above it does the sample minimum sit in expectation? The paper
 //! answers by 10,000-iteration Monte-Carlo subsampling; this module
-//! implements that *and* the exact combinatorial forms (hypergeometric
-//! order statistics), which the tests cross-validate against each other.
+//! computes the same quantities in exact combinatorial form
+//! (hypergeometric order statistics). The root test suite keeps the
+//! Monte-Carlo estimators as an oracle and checks that they agree.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-use vrd_stats::montecarlo::{sample_indices_without_replacement, subsample_min_statistics};
 
 use crate::series::RdtSeries;
 
@@ -35,13 +33,29 @@ pub struct MinRdtStats {
 }
 
 /// Exact probability that a uniform without-replacement subsample of size
-/// `n` from the series contains the series minimum.
+/// `n` from the series contains the series minimum:
+/// `1 − C(len − c, n) / C(len, n)`, where `c` counts the minimum's
+/// occurrences.
 ///
 /// # Panics
 ///
 /// Panics if the series is empty or `n` is not in `1..=len`.
 pub fn exact_p_find_min(series: &RdtSeries, n: usize) -> f64 {
-    vrd_stats::montecarlo::exact_min_hit_probability(series.values(), n)
+    let values = series.values();
+    assert!(!values.is_empty(), "series must be non-empty");
+    let len = values.len();
+    assert!(n >= 1 && n <= len, "n must be in 1..=len");
+    let global_min = *values.iter().min().expect("non-empty");
+    let c = values.iter().filter(|&&v| v == global_min).count();
+    if n > len - c {
+        return 1.0;
+    }
+    // C(len-c, n) / C(len, n) = prod_{i=0..n-1} (len - c - i) / (len - i)
+    let mut ratio = 1.0f64;
+    for i in 0..n {
+        ratio *= (len - c - i) as f64 / (len - i) as f64;
+    }
+    1.0 - ratio
 }
 
 /// Exact expected minimum of an `n`-subsample, normalized to the series
@@ -88,26 +102,7 @@ pub fn exact_expected_normalized_min(series: &RdtSeries, n: usize) -> f64 {
     expected / global_min
 }
 
-/// Monte-Carlo estimate matching the paper's §5.1 procedure: `iterations`
-/// uniform subsamples of size `n`.
-///
-/// # Panics
-///
-/// Panics if the series is empty, `n` is not in `1..=len`, or
-/// `iterations` is zero.
-pub fn monte_carlo_stats<R: Rng + ?Sized>(
-    rng: &mut R,
-    series: &RdtSeries,
-    n: usize,
-    iterations: usize,
-) -> MinRdtStats {
-    let (expected_min, p_find) = subsample_min_statistics(rng, series.values(), n, iterations);
-    let global_min = f64::from(series.min().expect("non-empty series"));
-    MinRdtStats { n, p_find_min: p_find, expected_normalized_min: expected_min / global_min }
-}
-
-/// Exact statistics for one `n` (cross-validation target of the Monte
-/// Carlo and the fast path for the experiment driver).
+/// Exact statistics for one `n`.
 pub fn exact_stats(series: &RdtSeries, n: usize) -> MinRdtStats {
     MinRdtStats {
         n,
@@ -144,37 +139,9 @@ pub fn exact_p_within_margin(series: &RdtSeries, n: usize, margin: f64) -> f64 {
     1.0 - r
 }
 
-/// Monte-Carlo version of [`exact_p_within_margin`], as the paper runs it.
-///
-/// # Panics
-///
-/// Same conditions as [`exact_p_within_margin`], plus zero `iterations`.
-pub fn monte_carlo_p_within_margin<R: Rng + ?Sized>(
-    rng: &mut R,
-    series: &RdtSeries,
-    n: usize,
-    margin: f64,
-    iterations: usize,
-) -> f64 {
-    assert!(iterations > 0, "iterations must be nonzero");
-    let values = series.values();
-    let threshold = f64::from(series.min().expect("non-empty")) * (1.0 + margin);
-    let mut hits = 0usize;
-    for _ in 0..iterations {
-        let idx = sample_indices_without_replacement(rng, values.len(), n);
-        let min = idx.iter().map(|&i| values[i]).min().expect("n > 0");
-        if f64::from(min) <= threshold {
-            hits += 1;
-        }
-    }
-    hits as f64 / iterations as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn series() -> RdtSeries {
         // 100 values, minimum 900 appearing 3 times.
@@ -206,41 +173,6 @@ mod tests {
             prev = e;
         }
         assert!((exact_expected_normalized_min(&s, 100) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn monte_carlo_agrees_with_exact() {
-        let s = series();
-        let mut rng = StdRng::seed_from_u64(0);
-        for n in [1usize, 5, 20] {
-            let exact = exact_stats(&s, n);
-            let mc = monte_carlo_stats(&mut rng, &s, n, 20_000);
-            assert!(
-                (exact.p_find_min - mc.p_find_min).abs() < 0.02,
-                "n={n}: {} vs {}",
-                exact.p_find_min,
-                mc.p_find_min
-            );
-            assert!(
-                (exact.expected_normalized_min - mc.expected_normalized_min).abs() < 0.02,
-                "n={n}: {} vs {}",
-                exact.expected_normalized_min,
-                mc.expected_normalized_min
-            );
-        }
-    }
-
-    #[test]
-    fn margin_probability_exact_matches_monte_carlo() {
-        let s = series();
-        let mut rng = StdRng::seed_from_u64(1);
-        for &margin in &PAPER_MARGINS {
-            for n in [1usize, 10, 50] {
-                let exact = exact_p_within_margin(&s, n, margin);
-                let mc = monte_carlo_p_within_margin(&mut rng, &s, n, margin, 20_000);
-                assert!((exact - mc).abs() < 0.02, "n={n} margin={margin}: {exact} vs {mc}");
-            }
-        }
     }
 
     #[test]

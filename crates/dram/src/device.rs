@@ -1054,10 +1054,9 @@ fn step_trap_n<R: Rng + ?Sized>(trap: &mut Trap, rng: &mut R, temperature_c: f64
 }
 
 fn derive_row_seed(device_seed: u64, bank: u64, row: u64) -> u64 {
-    let mut z = device_seed ^ bank.rotate_left(32) ^ row.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    crate::keyed::mix64(
+        device_seed ^ bank.rotate_left(32) ^ row.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    )
 }
 
 fn sample_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {

@@ -209,18 +209,10 @@ impl BankVariation {
         if self.sigma_ln == 0.0 {
             return 1.0;
         }
-        // Hash the bank index into a unit normal via a SplitMix finalizer
-        // + Box–Muller, exactly like `SpatialProfile::factor` does for
-        // subarrays (a different salt keeps the streams independent).
-        let mut z = device_seed ^ u64::from(bank).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xBA5E_BA11;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let u1 = ((z >> 11) as f64 / (1u64 << 53) as f64).clamp(1e-12, 1.0);
-        let u2 = ((z.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64)
-            .clamp(0.0, 1.0);
-        let n = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        (self.sigma_ln * n).exp()
+        // The bank index hashed into a unit normal, salted apart from
+        // `SpatialProfile::factor`'s subarray stream.
+        (self.sigma_ln * crate::keyed::hashed_normal(device_seed, u64::from(bank), 0xBA5E_BA11))
+            .exp()
     }
 }
 

@@ -1,11 +1,13 @@
-//! A minimal multiplicative hasher for the simulator's hot maps.
+//! A minimal multiplicative hasher for the simulators' hot maps.
 //!
-//! The per-bank row table is probed several times per hammer session,
-//! and the default SipHash keyed setup dominates those lookups once the
-//! batch engine strips the rest of the per-session work. The map is never
-//! iterated for output, so the hasher only affects membership probing —
-//! campaign results and goldens are hash-order independent by
-//! construction.
+//! The keys are simulated row numbers (the device model's per-bank row
+//! table, the mitigations' counter tables in `vrd-memsim`), not input an
+//! adversary picks, so SipHash's flood resistance buys nothing. Its cost
+//! does show: it dominates the row-table lookups once the batch engine
+//! strips the rest of the per-session work, and a multi-row mitigation
+//! hook call. No output depends on iteration order, so the hasher only
+//! affects membership probing — campaign results and goldens are
+//! hash-order independent by construction.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -34,10 +34,22 @@ pub const TAG_TRAP: u64 = 0x7472_6170_5F6B_6579; // "trap_key"
 
 /// Finalizing 64-bit mixer (splitmix64): full avalanche, bijective.
 #[inline]
-fn mix64(mut z: u64) -> u64 {
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// A unit normal hashed from `(seed, index)`: the SplitMix finalizer of
+/// the key, then Box–Muller on two uniforms taken from the hash and from
+/// its golden-ratio multiple. `salt` keeps the streams of different
+/// sites (subarrays, HBM2 banks) independent.
+pub(crate) fn hashed_normal(seed: u64, index: u64, salt: u64) -> f64 {
+    let z = mix64(seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt);
+    let u1 = ((z >> 11) as f64 / (1u64 << 53) as f64).clamp(1e-12, 1.0);
+    let u2 = ((z.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64)
+        .clamp(0.0, 1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// A counter-based random stream keyed by draw identity.

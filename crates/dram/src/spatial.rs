@@ -110,17 +110,8 @@ impl SpatialProfile {
             f *= self.edge_factor;
         }
         if self.subarray_sigma > 0.0 && self.subarray_rows != u32::MAX {
-            // Hash the subarray index into a unit normal via a SplitMix
-            // finalizer + Box–Muller on the derived uniforms.
             let sub = u64::from(self.subarray_of(physical_row));
-            let mut z = device_seed ^ sub.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x50A7_1A11;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            let u1 = ((z >> 11) as f64 / (1u64 << 53) as f64).clamp(1e-12, 1.0);
-            let u2 = ((z.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64)
-                .clamp(0.0, 1.0);
-            let n = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            let n = crate::keyed::hashed_normal(device_seed, sub, 0x50A7_1A11);
             f *= (self.subarray_sigma * n).exp();
         }
         f

@@ -374,17 +374,11 @@ pub fn render_takeaways(
     let mut p1 = Vec::new();
     let mut p_many = Vec::new();
     let mut n_many = 0usize;
-    for module in &indepth.per_module {
-        for row in &module.rows {
-            for cs in &row.per_condition {
-                if cs.series.len() >= 2 {
-                    p1.push(exact_stats(&cs.series, 1).p_find_min);
-                    let n = 500.min(cs.series.len() / 2).max(1);
-                    n_many = n_many.max(n);
-                    p_many.push(exact_stats(&cs.series, n).p_find_min);
-                }
-            }
-        }
+    for (_, cs) in indepth.cells().filter(|(_, cs)| cs.series.len() >= 2) {
+        p1.push(exact_stats(&cs.series, 1).p_find_min);
+        let n = 500.min(cs.series.len() / 2).max(1);
+        n_many = n_many.max(n);
+        p_many.push(exact_stats(&cs.series, n).p_find_min);
     }
     let med = |v: &mut Vec<f64>| -> f64 {
         if v.is_empty() {

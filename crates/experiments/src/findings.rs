@@ -22,8 +22,8 @@ use vrd_stats::Histogram;
 use crate::family_exp::FamilyStudy;
 use crate::foundational::FoundationalStudy;
 use crate::indepth::{
-    all_condition_variation_fraction, fig10_groups, fig11_groups, fig12_groups, max_cv_per_row,
-    table7, InDepthStudy,
+    all_condition_variation_fraction, fig10_groups, fig11_groups, fig12_groups, m0_cvs_by_polarity,
+    max_cv_per_row, table7, InDepthStudy,
 };
 use crate::render::Table;
 use crate::sweep_exp::SweepStudy;
@@ -150,21 +150,14 @@ pub fn check_indepth(study: &InDepthStudy) -> Vec<FindingCheck> {
     let mut p1: Vec<f64> = Vec::new();
     let mut worst_e1: f64 = 1.0;
     let mut p_by_n: Vec<(usize, Vec<f64>)> = vec![(1, vec![]), (5, vec![]), (50, vec![])];
-    for module in &study.per_module {
-        for row in &module.rows {
-            for cs in &row.per_condition {
-                if cs.series.len() < 50 {
-                    continue;
-                }
-                let s1 = exact_stats(&cs.series, 1);
-                p1.push(s1.p_find_min);
-                if s1.p_find_min <= 0.05 {
-                    worst_e1 = worst_e1.max(s1.expected_normalized_min);
-                }
-                for (n, values) in &mut p_by_n {
-                    values.push(exact_stats(&cs.series, *n).p_find_min);
-                }
-            }
+    for (_, cs) in study.cells().filter(|(_, cs)| cs.series.len() >= 50) {
+        let s1 = exact_stats(&cs.series, 1);
+        p1.push(s1.p_find_min);
+        if s1.p_find_min <= 0.05 {
+            worst_e1 = worst_e1.max(s1.expected_normalized_min);
+        }
+        for (n, values) in &mut p_by_n {
+            values.push(exact_stats(&cs.series, *n).p_find_min);
         }
     }
     let median_p1 = vrd_stats::descriptive::median(&p1).unwrap_or(1.0);
@@ -285,8 +278,7 @@ pub fn check_indepth(study: &InDepthStudy) -> Vec<FindingCheck> {
 
 /// Evaluates finding 17 (true-/anti-cell comparison on M0).
 pub fn check_cells(study: &InDepthStudy) -> Vec<FindingCheck> {
-    use vrd_dram::cells::CellPolarity;
-    let Some(m0) = study.per_module.iter().find(|m| m.module == "M0") else {
+    let Some((anti, true_cells)) = m0_cvs_by_polarity(study) else {
         return vec![check(
             17,
             "True-/anti-cell layout does not change VRD",
@@ -294,20 +286,6 @@ pub fn check_cells(study: &InDepthStudy) -> Vec<FindingCheck> {
             "module M0 not in scope; skipped".to_owned(),
         )];
     };
-    let family = vrd_dram::ModuleSpec::by_name("M0").expect("M0 exists").family();
-    let (layout, mapping) = (family.cell_layout, family.mapping);
-    let (mut anti, mut true_cells) = (Vec::new(), Vec::new());
-    for row in &m0.rows {
-        let polarity = layout.polarity_of_physical_row(mapping.physical_of(row.row));
-        for cs in &row.per_condition {
-            if let Ok(cv) = cs.series.cv() {
-                match polarity {
-                    CellPolarity::Anti => anti.push(cv),
-                    CellPolarity::True => true_cells.push(cv),
-                }
-            }
-        }
-    }
     let (ma, mt) = (
         vrd_stats::descriptive::median(&anti).unwrap_or(0.0),
         vrd_stats::descriptive::median(&true_cells).unwrap_or(0.0),

@@ -2,24 +2,32 @@
 
 use serde::{Deserialize, Serialize};
 
-use vrd_core::campaign::{in_depth_campaign, InDepthConfig, InDepthResult};
+use vrd_core::campaign::{in_depth_campaign, ConditionSeries, InDepthConfig, InDepthResult};
 use vrd_core::montecarlo::{exact_stats, PAPER_N_VALUES};
 use vrd_dram::cells::CellPolarity;
 use vrd_dram::conditions::T_AGG_ON_TREFI_NS;
-use vrd_dram::{DataPattern, ModuleSpec};
+use vrd_dram::{DataPattern, ModuleSpec, TestConditions};
 use vrd_stats::{BoxSummary, SCurve};
 
 use crate::opts::Options;
 use crate::render::{f, Table};
-
-/// A labelled module-name predicate (manufacturer class filter).
-type ClassFilter = (&'static str, Box<dyn Fn(&str) -> bool>);
 
 /// The in-depth study output across the module scope.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct InDepthStudy {
     /// Per-module campaign results.
     pub per_module: Vec<InDepthResult>,
+}
+
+impl InDepthStudy {
+    /// Every measured series with its module's name, in study order:
+    /// module, then row, then condition.
+    pub fn cells(&self) -> impl Iterator<Item = (&str, &ConditionSeries)> {
+        self.per_module.iter().flat_map(|module| {
+            let name = module.module.as_str();
+            module.rows.iter().flat_map(|row| &row.per_condition).map(move |cs| (name, cs))
+        })
+    }
 }
 
 /// The in-depth campaign configuration at this scale.
@@ -113,43 +121,47 @@ fn group_table(groups: &[NormMinGroup]) -> String {
     table.render()
 }
 
-fn boxes_for<FilterFn>(
+fn boxes_for(
     study: &InDepthStudy,
     label: String,
-    module_filter: FilterFn,
-    condition_filter: impl Fn(&vrd_dram::TestConditions) -> bool,
-) -> Option<NormMinGroup>
-where
-    FilterFn: Fn(&str) -> bool,
-{
-    let mut per_n = Vec::new();
-    for &n in PAPER_N_VALUES.iter() {
-        let mut values = Vec::new();
-        for module in &study.per_module {
-            if !module_filter(&module.module) {
-                continue;
-            }
-            for row in &module.rows {
-                for cs in &row.per_condition {
-                    if condition_filter(&cs.conditions) && cs.series.len() >= n {
-                        values.push(exact_stats(&cs.series, n).expected_normalized_min);
-                    }
-                }
-            }
-        }
-        if let Ok(b) = BoxSummary::from_values(&values) {
-            per_n.push((n, b));
-        }
-    }
-    if per_n.is_empty() {
-        None
-    } else {
-        Some(NormMinGroup { label, per_n })
-    }
+    module_filter: impl Fn(&str) -> bool,
+    condition_filter: impl Fn(&TestConditions) -> bool,
+) -> Option<NormMinGroup> {
+    let per_n: Vec<(usize, BoxSummary)> = PAPER_N_VALUES
+        .into_iter()
+        .filter_map(|n| {
+            let values: Vec<f64> = study
+                .cells()
+                .filter(|(module, cs)| {
+                    module_filter(module)
+                        && condition_filter(&cs.conditions)
+                        && cs.series.len() >= n
+                })
+                .map(|(_, cs)| exact_stats(&cs.series, n).expected_normalized_min)
+                .collect();
+            BoxSummary::from_values(&values).ok().map(|b| (n, b))
+        })
+        .collect();
+    (!per_n.is_empty()).then_some(NormMinGroup { label, per_n })
 }
 
-fn spec_of(name: &str) -> Option<ModuleSpec> {
-    ModuleSpec::by_name(name)
+/// The manufacturer classes of Figs. 10 and 11: a label and the prefix
+/// of its Table-1 module names.
+const CLASSES: [(&str, &str); 4] =
+    [("Mfr. H", "H"), ("Mfr. M", "M"), ("Mfr. S", "S"), ("HBM2", "Chip")];
+
+/// The distinct values one condition parameter takes across the study
+/// (values within 1e-9 count as one), ascending.
+fn distinct_values(study: &InDepthStudy, param: fn(&TestConditions) -> f64) -> Vec<f64> {
+    let mut values: Vec<f64> = Vec::new();
+    for (_, cs) in study.cells() {
+        let v = param(&cs.conditions);
+        if !values.iter().any(|&t| (t - v).abs() < 1e-9) {
+            values.push(v);
+        }
+    }
+    values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    values
 }
 
 /// Fig. 9: expected normalized minimum RDT grouped by manufacturer ×
@@ -158,7 +170,7 @@ pub fn fig9_groups(study: &InDepthStudy) -> Vec<NormMinGroup> {
     use std::collections::BTreeMap;
     let mut by_group: BTreeMap<String, Vec<String>> = BTreeMap::new();
     for module in &study.per_module {
-        let Some(spec) = spec_of(&module.module) else { continue };
+        let Some(spec) = ModuleSpec::by_name(&module.module) else { continue };
         if spec.standard != vrd_dram::DramStandard::Ddr4 {
             continue;
         }
@@ -189,22 +201,11 @@ pub fn render_fig9(study: &InDepthStudy) -> String {
 /// Fig. 10: grouped by data pattern within each manufacturer (+ HBM2).
 pub fn fig10_groups(study: &InDepthStudy) -> Vec<NormMinGroup> {
     let mut groups = Vec::new();
-    let classes: [ClassFilter; 4] = [
-        ("Mfr. H", Box::new(|n: &str| n.starts_with('H') && n != "HBM")),
-        ("Mfr. M", Box::new(|n: &str| n.starts_with('M'))),
-        ("Mfr. S", Box::new(|n: &str| n.starts_with('S'))),
-        ("HBM2", Box::new(|n: &str| n.starts_with("Chip"))),
-    ];
-    for (mfr_label, filter) in classes {
+    for (mfr_label, prefix) in CLASSES {
+        let in_class = |name: &str| name.starts_with(prefix);
         for pattern in DataPattern::ALL {
-            if let Some(g) = boxes_for(
-                study,
-                format!("{mfr_label} {pattern}"),
-                |name| filter(name),
-                |c| c.pattern == pattern,
-            ) {
-                groups.push(g);
-            }
+            let label = format!("{mfr_label} {pattern}");
+            groups.extend(boxes_for(study, label, in_class, |c| c.pattern == pattern));
         }
     }
     groups
@@ -220,34 +221,13 @@ pub fn render_fig10(study: &InDepthStudy) -> String {
 
 /// Fig. 11: grouped by aggressor on-time within each manufacturer class.
 pub fn fig11_groups(study: &InDepthStudy) -> Vec<NormMinGroup> {
-    let mut on_times: Vec<f64> = Vec::new();
-    for module in &study.per_module {
-        for row in &module.rows {
-            for cs in &row.per_condition {
-                if !on_times.iter().any(|&t| (t - cs.conditions.t_agg_on_ns).abs() < 1e-9) {
-                    on_times.push(cs.conditions.t_agg_on_ns);
-                }
-            }
-        }
-    }
-    on_times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let on_times = distinct_values(study, |c| c.t_agg_on_ns);
     let mut groups = Vec::new();
-    let classes: [ClassFilter; 4] = [
-        ("Mfr. H", Box::new(|n: &str| n.starts_with('H'))),
-        ("Mfr. M", Box::new(|n: &str| n.starts_with('M'))),
-        ("Mfr. S", Box::new(|n: &str| n.starts_with('S'))),
-        ("HBM2", Box::new(|n: &str| n.starts_with("Chip"))),
-    ];
-    for (mfr_label, filter) in classes {
+    for (mfr_label, prefix) in CLASSES {
+        let in_class = |name: &str| name.starts_with(prefix);
         for &t in &on_times {
-            if let Some(g) = boxes_for(
-                study,
-                format!("{mfr_label} tAggOn={t}ns"),
-                |name| filter(name),
-                |c| (c.t_agg_on_ns - t).abs() < 1e-9,
-            ) {
-                groups.push(g);
-            }
+            let label = format!("{mfr_label} tAggOn={t}ns");
+            groups.extend(boxes_for(study, label, in_class, |c| (c.t_agg_on_ns - t).abs() < 1e-9));
         }
     }
     groups
@@ -265,21 +245,11 @@ pub fn render_fig11(study: &InDepthStudy) -> String {
 /// (Rowstripe1, minimum `t_RAS`).
 pub fn fig12_groups(study: &InDepthStudy) -> Vec<NormMinGroup> {
     let examples = ["M0", "M1", "S0", "S2", "H1", "H3"];
-    let mut temps: Vec<f64> = Vec::new();
-    for module in &study.per_module {
-        for row in &module.rows {
-            for cs in &row.per_condition {
-                if !temps.iter().any(|&t| (t - cs.conditions.temperature_c).abs() < 1e-9) {
-                    temps.push(cs.conditions.temperature_c);
-                }
-            }
-        }
-    }
-    temps.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let temps = distinct_values(study, |c| c.temperature_c);
     let mut groups = Vec::new();
     for name in examples {
         for &temp in &temps {
-            if let Some(g) = boxes_for(
+            groups.extend(boxes_for(
                 study,
                 format!("{name} @{temp}°C"),
                 |n| n == name,
@@ -288,9 +258,7 @@ pub fn fig12_groups(study: &InDepthStudy) -> Vec<NormMinGroup> {
                         && c.pattern == DataPattern::Rowstripe1
                         && c.t_agg_on_ns < 100.0
                 },
-            ) {
-                groups.push(g);
-            }
+            ));
         }
     }
     groups
@@ -304,18 +272,14 @@ pub fn render_fig12(study: &InDepthStudy) -> String {
     )
 }
 
-/// Fig. 13: CV distributions of anti-cell vs true-cell rows in M0.
-pub fn render_fig13(study: &InDepthStudy) -> String {
-    let Some(m0) = study.per_module.iter().find(|m| m.module == "M0") else {
-        return "module M0 not in scope".to_owned();
-    };
-    let Some(spec) = spec_of("M0") else {
-        return "missing M0 spec".to_owned();
-    };
-    let family = spec.family();
+/// The CVs of M0's series split by their row's cell polarity,
+/// `(anti-cell, true-cell)` (Fig. 13 and Finding 17); `None` when M0 is
+/// not in the study.
+pub fn m0_cvs_by_polarity(study: &InDepthStudy) -> Option<(Vec<f64>, Vec<f64>)> {
+    let m0 = study.per_module.iter().find(|m| m.module == "M0")?;
+    let family = ModuleSpec::by_name("M0").expect("M0 is a Table-1 module").family();
     let (layout, mapping) = (family.cell_layout, family.mapping);
-    let mut anti = Vec::new();
-    let mut true_cells = Vec::new();
+    let (mut anti, mut true_cells) = (Vec::new(), Vec::new());
     for row in &m0.rows {
         let polarity = layout.polarity_of_physical_row(mapping.physical_of(row.row));
         for cs in &row.per_condition {
@@ -327,6 +291,14 @@ pub fn render_fig13(study: &InDepthStudy) -> String {
             }
         }
     }
+    Some((anti, true_cells))
+}
+
+/// Fig. 13: CV distributions of anti-cell vs true-cell rows in M0.
+pub fn render_fig13(study: &InDepthStudy) -> String {
+    let Some((anti, true_cells)) = m0_cvs_by_polarity(study) else {
+        return "module M0 not in scope".to_owned();
+    };
     let mut table = Table::new(["cell type", "rows×conds", "median CV", "Q3", "max"]);
     for (label, values) in [("anti-cell", &anti), ("true-cell", &true_cells)] {
         if let Ok(b) = BoxSummary::from_values(values) {

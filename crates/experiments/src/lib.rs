@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | `fig1 fig3 fig4 fig5 fig6` | §4 foundational study | [`foundational`] |
 //! | `fig7 fig9 fig10 fig11 fig12 fig13 tab7` | §5 in-depth study | [`indepth`] |
-//! | `fig8 fig15 fig25` | §5.1 Monte-Carlo analysis | [`mc`] |
+//! | `fig8 fig15 fig25` | §5.1 subsampling analysis | [`mc`] |
 //! | `fig14` | §6.3 mitigation overheads | [`memsim_exp`] |
 //! | `fig16` | §6.4 guardband bitflips | [`guardband_exp`] |
 //! | `tab3` | §6.4 ECC error rates | [`ecc_exp`] |

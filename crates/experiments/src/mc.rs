@@ -1,4 +1,5 @@
-//! §5.1 Monte-Carlo / subsampling analysis (Figs. 8, 15, 25).
+//! §5.1 subsampling analysis (Figs. 8, 15, 25), in the exact forms of
+//! [`vrd_core::montecarlo`].
 
 use serde::{Deserialize, Serialize};
 
@@ -28,16 +29,11 @@ pub struct PerNStats {
 pub fn fig8_stats(study: &InDepthStudy) -> Vec<PerNStats> {
     let mut out = Vec::new();
     for &n in PAPER_N_VALUES.iter() {
-        let mut points: Vec<MinRdtStats> = Vec::new();
-        for module in &study.per_module {
-            for row in &module.rows {
-                for cs in &row.per_condition {
-                    if cs.series.len() >= n.max(2) {
-                        points.push(exact_stats(&cs.series, n));
-                    }
-                }
-            }
-        }
+        let points: Vec<MinRdtStats> = study
+            .cells()
+            .filter(|(_, cs)| cs.series.len() >= n.max(2))
+            .map(|(_, cs)| exact_stats(&cs.series, n))
+            .collect();
         if points.is_empty() {
             continue;
         }
@@ -119,17 +115,11 @@ pub fn fig15_stats(study: &InDepthStudy) -> Vec<MarginStats> {
             let mut sum = 0.0;
             let mut min = f64::INFINITY;
             let mut count = 0usize;
-            for module in &study.per_module {
-                for row in &module.rows {
-                    for cs in &row.per_condition {
-                        if cs.series.len() >= n.max(2) {
-                            let p = exact_p_within_margin(&cs.series, n, margin);
-                            sum += p;
-                            min = min.min(p);
-                            count += 1;
-                        }
-                    }
-                }
+            for (_, cs) in study.cells().filter(|(_, cs)| cs.series.len() >= n.max(2)) {
+                let p = exact_p_within_margin(&cs.series, n, margin);
+                sum += p;
+                min = min.min(p);
+                count += 1;
             }
             if count > 0 {
                 per_margin.push((margin, sum / count as f64, min));

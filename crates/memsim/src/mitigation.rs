@@ -48,8 +48,7 @@ use rand::RngCore;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use vrd_dram::hashing::FxHashMap;
 
 /// Action requested by a mitigation in response to an activation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -99,8 +98,13 @@ pub trait Mitigation: std::fmt::Debug {
         out: &mut Vec<MitigationAction>,
     ) -> u64;
 
-    /// Called on every periodic refresh (counters may also be
-    /// maintained here).
+    /// Called on a periodic refresh (counters may also be maintained
+    /// here).
+    ///
+    /// A refresh with no activation since the previous refresh must
+    /// append nothing. A simulator may then cover several elapsed tREFIs
+    /// with one call, which is how `simulate_attack` catches up after a
+    /// long throttle.
     fn on_refresh(&mut self, out: &mut Vec<MitigationAction>) {
         let _ = out;
     }
@@ -590,41 +594,9 @@ impl Mitigation for BlockHammer {
 }
 
 /// A counter per key, for the counter tables keyed by rows the
-/// simulators generate.
-type RowMap<K> = HashMap<K, u32, BuildHasherDefault<RowHasher>>;
-
-/// FxHash's multiply-rotate hash. The keys are simulated row numbers,
-/// not input an adversary picks, so SipHash's flood resistance buys
-/// nothing, while its cost dominates a multi-row hook call. No output
-/// depends on iteration order: Graphene's `retain` only filters.
-#[derive(Debug, Default, Clone, Copy)]
-struct RowHasher(u64);
-
-impl RowHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for RowHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.add(u64::from(byte));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// simulators generate. No output depends on iteration order:
+/// Graphene's `retain` only filters.
+type RowMap<K> = FxHashMap<K, u32>;
 
 /// The closed form of a quiet stretch over a cycle of `n` rows in which
 /// row `i` acts on the `left_i`-th of its own next activations
@@ -740,6 +712,30 @@ mod tests {
             }
             assert_eq!(appended > 0, kind != MitigationKind::None, "{} actions", kind.name());
         }
+    }
+
+    #[test]
+    fn a_refresh_with_no_activation_since_the_last_appends_nothing() {
+        // `simulate_attack` covers several elapsed tREFIs with one call.
+        use rand::Rng;
+        let mut rng = ChaCha12Rng::seed_from_u64(29);
+        let mut first_refresh_acted = 0;
+        for kind in [MitigationKind::None].into_iter().chain(MitigationKind::EXTENDED) {
+            for profile in [MitigationProfile::flat(16), profile_of(4, &[8, 64, 512], 40)] {
+                let mut m = kind.build(&profile, 2, 5);
+                let mut out = Vec::new();
+                for round in 0..200 {
+                    for _ in 0..rng.gen_range(0..60) {
+                        let rows = [rng.gen_range(0..16), rng.gen_range(16..32)];
+                        let (bank, max) = (rng.gen_range(0..2), rng.gen_range(1..100));
+                        m.on_activate(bank, &rows[..rng.gen_range(1..=2)], max, &mut out);
+                    }
+                    first_refresh_acted += refresh(m.as_mut()).len();
+                    assert!(refresh(m.as_mut()).is_empty(), "{} round {round}", kind.name());
+                }
+            }
+        }
+        assert!(first_refresh_acted > 0, "MINT's first refresh after activity must act");
     }
 
     #[test]

@@ -106,8 +106,10 @@ impl AttackResult {
 /// A victim's true RDT is redrawn after every restoration (preventive
 /// refresh, escape, or the periodic refresh that restores every victim
 /// once per tREFW), modelling VRD's unpredictable epoch-to-epoch
-/// threshold changes. The mitigation's `on_refresh` hook runs once per
-/// tREFI, which models MINT's REF-time mitigation at its real cadence.
+/// threshold changes. The mitigation's `on_refresh` hook runs at the
+/// first tREFI after each activation, which models MINT's REF-time
+/// mitigation at its real cadence: the tREFIs of a throttled stretch
+/// with no activation in between would append nothing.
 ///
 /// Each [`Mitigation::on_activate`] call takes a whole chunk of the
 /// round-robin cycle: the chunk ends at the mechanism's next action, at
@@ -214,8 +216,11 @@ pub fn simulate_attack(mitigation: &mut dyn Mitigation, config: &AttackConfig) -
                 }
             }
         }
-        while time_ns >= next_refi {
-            next_refi += T_REFI_NS;
+        // One hook call covers every tREFI elapsed since the last
+        // activation: a refresh with no activation since the previous
+        // one appends nothing (see `Mitigation::on_refresh`).
+        if time_ns >= next_refi {
+            next_refi += (time_ns - next_refi) / T_REFI_NS * T_REFI_NS + T_REFI_NS;
             mitigation.on_refresh(&mut actions);
             for action in actions.drain(..) {
                 result.actions += 1;

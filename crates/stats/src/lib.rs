@@ -20,8 +20,6 @@
 //! - [`ks`] — the two-sample Kolmogorov–Smirnov test between
 //!   measurement series (did the RDT distribution change?).
 //! - [`normal`] — normal/lognormal sampling (Box–Muller) and CDF/PDF.
-//! - [`montecarlo`] — subsampling and its exact probabilities for the
-//!   paper's Monte-Carlo analyses (§5.1).
 //! - [`scurve`] — sorted percentile curves (Fig. 7a).
 //! - [`binomial`] — binomial pmf/cdf and exact Clopper–Pearson
 //!   confidence bounds.
@@ -46,7 +44,6 @@ pub mod descriptive;
 pub mod error;
 pub mod histogram;
 pub mod ks;
-pub mod montecarlo;
 pub mod normal;
 pub mod runlength;
 pub mod scurve;
@@ -64,7 +61,6 @@ pub use descriptive::{coefficient_of_variation, mean, percentile, stddev, Summar
 pub use error::StatsError;
 pub use histogram::Histogram;
 pub use ks::{ks_test_two_sample, KsResult};
-pub use montecarlo::sample_indices_without_replacement;
 pub use runlength::run_length_histogram;
 pub use scurve::SCurve;
 pub use sequential::{SequentialMin, StoppingRule};

@@ -24,6 +24,11 @@
 //!    (over-configured thresholds and no mitigation), PRAC's blocked
 //!    time, attacks that cross tREFW, the defenses sweep's 8 victims and
 //!    victims at different epoch RDTs.
+//! 3. **Refresh catch-up.** `simulate_attack` covers every tREFI that
+//!    elapsed since the last activation with one `on_refresh` call. It
+//!    returns the same result as [`reference_attack`], which steps one
+//!    activation and one tREFI at a time, on BlockHammer throttles that
+//!    span hundreds of tREFIs each.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -518,9 +523,8 @@ fn victims_at_different_epoch_rdts_match_the_per_activation_loop() {
         let config =
             AttackConfig { activations: 8_000, ..AttackConfig::new(rdts, victims.clone(), 31337) };
         for kind in kinds() {
-            // At 16 a BlockHammer throttle spans thousands of tREFIs,
-            // each one `on_refresh` call. At 1000 every victim still
-            // passes its region's quota under the region profile.
+            // At 1000 every victim still passes its region's quota under
+            // the region profile.
             let base = if kind == MitigationKind::BlockHammer { 1_000 } else { 16 };
             for profile in [MitigationProfile::flat(4 * base), spatial_profile(base)] {
                 escapes += both_ways(kind, &profile, &config).escapes;
@@ -549,4 +553,128 @@ fn multi_victim_attacks_across_the_refresh_window_match_the_per_activation_loop(
             assert!(result.escapes > 0);
         }
     }
+}
+
+// ----- refresh catch-up --------------------------------------------------
+
+/// `simulate_attack` one activation at a time, with one `on_refresh`
+/// call per elapsed tREFI: the attack loop before it caught up several
+/// tREFIs in one call.
+fn reference_attack(m: &mut dyn Mitigation, config: &AttackConfig) -> AttackResult {
+    const T_RC_NS: u64 = 46;
+    const T_REFI_NS: u64 = 3_900;
+    const T_REFW_NS: u64 = 32_000_000;
+    let victim_of = |row: u32| config.victims.iter().position(|v| v.row == row);
+    let mut rng = ChaCha12Rng::seed_from_u64(config.seed);
+    let dist = &config.rdt_distribution;
+    let mut draw = |factor: f64| {
+        let base = f64::from(dist[rng.gen_range(0..dist.len())]);
+        (base * factor).round().max(1.0) as u64
+    };
+    let victims = &config.victims;
+    let n = victims.len();
+    let mut true_rdt: Vec<u64> = victims.iter().map(|v| draw(v.factor)).collect();
+    let mut accumulated = vec![0u64; n];
+    let mut restore = vec![false; n];
+    let mut result = AttackResult {
+        activations: config.activations,
+        preventive_refreshes: 0,
+        actions: 0,
+        blocked_ns: 0,
+        escapes: 0,
+        per_victim_escapes: vec![0; n],
+    };
+    let (mut time_ns, mut next_refi, mut next_periodic) = (0, T_REFI_NS, T_REFW_NS);
+    let mut actions = Vec::new();
+    for a in 0..config.activations {
+        let v = (a % n as u64) as usize;
+        assert_eq!(m.on_activate(0, &[victims[v].row], 1, &mut actions), 1);
+        time_ns += T_RC_NS;
+        accumulated[v] += 1;
+        if accumulated[v] >= true_rdt[v] {
+            result.escapes += 1;
+            result.per_victim_escapes[v] += 1;
+            restore[v] = true;
+        }
+        for action in actions.drain(..) {
+            result.actions += 1;
+            match action {
+                MitigationAction::RefreshNeighbors { row, .. } => {
+                    result.preventive_refreshes += 1;
+                    if let Some(i) = victim_of(row) {
+                        restore[i] = true;
+                    }
+                }
+                MitigationAction::BlockBank { duration, .. }
+                | MitigationAction::BlockChannel { duration } => {
+                    time_ns += duration;
+                    result.blocked_ns += duration;
+                }
+            }
+        }
+        while time_ns >= next_refi {
+            next_refi += T_REFI_NS;
+            m.on_refresh(&mut actions);
+            for action in actions.drain(..) {
+                result.actions += 1;
+                if let MitigationAction::RefreshNeighbors { row, .. } = action {
+                    result.preventive_refreshes += 1;
+                    if let Some(i) = victim_of(row) {
+                        restore[i] = true;
+                    }
+                }
+            }
+        }
+        while time_ns >= next_periodic {
+            next_periodic += T_REFW_NS;
+            restore.fill(true);
+        }
+        for (i, flagged) in restore.iter_mut().enumerate() {
+            if std::mem::take(flagged) {
+                accumulated[i] = 0;
+                true_rdt[i] = draw(victims[i].factor);
+            }
+        }
+    }
+    result
+}
+
+#[test]
+fn refresh_catch_up_matches_the_per_trefi_reference() {
+    // At thresholds 16–64 BlockHammer's quota is 8–32 activations per
+    // window and each later activation of the row is throttled for
+    // 32 ms / quota, 256–1026 tREFIs. Epoch RDTs around the quota let
+    // victims escape before the throttle engages.
+    let mut escapes = 0;
+    for threshold in [16, 32, 64] {
+        for victims in [vec![SpatialVictim { row: 1, factor: 1.0 }], spatial_victims()] {
+            let config = AttackConfig {
+                activations: 1_200,
+                ..AttackConfig::new(vec![6, 12, 20, 40, 300], victims, 31337)
+            };
+            for kind in kinds() {
+                let profile = MitigationProfile::flat(threshold);
+                let mut caught_up = Counting::new(kind.build(&profile, 1, config.seed));
+                let mut stepped = Counting::new(kind.build(&profile, 1, config.seed));
+                let got = simulate_attack(&mut caught_up, &config);
+                let want = reference_attack(&mut stepped, &config);
+                let what =
+                    format!("{} at {threshold}, {} victims", kind.name(), config.victims.len());
+                assert_eq!(got, want, "{what}");
+                // The reference's calls after one activation collapse into
+                // the catch-up's one call there.
+                let mut at = stepped.refreshed_at.clone();
+                at.dedup();
+                assert_eq!(caught_up.refreshed_at, at, "{what}: refresh cadence");
+                if kind == MitigationKind::BlockHammer {
+                    assert!(
+                        stepped.refreshed_at.len() > 100 * caught_up.refreshed_at.len(),
+                        "{what}: the throttles must span many tREFIs"
+                    );
+                    escapes += want.escapes;
+                }
+            }
+        }
+    }
+    assert!(escapes > 0, "BlockHammer must let victims below its quota escape");
 }

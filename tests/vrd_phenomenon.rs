@@ -1,9 +1,15 @@
 //! End-to-end checks of the VRD phenomenon across the full stack:
 //! device model → testing platform → Algorithm 1 → statistics.
 
+#[path = "util/subsample.rs"]
+mod subsample;
+
+use rand::SeedableRng;
+
+use subsample::{monte_carlo_p_within_margin, monte_carlo_stats};
 use vrd::bender::TestPlatform;
 use vrd::core::metrics::SeriesMetrics;
-use vrd::core::montecarlo::{exact_stats, monte_carlo_stats};
+use vrd::core::montecarlo::{exact_p_within_margin, exact_stats, PAPER_MARGINS, PAPER_N_VALUES};
 use vrd::core::predictability::analyze;
 use vrd::core::{find_victim, test_loop, SweepSpec};
 use vrd::dram::{DataPattern, ModuleSpec, TestConditions};
@@ -68,10 +74,7 @@ fn takeaway2_min_rdt_is_hard_to_find() {
 #[test]
 fn monte_carlo_and_exact_agree_on_measured_series() {
     let series = measured_series(6, 500);
-    let mut rng = {
-        use rand::SeedableRng;
-        rand_chacha::ChaCha12Rng::seed_from_u64(0)
-    };
+    let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0);
     for n in [1usize, 10, 50] {
         let exact = exact_stats(&series, n);
         let mc = monte_carlo_stats(&mut rng, &series, n, 10_000);
@@ -81,6 +84,47 @@ fn monte_carlo_and_exact_agree_on_measured_series() {
             exact.p_find_min,
             mc.p_find_min
         );
+    }
+}
+
+/// Four standard errors of a mean of `iterations` draws whose standard
+/// deviation is at most `sd`, plus three draws' worth of slack for rates
+/// so close to 0 or 1 that the normal approximation fails.
+fn tolerance(sd: f64, iterations: usize) -> f64 {
+    let i = iterations as f64;
+    4.0 * sd / i.sqrt() + 3.0 / i
+}
+
+#[test]
+fn monte_carlo_oracle_agrees_with_exact_forms_on_the_paper_grid() {
+    // A row's 1,000 measurements, as in the paper; every N it evaluates
+    // and every Fig.-15 margin. A rate `p` estimated from `I` draws has
+    // standard error √(p(1−p)/I); the normalized minimum lies in
+    // [1, max/min], so its per-draw standard deviation is at most half
+    // that range.
+    const ITERATIONS: usize = 1_000;
+    let series = measured_series(7, 1_000);
+    assert!(series.len() >= 500, "N = 500 must fit in {} measured RDTs", series.len());
+    let (min, max) = (series.min().unwrap(), series.values().iter().copied().max().unwrap());
+    let range = f64::from(max) / f64::from(min) - 1.0;
+    let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(1);
+    let rate_sd = |p: f64| (p * (1.0 - p)).sqrt();
+    for n in PAPER_N_VALUES {
+        let exact = exact_stats(&series, n);
+        let mc = monte_carlo_stats(&mut rng, &series, n, ITERATIONS);
+        let tol = tolerance(rate_sd(exact.p_find_min), ITERATIONS);
+        assert!((exact.p_find_min - mc.p_find_min).abs() <= tol, "n={n}: {exact:?} vs {mc:?}");
+        let tol = tolerance(range / 2.0, ITERATIONS);
+        assert!(
+            (exact.expected_normalized_min - mc.expected_normalized_min).abs() <= tol,
+            "n={n}: {exact:?} vs {mc:?}"
+        );
+        for margin in PAPER_MARGINS {
+            let exact = exact_p_within_margin(&series, n, margin);
+            let mc = monte_carlo_p_within_margin(&mut rng, &series, n, margin, ITERATIONS);
+            let tol = tolerance(rate_sd(exact), ITERATIONS);
+            assert!((exact - mc).abs() <= tol, "n={n} margin={margin}: {exact} vs {mc}");
+        }
     }
 }
 
